@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
 """Time full-spectrum assembly, serial vs process-parallel.
 
-Usage: python scripts/benchmark_spectrum.py 30 35 40 --threads 4
+Usage: python scripts/benchmark_spectrum.py 30 35 40 --threads 2
+
+--threads defaults to the CPU count; spectrum() caps it there anyway.
 """
 
 import argparse
+import os
 import time
 
 from tnspectrum import partition_count, spectrum
@@ -13,7 +16,7 @@ from tnspectrum import partition_count, spectrum
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("ns", type=int, nargs="*", default=[30, 35, 40])
-    parser.add_argument("--threads", type=int, default=4)
+    parser.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     args = parser.parse_args()
 
     print(f"{'n':>4} {'partitions':>11} {'serial[s]':>10} {'parallel[s]':>12} identical")

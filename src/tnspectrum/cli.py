@@ -348,7 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=_positive_int,
         default=1,
-        help="worker processes for spectrum assembly (output is unchanged)",
+        help="worker processes for spectrum assembly, capped at the CPU count and the "
+        "shard count (output is unchanged)",
     )
     shared.add_argument(
         "--max-n",

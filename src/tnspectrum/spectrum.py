@@ -9,12 +9,13 @@ spectrum is a bucket sum over all p(n) partitions.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .partitions import DEFAULT_MAX_N, Partition, degree, enumerate_partitions
+from .partitions import DEFAULT_MAX_N, Partition, check_size, descending_parts
 
 
 def eigenvalue(p: Partition) -> int:
@@ -97,36 +98,83 @@ def spectrum(n: int, max_n: int = DEFAULT_MAX_N, threads: int = 1) -> Spectrum:
     """Exact spectrum of the transposition graph on ``n`` symbols.
 
     Folds degree(p)^2 into one bucket per eigenvalue over all partitions of n.
-    With ``threads`` > 1 the fold runs on worker processes; bucket addition is
-    commutative and associative, so the result is identical to the serial one.
+    Conjugation keeps the degree and negates the eigenvalue, so the fold visits
+    only the partitions whose first part is at least their length. Each adds
+    its degree^2 at +eigenvalue and, when its first part exceeds its length,
+    also at -eigenvalue on behalf of its conjugate. A partition whose first
+    part equals its length has a conjugate of the same kind, visited in its
+    own right, so it adds at +eigenvalue only.
+
+    The visited partitions are sharded by first part, ceil(sqrt(n)) through
+    n; no smaller first part is at least the length. With ``threads`` > 1 the
+    shards are dealt round-robin to min(threads, CPU count, shard count)
+    worker processes, and none is started when that minimum is 1. Bucket
+    addition is commutative and associative, so the result is identical to
+    the serial one.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    if threads == 1:
-        buckets = _bucket_fold(enumerate_partitions(n, max_n))
+    check_size(n, max_n)
+    firsts = range(math.isqrt(n - 1) + 1, n + 1)
+    workers = min(threads, os.cpu_count() or 1, len(firsts))
+    if workers == 1:
+        buckets = _fold(n, firsts)
     else:
-        all_parts = [p.parts for p in enumerate_partitions(n, max_n)]
-        chunks = [all_parts[i::threads] for i in range(threads)]
-        buckets: dict[int, int] = {}
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            for partial in pool.map(_bucket_fold_parts, chunks):
+        shards = [firsts[k::workers] for k in range(workers)]
+        buckets = {}
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            for partial in pool.map(_fold, [n] * workers, shards):
                 for value, mult in partial.items():
                     buckets[value] = buckets.get(value, 0) + mult
     entries = tuple(sorted(buckets.items(), key=lambda item: -item[0]))
     return Spectrum(n=n, entries=entries)
 
 
-def _bucket_fold(partitions):
+def _fold(n: int, firsts) -> dict[int, int]:
+    """The buckets ``spectrum`` folds from the partitions of n with first part in ``firsts``.
+
+    One pass over the rows of each visited partition yields both its hook
+    product and its doubled eigenvalue; the column lengths come from the runs
+    of equal parts.
+    """
+    factorial = math.factorial(n)
     buckets: dict[int, int] = {}
-    for p in partitions:
-        d = degree(p)
-        value = eigenvalue(p)
-        buckets[value] = buckets.get(value, 0) + d * d
+    for first in firsts:
+        for parts in descending_parts(n, first):
+            length = len(parts)
+            if length > first:
+                continue  # its conjugate, whose first part is `length`, stands in for it
+            # offsets[j] = (length of column j) - j; columns prev..row-1 have length t
+            offsets = []
+            prev = 0
+            for t in range(length, 0, -1):
+                row = parts[t - 1]
+                if row > prev:
+                    offsets.extend(range(t - prev, t - row, -1))
+                    prev = row
+            # hook of box (t, j) = arm + leg + 1 = (row - j - 1) + (offsets[j] + j - t - 1) + 1
+            hook_product = 1
+            doubled = 0
+            for t, row in enumerate(parts):
+                doubled += row * (row - 2 * t - 1)
+                shift = row - t - 1
+                for offset in offsets[:row]:
+                    hook_product *= shift + offset
+            deg, remainder = divmod(factorial, hook_product)
+            if remainder:
+                raise ArithmeticError(
+                    f"hook product {hook_product} does not divide {n}! for {Partition(parts)}"
+                )
+            if doubled % 2:
+                raise ArithmeticError(
+                    f"doubled eigenvalue sum {doubled} is odd for {Partition(parts)}"
+                )
+            value = doubled // 2
+            square = deg * deg
+            buckets[value] = buckets.get(value, 0) + square
+            if first > length:
+                buckets[-value] = buckets.get(-value, 0) + square
     return buckets
-
-
-def _bucket_fold_parts(parts_chunk):
-    return _bucket_fold(Partition(parts) for parts in parts_chunk)
 
 
 def multiplicity(n: int, value: int, max_n: int = DEFAULT_MAX_N, threads: int = 1) -> int:

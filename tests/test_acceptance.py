@@ -1,11 +1,12 @@
 """Acceptance gate: one test per criterion, each printing a PASS line on success.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-lines. The 720-vertex oracle check is gated behind TNSPECTRUM_EXTENDED=1.
+lines. The 720-vertex oracle check at n = 6 runs with the rest: the spectrum
+is symmetric about zero by construction, and that dense eigensolve is evidence
+of the symmetry independent of it.
 """
 
 import math
-import os
 import time
 
 import pytest
@@ -42,8 +43,6 @@ ONE_TABLE = {
     18: 274422662958600,
     20: 86181028874240000,
 }
-
-EXTENDED = os.environ.get("TNSPECTRUM_EXTENDED") == "1"
 
 
 def _report(label, elapsed=None):
@@ -152,7 +151,6 @@ def test_criterion_7_oracle_equivalence():
     _report("criterion 7 (numeric oracle agrees for n = 2..5)", elapsed)
 
 
-@pytest.mark.skipif(not EXTENDED, reason="set TNSPECTRUM_EXTENDED=1 for the 720-vertex check")
 def test_criterion_7_extended_oracle_n6():
     start = time.perf_counter()
     report = compare(spectrum(6), numeric_spectrum(build_graph(6)), 1e-6)
@@ -179,7 +177,7 @@ def test_criterion_9_performance_smoke():
     start = time.perf_counter()
     serial = spectrum(40)
     elapsed = time.perf_counter() - start
-    assert elapsed < 10.0
+    assert elapsed < 5.0
     parallel = spectrum(40, threads=4)
     assert parallel == serial
     _report("criterion 9 (spectrum(40) timing and parallel determinism)", elapsed)

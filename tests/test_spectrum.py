@@ -1,3 +1,4 @@
+import importlib
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -8,6 +9,7 @@ from tnspectrum import (
     Partition,
     character_ratio,
     conjugate,
+    degree,
     eigenvalue,
     eigenvalue_upper_bound,
     enumerate_partitions,
@@ -113,8 +115,49 @@ class TestSpectrum:
         assert 2 in spec
         assert 5 not in spec
 
+    @pytest.mark.parametrize("n", range(1, 31))
+    def test_matches_plain_fold(self, n):
+        # reference: every partition folded on its own, no conjugation symmetry
+        buckets = {}
+        for p in enumerate_partitions(n):
+            value = eigenvalue(p)
+            buckets[value] = buckets.get(value, 0) + degree(p) ** 2
+        assert spectrum(n).entries == tuple(sorted(buckets.items(), reverse=True))
+
     def test_parallel_fold_matches_serial(self):
+        for n in (1, 2, 3, 7, 18, 25):
+            assert spectrum(n, threads=2) == spectrum(n), n
         assert spectrum(18, threads=3) == spectrum(18)
+
+    def test_worker_count_is_capped(self, monkeypatch):
+        spectrum_module = importlib.import_module("tnspectrum.spectrum")
+        pools = []
+
+        class InlinePool:
+            """Stands in for the process pool: records its size, maps in this process."""
+
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(spectrum_module, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(spectrum_module.os, "cpu_count", lambda: 4)
+        serial = spectrum(30)
+        assert spectrum(30, threads=10**6) == serial
+        assert pools == [4]  # min(threads, CPU count 4, 25 shards)
+        assert spectrum(2, threads=3) == spectrum(2)
+        assert pools == [4]  # one shard: no pool at all
+        monkeypatch.setattr(spectrum_module.os, "cpu_count", lambda: None)
+        assert spectrum(30, threads=8) == serial
+        assert pools == [4]  # CPU count unknown: one worker, no pool
 
     def test_rejects_bad_thread_count(self):
         with pytest.raises(ValueError):
