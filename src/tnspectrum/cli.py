@@ -81,6 +81,15 @@ def _oracle_n(text: str) -> int:
     return value
 
 
+def _tolerance(text: str) -> float:
+    value = float(text)
+    # rounding to the nearest integer decides nothing at 0.5 or beyond, and
+    # every comparison with nan is false
+    if not 0 < value < 0.5:
+        raise argparse.ArgumentTypeError("tolerance must satisfy 0 < tolerance < 0.5")
+    return value
+
+
 def _emit_json(command: str, n: int, payload, status: str = "ok") -> None:
     record = {"command": command, "n": n, "payload": payload, "status": status}
     print(json.dumps(record, sort_keys=True))
@@ -192,6 +201,8 @@ def cmd_top(args) -> int:
 
 
 def cmd_witness(args) -> int:
+    if args.n > args.max_n:
+        return _fail(args, "witness", args.n, f"n = {args.n} exceeds --max-n {args.max_n}", 2)
     try:
         report = verify_witness(args.n, args.target)
     except NoWitnessError as exc:
@@ -266,8 +277,10 @@ def _verify_row(n: int, max_n: int, threads: int) -> dict[str, bool | None]:
         eigenvalue(p) <= eigenvalue_upper_bound(p) for p in enumerate_partitions(n, max_n)
     )
     row["witness_zero"] = verify_witness(n, 0).verified
-    one_known = (n % 2 == 1 and n >= 7) or (n % 2 == 0 and n >= 14)
-    row["witness_one"] = verify_witness(n, 1).verified if one_known else None
+    try:
+        row["witness_one"] = verify_witness(n, 1).verified
+    except NoWitnessError:
+        row["witness_one"] = None
     return row
 
 
@@ -307,12 +320,15 @@ def cmd_verify(args) -> int:
 
 def cmd_oracle(args) -> int:
     graph = build_graph(args.n)
-    if args.dump_edges:
-        with open(args.dump_edges, "w", encoding="ascii") as handle:
-            for u, v in edge_list(graph):
-                handle.write(f"{u} {v}\n")
-    numeric = numeric_spectrum(graph, integer_tolerance=args.tolerance)
-    report = compare(spectrum(args.n), numeric, tolerance=args.tolerance)
+    try:
+        if args.dump_edges:
+            with open(args.dump_edges, "w", encoding="ascii") as handle:
+                for u, v in edge_list(graph):
+                    handle.write(f"{u} {v}\n")
+        numeric = numeric_spectrum(graph, integer_tolerance=args.tolerance)
+        report = compare(spectrum(args.n), numeric, tolerance=args.tolerance)
+    except (OSError, ArithmeticError) as exc:
+        return _fail(args, "oracle", args.n, str(exc), 2)
     if args.format == "json":
         payload = {
             "order": graph.order,
@@ -406,7 +422,12 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"brute-force graph cross-check ({ORACLE_MIN_N} <= n <= {ORACLE_MAX_N})",
     )
     p.add_argument("n", type=_oracle_n)
-    p.add_argument("--tolerance", type=float, default=1e-6, help="integer-proximity tolerance")
+    p.add_argument(
+        "--tolerance",
+        type=_tolerance,
+        default=1e-6,
+        help="integer-proximity tolerance, 0 < X < 0.5",
+    )
     p.add_argument(
         "--dump-edges",
         metavar="PATH",

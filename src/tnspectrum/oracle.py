@@ -4,6 +4,9 @@ Deliberately independent of the partition pipeline: vertices are the n!
 permutations ranked lexicographically, edges join permutations differing by
 one transposition, and the spectrum comes out of a dense symmetric
 eigensolver. Agreement with the exact route is the end-to-end test.
+
+numpy is imported inside the functions that use it, so importing this module
+(and the package, and the CLI) stays cheap for every command but ``oracle``.
 """
 
 from __future__ import annotations
@@ -11,8 +14,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .spectrum import Spectrum
 
@@ -41,6 +42,8 @@ class ComparisonReport:
 
 def build_graph(n: int) -> CayleyGraph:
     """Adjacency matrix of the transposition graph, vertices in lexicographic rank order."""
+    import numpy as np
+
     if not ORACLE_MIN_N <= n <= ORACLE_MAX_N:
         raise ValueError(
             f"oracle graph limited to {ORACLE_MIN_N} <= n <= {ORACLE_MAX_N} (n! vertices), got {n}"
@@ -64,6 +67,8 @@ def numeric_spectrum(g: CayleyGraph, integer_tolerance: float = 1e-6) -> Numeric
     ``integer_tolerance`` from the nearest integer (which would falsify the
     integrality of the graph, or expose a broken build).
     """
+    import numpy as np
+
     values = np.linalg.eigvalsh(g.adjacency.astype(np.float64))[::-1]
     deviations = np.abs(values - np.rint(values))
     worst = float(deviations.max())
@@ -121,6 +126,8 @@ def compare(exact: Spectrum, numeric: NumericSpectrum, tolerance: float = 1e-6) 
 
 def edge_list(g: CayleyGraph) -> list[tuple[int, int]]:
     """Edges as (u, v) rank pairs with u < v, sorted; for external verification."""
+    import numpy as np
+
     rows, cols = np.nonzero(np.triu(g.adjacency, k=1))
     return [(int(u), int(v)) for u, v in zip(rows, cols)]
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -120,6 +119,8 @@ def spectrum(n: int, max_n: int = DEFAULT_MAX_N, threads: int = 1) -> Spectrum:
     if workers == 1:
         buckets = _fold(n, firsts)
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         shards = [firsts[k::workers] for k in range(workers)]
         buckets = {}
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -133,6 +133,16 @@ class TestWitnessCommand:
         assert code == 1
         assert "no construction known" in err
 
+    def test_resource_guard(self, capsys):
+        code, out, _ = run(capsys, "witness", "81", "0", "--format", "json")
+        assert code == 2
+        record = json.loads(out)
+        assert record["status"] == "error"
+        assert "exceeds --max-n 80" in record["payload"]["message"]
+        code, out, _ = run(capsys, "witness", "81", "0", "--max-n", "81")
+        assert code == 0
+        assert "verified" in out
+
 
 class TestTablesCommand:
     def test_all_cells_pass(self, capsys):
@@ -198,6 +208,39 @@ class TestOracleCommand:
             main(["oracle", "7"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-inf", "0", "-1e-6", "0.5", "2"])
+    def test_tolerance_outside_open_interval_is_usage_error(self, tolerance):
+        with pytest.raises(SystemExit) as err:
+            main(["oracle", "4", f"--tolerance={tolerance}"])
+        assert err.value.code == 2
+
+    def test_tolerance_inside_open_interval(self, capsys):
+        code, out, _ = run(capsys, "oracle", "4", "--tolerance", "0.25")
+        assert code == 0
+        assert "AGREE" in out
+
+    def test_unwritable_edge_dump_is_error_record(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "edges.txt"
+        code, out, _ = run(capsys, "oracle", "3", "--dump-edges", str(path), "--format", "json")
+        assert code == 2
+        record = json.loads(out)
+        assert record["status"] == "error"
+        assert "edges.txt" in record["payload"]["message"]
+        code, _, err = run(capsys, "oracle", "3", "--dump-edges", str(path))
+        assert code == 2
+        assert err.startswith("error: ")
+
+    def test_arithmetic_error_is_error_record(self, capsys, monkeypatch):
+        def not_integral(graph, integer_tolerance):
+            raise ArithmeticError("eigenvalue 0.25 is 2.500e-01 away from an integer")
+
+        monkeypatch.setattr("tnspectrum.cli.numeric_spectrum", not_integral)
+        code, out, _ = run(capsys, "oracle", "4", "--format", "json")
+        assert code == 2
+        record = json.loads(out)
+        assert record["status"] == "error"
+        assert "away from an integer" in record["payload"]["message"]
+
     def test_edge_dump(self, capsys, tmp_path):
         path = tmp_path / "edges.txt"
         code, _, _ = run(capsys, "oracle", "3", "--dump-edges", str(path))
@@ -225,6 +268,28 @@ class TestDeterminism:
         assert first.returncode == second.returncode == 0
         assert first.stdout == second.stdout
         assert first.stdout
+
+
+class TestLazyImports:
+    """Only ``oracle`` needs numpy, and only a multi-worker fold needs the process pool."""
+
+    @staticmethod
+    def loaded_after(argv):
+        script = (
+            "import sys\n"
+            "from tnspectrum.cli import main\n"
+            f"main({argv!r})\n"
+            "print(sorted(m for m in ('numpy', 'concurrent.futures') if m in sys.modules))\n"
+        )
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        return result.stdout.splitlines()[-1]
+
+    def test_mult_loads_neither_numpy_nor_the_pool(self):
+        assert self.loaded_after(["mult", "8", "0"]) == "[]"
+
+    def test_oracle_loads_numpy(self):
+        assert "'numpy'" in self.loaded_after(["oracle", "4"])
 
 
 class TestEntryPoint:

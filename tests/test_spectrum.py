@@ -148,7 +148,7 @@ class TestSpectrum:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(spectrum_module, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr(spectrum_module.os, "cpu_count", lambda: 4)
         serial = spectrum(30)
         assert spectrum(30, threads=10**6) == serial
