@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Time full-spectrum assembly, serial vs process-parallel.
 
-Usage: python scripts/benchmark_spectrum.py 30 35 40 --threads 2
+Usage: python scripts/benchmark_spectrum.py 50 52 55 --threads 2
 
---threads defaults to the CPU count; spectrum() caps it there anyway.
+--threads defaults to the CPU count; spectrum() caps it there anyway. Below
+n = 50 (PARALLEL_MIN_N) spectrum() folds in-process whatever --threads asks.
 """
 
 import argparse
@@ -15,7 +16,7 @@ from tnspectrum import partition_count, spectrum
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("ns", type=int, nargs="*", default=[30, 35, 40])
+    parser.add_argument("ns", type=int, nargs="*", default=[50, 52, 55])
     parser.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     args = parser.parse_args()
 

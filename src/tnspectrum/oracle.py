@@ -65,10 +65,12 @@ def numeric_spectrum(g: CayleyGraph, integer_tolerance: float = 1e-6) -> Numeric
 
     Raises on eigensolver non-convergence and on any eigenvalue farther than
     ``integer_tolerance`` from the nearest integer (which would falsify the
-    integrality of the graph, or expose a broken build).
+    integrality of the graph, or expose a broken build). The tolerance must
+    satisfy 0 < tolerance < 0.5 (see ``check_tolerance``).
     """
     import numpy as np
 
+    check_tolerance(integer_tolerance)
     values = np.linalg.eigvalsh(g.adjacency.astype(np.float64))[::-1]
     deviations = np.abs(values - np.rint(values))
     worst = float(deviations.max())
@@ -79,6 +81,17 @@ def numeric_spectrum(g: CayleyGraph, integer_tolerance: float = 1e-6) -> Numeric
             f"(tolerance {integer_tolerance:g})"
         )
     return NumericSpectrum(values=tuple(float(v) for v in values))
+
+
+def check_tolerance(tolerance: float) -> None:
+    """Raise ValueError unless 0 < tolerance < 0.5.
+
+    Rounding to the nearest integer decides nothing at 0.5 or beyond, and
+    every comparison with nan is false, so such a tolerance would silently
+    turn the integrality check off.
+    """
+    if not 0 < tolerance < 0.5:
+        raise ValueError(f"tolerance must satisfy 0 < tolerance < 0.5, got {tolerance!r}")
 
 
 def _round_half_away_from_zero(x: float) -> int:
@@ -92,7 +105,9 @@ def compare(exact: Spectrum, numeric: NumericSpectrum, tolerance: float = 1e-6) 
     Size mismatch (different n) is a usage error and raises; multiplicity
     mismatches are collected into the report instead of thrown. Any numeric
     value farther than ``tolerance`` from an integer aborts the comparison.
+    The tolerance must satisfy 0 < tolerance < 0.5 (see ``check_tolerance``).
     """
+    check_tolerance(tolerance)
     total = sum(m for _, m in exact.entries)
     if total != len(numeric.values):
         raise ValueError(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .partitions import DEFAULT_MAX_N, Partition, check_size, descending_parts
+from .partitions import DEFAULT_MAX_N, Partition, check_size
 
 
 def eigenvalue(p: Partition) -> int:
@@ -93,6 +93,13 @@ class Spectrum:
         }
 
 
+#: Below this n a spectrum is folded in-process whatever ``threads`` asks for.
+#: In a fresh interpreter on a 2-core box, importing and starting the pool
+#: outweighed what two workers saved in 4 of 5 readings at n = 48, and two
+#: workers were faster in every reading from n = 49 on (BENCH_tail_kernel.json).
+PARALLEL_MIN_N = 50
+
+
 def spectrum(n: int, max_n: int = DEFAULT_MAX_N, threads: int = 1) -> Spectrum:
     """Exact spectrum of the transposition graph on ``n`` symbols.
 
@@ -104,78 +111,118 @@ def spectrum(n: int, max_n: int = DEFAULT_MAX_N, threads: int = 1) -> Spectrum:
     part equals its length has a conjugate of the same kind, visited in its
     own right, so it adds at +eigenvalue only.
 
-    The visited partitions are sharded by first part, ceil(sqrt(n)) through
-    n; no smaller first part is at least the length. With ``threads`` > 1 the
-    shards are dealt round-robin to min(threads, CPU count, shard count)
-    worker processes, and none is started when that minimum is 1. Bucket
-    addition is commutative and associative, so the result is identical to
-    the serial one.
+    The partitions are built bottom-up by a depth-first walk over their
+    tails, the rows below the first: a node is a tail, its children put one
+    more row, no shorter than the tail's top row, on top of it, and it yields
+    the one partition of n whose first row is n minus the tail's size. Adding
+    a row on top changes no hook below it, so a node's hook product is its
+    parent's times the hooks of the new row alone.
+
+    The walk is sharded by the tail's bottom run (s, m): exactly m rows of
+    length s at the bottom, with only longer rows above them. The shard
+    (n, 0) is the one-row partition (n). With ``threads`` > 1 and n at least
+    ``PARALLEL_MIN_N``, the shards are dealt round-robin, largest tails
+    first, to min(threads, CPU count, shard count) worker processes, and none
+    is started when that minimum is 1. Bucket addition is commutative and
+    associative, so the result is identical to the serial one.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     check_size(n, max_n)
-    firsts = range(math.isqrt(n - 1) + 1, n + 1)
-    workers = min(threads, os.cpu_count() or 1, len(firsts))
+    shards = _shards(n)
+    workers = min(threads, os.cpu_count() or 1, len(shards)) if n >= PARALLEL_MIN_N else 1
     if workers == 1:
-        buckets = _fold(n, firsts)
+        buckets = _fold(n, shards)
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        shards = [firsts[k::workers] for k in range(workers)]
         buckets = {}
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for partial in pool.map(_fold, [n] * workers, shards):
+            dealt = [shards[k::workers] for k in range(workers)]
+            for partial in pool.map(_fold, [n] * workers, dealt):
                 for value, mult in partial.items():
                     buckets[value] = buckets.get(value, 0) + mult
     entries = tuple(sorted(buckets.items(), key=lambda item: -item[0]))
     return Spectrum(n=n, entries=entries)
 
 
-def _fold(n: int, firsts) -> dict[int, int]:
-    """The buckets ``spectrum`` folds from the partitions of n with first part in ``firsts``.
+def _shards(n: int) -> list[tuple[int, int]]:
+    """The bottom runs (s, m) of the tails ``_fold`` visits, smallest tail s*m first.
 
-    One pass over the rows of each visited partition yields both its hook
-    product and its doubled eigenvalue; the column lengths come from the runs
-    of equal parts.
+    A smaller tail leaves more of n to the rows above it and so roots a
+    larger subtree; dealing the shards round-robin in this order keeps the
+    workers' loads close.
     """
-    factorial = math.factorial(n)
+    keys = [(n, 0)]
+    for s in range(1, n):
+        m = 1
+        # the first row, n - s*m, is at least s and longer than the tail
+        while n - s * m >= max(s, m + 1):
+            keys.append((s, m))
+            m += 1
+    keys.sort(key=lambda key: (key[0] * key[1], key[0]))
+    return keys
+
+
+def _fold(n: int, shards) -> dict[int, int]:
+    """The buckets ``spectrum`` folds from the partitions of n in the given shards.
+
+    A tail mu of size S and length L is described by its column offsets
+    ``cols[j] = mu'_j - j - L`` for j < mu_1 (mu'_j is the length of column
+    j, counted from 0). A row r put on top of it has the hook r + L + cols[j]
+    in column j < mu_1 and r - j beyond, and every hook of mu stays as it
+    was. Putting r on top keeps every offset and appends -j - L for
+    mu_1 <= j < r; the doubled content sum D(mu) becomes D(mu) - 2S + r(r-1).
+    """
+    fact = [1]
+    for k in range(1, n + 1):
+        fact.append(fact[-1] * k)
+    factorial = fact[n]
     buckets: dict[int, int] = {}
-    for first in firsts:
-        for parts in descending_parts(n, first):
-            length = len(parts)
-            if length > first:
-                continue  # its conjugate, whose first part is `length`, stands in for it
-            # offsets[j] = (length of column j) - j; columns prev..row-1 have length t
-            offsets = []
-            prev = 0
-            for t in range(length, 0, -1):
-                row = parts[t - 1]
-                if row > prev:
-                    offsets.extend(range(t - prev, t - row, -1))
-                    prev = row
-            # hook of box (t, j) = arm + leg + 1 = (row - j - 1) + (offsets[j] + j - t - 1) + 1
-            hook_product = 1
-            doubled = 0
-            for t, row in enumerate(parts):
-                doubled += row * (row - 2 * t - 1)
-                shift = row - t - 1
-                for offset in offsets[:row]:
-                    hook_product *= shift + offset
-            deg, remainder = divmod(factorial, hook_product)
-            if remainder:
-                raise ArithmeticError(
-                    f"hook product {hook_product} does not divide {n}! for {Partition(parts)}"
-                )
-            if doubled % 2:
-                raise ArithmeticError(
-                    f"doubled eigenvalue sum {doubled} is odd for {Partition(parts)}"
-                )
-            value = doubled // 2
-            square = deg * deg
-            buckets[value] = buckets.get(value, 0) + square
-            if first > length:
-                buckets[-value] = buckets.get(-value, 0) + square
+
+    def visit(size, length, hooks, doubled, low, cols):
+        top = n - size
+        first = len(cols)
+        product = hooks * math.prod(map((top + length).__add__, cols)) * fact[top - first]
+        deg, remainder = divmod(factorial, product)
+        if remainder:
+            raise ArithmeticError(
+                f"hook product {product} does not divide {n}! for {_completed(top, length, cols)}"
+            )
+        total = doubled - 2 * size + top * (top - 1)
+        if total % 2:
+            raise ArithmeticError(
+                f"doubled eigenvalue sum {total} is odd for {_completed(top, length, cols)}"
+            )
+        value = total // 2
+        square = deg * deg
+        buckets[value] = buckets.get(value, 0) + square
+        if top > length + 1:  # first part longer than the length: also the conjugate
+            buckets[-value] = buckets.get(-value, 0) + square
+        # a child row r leaves a first row n - size - r of at least r and at least length + 2
+        high = min(top // 2, top - length - 2)
+        if low > high:
+            return
+        doubled -= 2 * size
+        cols.extend(range(-first - length, -low - length, -1))
+        for row in range(low, high + 1):
+            child_hooks = hooks * math.prod(map((row + length).__add__, cols))
+            visit(size + row, length + 1, child_hooks, doubled + row * (row - 1), row, cols)
+            cols.append(-row - length)
+        del cols[first:]
+
+    for s, m in shards:
+        # the rectangle s^m: offsets 0, -1, ..., 1 - s; hook product prod_i (i + s)! / i!
+        rectangle = math.prod(fact[i + s] // fact[i] for i in range(m))
+        visit(s * m, m, rectangle, s * m * (s - m), s + 1, list(range(0, -s, -1)) if m else [])
     return buckets
+
+
+def _completed(top: int, length: int, cols: list[int]) -> Partition:
+    """The partition ``_fold`` visits at the tail ``cols`` of length ``length``, for messages."""
+    columns = [offset + j + length for j, offset in enumerate(cols)]
+    rows = [sum(1 for column in columns if column > t) for t in range(length)]
+    return Partition([top, *rows])
 
 
 def multiplicity(n: int, value: int, max_n: int = DEFAULT_MAX_N, threads: int = 1) -> int:

@@ -4,7 +4,8 @@ import sys
 
 import pytest
 
-from tnspectrum.cli import main
+from tnspectrum import spectrum
+from tnspectrum.cli import ONE_MULTIPLICITIES, ZERO_MULTIPLICITIES, main
 
 
 def run(capsys, *argv):
@@ -159,6 +160,19 @@ class TestTablesCommand:
         assert "zero,10,790528,790528,PASS" in lines
         assert "one,16,301532774400,301532774400,PASS" in lines
         assert len(lines) == 21  # header + 10 zero rows + 10 one rows
+
+    def test_each_spectrum_folded_once(self, capsys, monkeypatch):
+        folded = []
+
+        def counting_spectrum(n, **kwargs):
+            folded.append(n)
+            return spectrum(n, **kwargs)
+
+        monkeypatch.setattr("tnspectrum.cli.spectrum", counting_spectrum)
+        code, _, _ = run(capsys, "tables")
+        assert code == 0
+        # 20 rows, 17 distinct n: both tables have n = 7, 9 and 11
+        assert sorted(folded) == sorted(set(ZERO_MULTIPLICITIES) | set(ONE_MULTIPLICITIES))
 
 
 class TestVerifyCommand:

@@ -117,6 +117,29 @@ class TestCompare:
             compare(spectrum(3), drifted, 1e-6)
 
 
+OUTSIDE_OPEN_INTERVAL = [float("nan"), float("inf"), float("-inf"), 0.0, -1e-6, 0.5, 2.0]
+
+
+class TestToleranceValidation:
+    """A tolerance outside 0 < tol < 0.5 would silently turn the integrality check off."""
+
+    @pytest.mark.parametrize("tolerance", OUTSIDE_OPEN_INTERVAL, ids=repr)
+    def test_numeric_spectrum_rejects(self, tolerance):
+        with pytest.raises(ValueError, match="0 < tolerance < 0.5"):
+            numeric_spectrum(build_graph(3), integer_tolerance=tolerance)
+
+    @pytest.mark.parametrize("tolerance", OUTSIDE_OPEN_INTERVAL, ids=repr)
+    def test_compare_rejects(self, tolerance):
+        numeric = numeric_spectrum(build_graph(3))
+        with pytest.raises(ValueError, match="0 < tolerance < 0.5"):
+            compare(spectrum(3), numeric, tolerance=tolerance)
+
+    @pytest.mark.parametrize("tolerance", [1e-12, 0.49])
+    def test_open_interval_accepted(self, tolerance):
+        numeric = numeric_spectrum(build_graph(3), integer_tolerance=tolerance)
+        assert compare(spectrum(3), numeric, tolerance=tolerance).agreement
+
+
 class TestEdgeList:
     @pytest.mark.parametrize("n", range(2, 5))
     def test_format_and_count(self, n):

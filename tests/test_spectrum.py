@@ -1,4 +1,5 @@
 import importlib
+import math
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -22,6 +23,42 @@ partitions_st = st.builds(
     lambda parts: Partition(sorted(parts, reverse=True)),
     st.lists(st.integers(min_value=1, max_value=10), min_size=1, max_size=8),
 )
+
+spectrum_module = importlib.import_module("tnspectrum.spectrum")
+
+
+def plain_fold(n):
+    """Reference spectrum: every partition folded on its own, no conjugation symmetry."""
+    buckets = {}
+    for p in enumerate_partitions(n):
+        value = eigenvalue(p)
+        buckets[value] = buckets.get(value, 0) + degree(p) ** 2
+    return tuple(sorted(buckets.items(), reverse=True))
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Swap the process pool for an in-process one on a 4-CPU machine; lists the pools built."""
+    sizes = []
+
+    class InlinePool:
+        """Stands in for the process pool: records its size, maps in this process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(spectrum_module.os, "cpu_count", lambda: 4)
+    return sizes
 
 
 class TestEigenvalue:
@@ -117,51 +154,96 @@ class TestSpectrum:
 
     @pytest.mark.parametrize("n", range(1, 31))
     def test_matches_plain_fold(self, n):
-        # reference: every partition folded on its own, no conjugation symmetry
-        buckets = {}
-        for p in enumerate_partitions(n):
-            value = eigenvalue(p)
-            buckets[value] = buckets.get(value, 0) + degree(p) ** 2
-        assert spectrum(n).entries == tuple(sorted(buckets.items(), reverse=True))
+        assert spectrum(n).entries == plain_fold(n)
 
-    def test_parallel_fold_matches_serial(self):
+    def test_hook_product_exactness_is_checked(self, monkeypatch):
+        exact_prod = math.prod
+        monkeypatch.setattr(math, "prod", lambda factors: exact_prod(factors) + 1)
+        with pytest.raises(ArithmeticError, match="does not divide"):
+            spectrum(6)
+
+    def test_parallel_fold_matches_serial(self, monkeypatch):
+        # real worker processes; the size floor would fold these n in-process
+        monkeypatch.setattr(spectrum_module, "PARALLEL_MIN_N", 1)
         for n in (1, 2, 3, 7, 18, 25):
             assert spectrum(n, threads=2) == spectrum(n), n
         assert spectrum(18, threads=3) == spectrum(18)
 
-    def test_worker_count_is_capped(self, monkeypatch):
-        spectrum_module = importlib.import_module("tnspectrum.spectrum")
-        pools = []
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_dealt_shards_match_plain_fold(self, pools, monkeypatch, threads):
+        monkeypatch.setattr(spectrum_module, "PARALLEL_MIN_N", 1)
+        for n in range(1, 31):
+            assert spectrum(n, threads=threads).entries == plain_fold(n), n
+        # n = 1 and n = 2 are a single shard each and fold in-process
+        assert len(pools) == 28
 
-        class InlinePool:
-            """Stands in for the process pool: records its size, maps in this process."""
-
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
-        monkeypatch.setattr(spectrum_module.os, "cpu_count", lambda: 4)
+    def test_worker_count_is_capped(self, pools, monkeypatch):
+        monkeypatch.setattr(spectrum_module, "PARALLEL_MIN_N", 1)
         serial = spectrum(30)
         assert spectrum(30, threads=10**6) == serial
-        assert pools == [4]  # min(threads, CPU count 4, 25 shards)
+        assert pools == [4]  # min(threads, CPU count 4, 58 shards)
         assert spectrum(2, threads=3) == spectrum(2)
         assert pools == [4]  # one shard: no pool at all
         monkeypatch.setattr(spectrum_module.os, "cpu_count", lambda: None)
         assert spectrum(30, threads=8) == serial
         assert pools == [4]  # CPU count unknown: one worker, no pool
 
+    def test_small_spectra_start_no_pool(self, pools):
+        assert spectrum(20, threads=2) == spectrum(20)
+        assert pools == []
+        spectrum(spectrum_module.PARALLEL_MIN_N, threads=2)
+        assert pools == [2]
+
     def test_rejects_bad_thread_count(self):
         with pytest.raises(ValueError):
             spectrum(6, threads=0)
+
+
+def transposition_walks(n, steps):
+    """Closed walks of each length 0..steps at one vertex, with no hook lengths or contents.
+
+    Tracks, per cycle type, the number of walks from the identity that end at a
+    permutation of that type. A transposition splits a cycle of length L into
+    lengths a and L - a in L ways (L / 2 when a = L - a), and merges cycles of
+    lengths a and b in a * b ways. The identity is the only permutation of
+    type 1^n, so its count is the closed-walk count at every vertex.
+    """
+    identity = (1,) * n
+    counts = {identity: 1}
+    closed = [1]
+    for _ in range(steps):
+        following = {}
+        for cycles, walks in counts.items():
+            for i, length in enumerate(cycles):
+                rest = cycles[:i] + cycles[i + 1:]
+                for a in range(1, length // 2 + 1):
+                    ways = length if 2 * a < length else length // 2
+                    split = tuple(sorted(rest + (a, length - a), reverse=True))
+                    following[split] = following.get(split, 0) + walks * ways
+                for j in range(i + 1, len(cycles)):
+                    merged = rest[:j - 1] + rest[j:] + (length + cycles[j],)
+                    merged = tuple(sorted(merged, reverse=True))
+                    following[merged] = following.get(merged, 0) + walks * length * cycles[j]
+        counts = following
+        closed.append(counts.get(identity, 0))
+    return closed
+
+
+class TestWalkCountMoments:
+    """tr(A^k) = n! * (closed walks of length k at one vertex) = sum of m * v^k.
+
+    An integral spectrum inside [-C(n, 2), C(n, 2)] has at most n(n - 1) + 1
+    distinct values, so the moments k = 0..n(n - 1) already fix every
+    multiplicity; one more moment is checked on top.
+    """
+
+    @pytest.mark.parametrize("n", [8, 12])
+    def test_every_moment(self, n):
+        steps = n * (n - 1) + 1
+        walks = transposition_walks(n, steps)
+        entries = spectrum(n).entries
+        for k in range(steps + 1):
+            assert sum(m * v**k for v, m in entries) == math.factorial(n) * walks[k], k
 
 
 class TestMultiplicity:
