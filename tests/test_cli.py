@@ -1,11 +1,19 @@
+import argparse
+import hashlib
 import json
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
 from tnspectrum import spectrum
-from tnspectrum.cli import ONE_MULTIPLICITIES, ZERO_MULTIPLICITIES, main
+from tnspectrum.cli import ONE_MULTIPLICITIES, ZERO_MULTIPLICITIES, build_parser, main
+
+#: stdout, stderr, exit status and edge-file digest of every case, captured
+#: once from the CLI before its renderer was unified; never regenerate it
+#: from the code under test.
+GOLDEN = json.loads((pathlib.Path(__file__).with_name("cli_golden.json")).read_text())
 
 
 def run(capsys, *argv):
@@ -264,6 +272,30 @@ class TestOracleCommand:
         pairs = [tuple(map(int, line.split())) for line in lines]
         assert all(0 <= u < v < 6 for u, v in pairs)
         assert pairs == sorted(pairs)
+
+
+class TestGoldenReplay:
+    @pytest.mark.parametrize("case", GOLDEN, ids=[" ".join(c["argv"]) for c in GOLDEN])
+    def test_output_unchanged(self, case, capsys, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)  # --dump-edges paths in the cases are relative
+        try:
+            code = main(case["argv"])
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (case["exit"], case["stdout"], case["stderr"])
+        edges = tmp_path / "edges.txt"
+        digest = hashlib.sha256(edges.read_bytes()).hexdigest() if edges.exists() else None
+        assert digest == case["edges_sha256"]
+
+    def test_every_command_has_a_case_in_every_format(self):
+        (commands,) = (
+            action.choices
+            for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        covered = {(c["argv"][0], c["argv"][c["argv"].index("--format") + 1]) for c in GOLDEN}
+        assert covered == {(name, fmt) for name in commands for fmt in ("text", "json", "csv")}
 
 
 class TestDeterminism:
