@@ -22,7 +22,6 @@ from .oracle import (
 )
 from .partitions import (
     DEFAULT_MAX_N,
-    HookGrid,
     Partition,
     conjugate,
     degree,
@@ -46,7 +45,6 @@ from .witnesses import (
     lambda_partition_even,
     lambda_partition_odd,
     min_n_for_prefix,
-    one_partition,
     verify_witness,
     zero_partition,
 )
@@ -57,7 +55,6 @@ __all__ = [
     "CayleyGraph",
     "ComparisonReport",
     "DEFAULT_MAX_N",
-    "HookGrid",
     "NoWitnessError",
     "NumericSpectrum",
     "ORACLE_MAX_N",
@@ -81,7 +78,6 @@ __all__ = [
     "min_n_for_prefix",
     "multiplicity",
     "numeric_spectrum",
-    "one_partition",
     "partition_count",
     "permutation_parity",
     "spectrum",

@@ -5,6 +5,11 @@ schema {command, n, payload, status}), csv (exactly one header line plus data
 rows). Multiplicities are serialized as decimal strings in JSON because they
 outgrow 64-bit integers already around n = 21. All output is deterministic:
 identical invocations produce byte-identical bytes.
+
+Each ``cmd_*`` returns an ``Output`` holding its JSON payload, CSV rows and
+text lines, or raises ``CommandError`` for a documented failure. ``main`` is
+the one place that picks the format, builds the JSON record and prints, so
+every command's result and error take the same path.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import dataclass
 
 from . import __version__
 from .oracle import (
@@ -61,17 +67,6 @@ ONE_MULTIPLICITIES = {
     20: 86181028874240000,
 }
 
-VERIFY_CHECKS = (
-    "largest",
-    "second",
-    "third",
-    "fourth",
-    "invariants",
-    "bound",
-    "witness_zero",
-    "witness_one",
-)
-
 
 def _positive_int(text: str) -> int:
     value = int(text)
@@ -98,145 +93,133 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def _emit_json(command: str, n: int, payload, status: str = "ok") -> None:
-    record = {"command": command, "n": n, "payload": payload, "status": status}
-    print(json.dumps(record, sort_keys=True))
+@dataclass(frozen=True)
+class Output:
+    """What one command produced; ``main`` renders it in the requested format."""
+
+    n: int
+    payload: object  # the JSON record's payload
+    header: str  # the CSV header line
+    rows: list  # the CSV data rows
+    lines: list  # the text lines
+    code: int = 0
 
 
-def _emit_csv(header: str, rows) -> None:
-    print(header)
-    for row in rows:
-        print(",".join(str(cell) for cell in row))
+class CommandError(Exception):
+    """A documented failure, raised as ``CommandError(n, message, exit_status)``."""
 
 
-def _fail(args, command: str, n: int, message: str, code: int) -> int:
-    if args.format == "json":
-        _emit_json(command, n, {"message": message}, status="error")
-    else:
-        print(f"error: {message}", file=sys.stderr)
-    return code
+def _check_max_n(args, n: int, name: str | None = None) -> None:
+    """The resource guard of every command that enumerates partitions of ``n``."""
+    if n > args.max_n:
+        name = name or f"n = {n}"
+        raise CommandError(n, f"{name} exceeds --max-n {args.max_n}", 2)
 
 
-def cmd_spectrum(args) -> int:
-    if args.n > args.max_n:
-        return _fail(args, "spectrum", args.n, f"n = {args.n} exceeds --max-n {args.max_n}", 2)
+def _pass(ok: bool) -> str:
+    return "PASS" if ok else "FAIL"
+
+
+def _eigen_table(n: int, pairs, title: str, extra_lines=(), code: int = 0) -> Output:
+    """The eigenvalue/multiplicity table that ``spectrum`` and ``top`` print."""
+    payload = [[value, str(mult)] for value, mult in pairs]
+    table = [f"{value:>10}  {mult}" for value, mult in pairs]
+    lines = [title, "eigenvalue  multiplicity", *table, *extra_lines]
+    return Output(n, payload, "eigenvalue,multiplicity", pairs, lines, code)
+
+
+def cmd_spectrum(args) -> Output:
+    _check_max_n(args, args.n)
     spec = spectrum(args.n, max_n=args.max_n, threads=args.threads)
     checks = spec.invariant_checks()
-    if args.format == "json":
-        _emit_json("spectrum", args.n, [[value, str(mult)] for value, mult in spec.entries])
-    elif args.format == "csv":
-        _emit_csv("eigenvalue,multiplicity", spec.entries)
-    else:
-        print(f"spectrum of the transposition graph, n = {args.n} ({spec.order} vertices)")
-        print("eigenvalue  multiplicity")
-        for value, mult in spec.entries:
-            print(f"{value:>10}  {mult}")
-        print("invariant checks:")
-        for name, ok in checks.items():
-            print(f"  {name:<34} {'PASS' if ok else 'FAIL'}")
-    return 0 if all(checks.values()) else 1
+    return _eigen_table(
+        args.n,
+        spec.entries,
+        f"spectrum of the transposition graph, n = {args.n} ({spec.order} vertices)",
+        ["invariant checks:", *(f"  {name:<34} {_pass(ok)}" for name, ok in checks.items())],
+        0 if all(checks.values()) else 1,
+    )
 
 
-def cmd_mult(args) -> int:
-    if args.n > args.max_n:
-        return _fail(args, "mult", args.n, f"n = {args.n} exceeds --max-n {args.max_n}", 2)
+def cmd_mult(args) -> Output:
+    _check_max_n(args, args.n)
     mult = spectrum(args.n, max_n=args.max_n, threads=args.threads).multiplicity(args.value)
-    if args.format == "json":
-        _emit_json("mult", args.n, {"eigenvalue": args.value, "multiplicity": str(mult)})
-    elif args.format == "csv":
-        _emit_csv("n,eigenvalue,multiplicity", [(args.n, args.value, mult)])
-    else:
-        note = "" if mult else " (not an eigenvalue)"
-        print(f"mul({args.value}) = {mult} for n = {args.n}{note}")
-    return 0
+    note = "" if mult else " (not an eigenvalue)"
+    return Output(
+        args.n,
+        {"eigenvalue": args.value, "multiplicity": str(mult)},
+        "n,eigenvalue,multiplicity",
+        [(args.n, args.value, mult)],
+        [f"mul({args.value}) = {mult} for n = {args.n}{note}"],
+    )
 
 
-def cmd_eig(args) -> int:
+def cmd_eig(args) -> Output:
     try:
         part = Partition(args.parts)
     except ValueError as exc:
-        return _fail(args, "eig", sum(args.parts), str(exc), 2)
-    if part.n > args.max_n:
-        return _fail(args, "eig", part.n, f"n = {part.n} exceeds --max-n {args.max_n}", 2)
+        raise CommandError(sum(args.parts), str(exc), 2) from exc
+    _check_max_n(args, part.n)
     value = eigenvalue(part)
     bound = eigenvalue_upper_bound(part)
     deg = degree(part)
     ratio = character_ratio(part) if part.n >= 2 else None
     ratio_text = None if ratio is None else f"{ratio.numerator}/{ratio.denominator}"
-    if args.format == "json":
-        _emit_json(
-            "eig",
-            part.n,
-            {
-                "partition": list(part.parts),
-                "eigenvalue": value,
-                "upper_bound": bound,
-                "degree": str(deg),
-                "character_ratio": ratio_text,
-            },
-        )
-    elif args.format == "csv":
-        _emit_csv(
-            "n,partition,eigenvalue,upper_bound,degree,character_ratio",
-            [(part.n, " ".join(map(str, part.parts)), value, bound, deg, ratio_text or "")],
-        )
-    else:
-        print(f"partition {part.parts} of n = {part.n}")
-        print(f"  eigenvalue       {value}")
-        print(f"  upper bound      {bound}")
-        print(f"  degree           {deg}")
-        print(f"  character ratio  {ratio_text if ratio_text is not None else 'undefined for n = 1'}")
-    return 0
+    return Output(
+        part.n,
+        {
+            "partition": list(part.parts),
+            "eigenvalue": value,
+            "upper_bound": bound,
+            "degree": str(deg),
+            "character_ratio": ratio_text,
+        },
+        "n,partition,eigenvalue,upper_bound,degree,character_ratio",
+        [(part.n, " ".join(map(str, part.parts)), value, bound, deg, ratio_text or "")],
+        [
+            f"partition {part.parts} of n = {part.n}",
+            f"  eigenvalue       {value}",
+            f"  upper bound      {bound}",
+            f"  degree           {deg}",
+            f"  character ratio  {ratio_text if ratio_text is not None else 'undefined for n = 1'}",
+        ],
+    )
 
 
-def cmd_top(args) -> int:
-    if args.n > args.max_n:
-        return _fail(args, "top", args.n, f"n = {args.n} exceeds --max-n {args.max_n}", 2)
+def cmd_top(args) -> Output:
+    _check_max_n(args, args.n)
     try:
         pairs = top_eigenvalues(args.n, args.count, max_n=args.max_n, threads=args.threads)
     except ValueError as exc:
-        return _fail(args, "top", args.n, str(exc), 1)
-    if args.format == "json":
-        _emit_json("top", args.n, [[value, str(mult)] for value, mult in pairs])
-    elif args.format == "csv":
-        _emit_csv("eigenvalue,multiplicity", pairs)
-    else:
-        print(f"{args.count} largest distinct eigenvalues for n = {args.n}")
-        print("eigenvalue  multiplicity")
-        for value, mult in pairs:
-            print(f"{value:>10}  {mult}")
-    return 0
+        raise CommandError(args.n, str(exc), 1) from exc
+    title = f"{args.count} largest distinct eigenvalues for n = {args.n}"
+    return _eigen_table(args.n, pairs, title)
 
 
-def cmd_witness(args) -> int:
-    if args.n > args.max_n:
-        return _fail(args, "witness", args.n, f"n = {args.n} exceeds --max-n {args.max_n}", 2)
+def cmd_witness(args) -> Output:
+    _check_max_n(args, args.n)
     try:
         report = verify_witness(args.n, args.target)
     except NoWitnessError as exc:
-        return _fail(args, "witness", args.n, str(exc), 1)
+        raise CommandError(args.n, str(exc), 1) from exc
     parts = list(report.partition.parts)
-    if args.format == "json":
-        _emit_json(
-            "witness",
-            args.n,
-            {"partition": parts, "target": report.target, "verified": report.verified},
-        )
-    elif args.format == "csv":
-        _emit_csv(
-            "n,target,partition,verified",
-            [(args.n, report.target, " ".join(map(str, parts)), report.verified)],
-        )
-    else:
-        verdict = "verified" if report.verified else "FAILED"
-        print(
+    verdict = "verified" if report.verified else "FAILED"
+    return Output(
+        args.n,
+        {"partition": parts, "target": report.target, "verified": report.verified},
+        "n,target,partition,verified",
+        [(args.n, report.target, " ".join(map(str, parts)), report.verified)],
+        [
             f"eigenvalue {report.target} witness for n = {report.n}: "
             f"{report.partition.parts} {verdict}"
-        )
-    return 0 if report.verified else 1
+        ],
+        0 if report.verified else 1,
+    )
 
 
-def cmd_tables(args) -> int:
+def cmd_tables(args) -> Output:
+    top_n = max(max(ZERO_MULTIPLICITIES), max(ONE_MULTIPLICITIES))
+    _check_max_n(args, top_n)
     rows = []
     spectra = {}  # both tables have rows at n = 7, 9 and 11
     for label, golden, target in (
@@ -247,89 +230,80 @@ def cmd_tables(args) -> int:
             if n not in spectra:
                 spectra[n] = spectrum(n, max_n=args.max_n, threads=args.threads)
             computed = spectra[n].multiplicity(target)
-            status = "PASS" if computed == golden[n] else "FAIL"
-            rows.append((label, n, golden[n], computed, status))
+            rows.append((label, n, golden[n], computed, _pass(computed == golden[n])))
     all_pass = all(row[4] == "PASS" for row in rows)
-    top_n = max(max(ZERO_MULTIPLICITIES), max(ONE_MULTIPLICITIES))
-    if args.format == "json":
-        payload = {
+    return Output(
+        top_n,
+        {
             "rows": [
                 {"table": label, "n": n, "expected": str(e), "computed": str(c), "status": s}
                 for label, n, e, c, s in rows
             ],
             "all_pass": all_pass,
-        }
-        _emit_json("tables", top_n, payload)
-    elif args.format == "csv":
-        _emit_csv("table,n,expected,computed,status", rows)
-    else:
-        print("golden multiplicity tables (eigenvalues zero and one)")
-        print(f"{'table':<6} {'n':>3} {'expected':>20} {'computed':>20} status")
-        for label, n, expected, computed, status in rows:
-            print(f"{label:<6} {n:>3} {expected:>20} {computed:>20} {status}")
-        print("result: all cells PASS" if all_pass else "result: MISMATCH")
-    return 0 if all_pass else 1
+        },
+        "table,n,expected,computed,status",
+        rows,
+        [
+            "golden multiplicity tables (eigenvalues zero and one)",
+            f"{'table':<6} {'n':>3} {'expected':>20} {'computed':>20} status",
+            *(
+                f"{label:<6} {n:>3} {expected:>20} {computed:>20} {status}"
+                for label, n, expected, computed, status in rows
+            ),
+            "result: all cells PASS" if all_pass else "result: MISMATCH",
+        ],
+        0 if all_pass else 1,
+    )
 
 
-def _verify_row(n: int, max_n: int, threads: int) -> dict[str, bool | None]:
+def _verify_row(n: int, max_n: int, threads: int) -> dict[str, str]:
+    """PASS, FAIL or SKIP for each check at ``n``, in column order."""
     spec = spectrum(n, max_n=max_n, threads=threads)
     top = spec.entries
-    row: dict[str, bool | None] = {}
-    row["largest"] = top[0] == (n * (n - 1) // 2, 1)
-    row["second"] = top[1] == (n * (n - 3) // 2, (n - 1) ** 2)
-    row["third"] = top[2] == ((n - 1) * (n - 4) // 2, (n * (n - 3) // 2) ** 2)
-    # the fourth-largest formula needs n > 6: at n = 6 a second partition
-    # shares the value and inflates the multiplicity
-    row["fourth"] = (
-        None if n <= 6 else top[3] == (n * (n - 5) // 2, ((n - 1) * (n - 2) // 2) ** 2)
-    )
-    row["invariants"] = all(spec.invariant_checks().values())
-    row["bound"] = all(
-        eigenvalue(p) <= eigenvalue_upper_bound(p) for p in enumerate_partitions(n, max_n)
-    )
-    row["witness_zero"] = verify_witness(n, 0).verified
     try:
-        row["witness_one"] = verify_witness(n, 1).verified
+        witness_one = _pass(verify_witness(n, 1).verified)
     except NoWitnessError:
-        row["witness_one"] = None
-    return row
+        witness_one = "SKIP"
+    return {
+        "largest": _pass(top[0] == (n * (n - 1) // 2, 1)),
+        "second": _pass(top[1] == (n * (n - 3) // 2, (n - 1) ** 2)),
+        "third": _pass(top[2] == ((n - 1) * (n - 4) // 2, (n * (n - 3) // 2) ** 2)),
+        # the fourth-largest formula needs n > 6: at n = 6 a second partition
+        # shares the value and inflates the multiplicity
+        "fourth": "SKIP"
+        if n <= 6
+        else _pass(top[3] == (n * (n - 5) // 2, ((n - 1) * (n - 2) // 2) ** 2)),
+        "invariants": _pass(all(spec.invariant_checks().values())),
+        "bound": _pass(
+            all(eigenvalue(p) <= eigenvalue_upper_bound(p) for p in enumerate_partitions(n, max_n))
+        ),
+        "witness_zero": _pass(verify_witness(n, 0).verified),
+        "witness_one": witness_one,
+    }
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> Output:
     if args.n_max < 4:
-        return _fail(args, "verify", args.n_max, "n_max must be at least 4", 2)
-    if args.n_max > args.max_n:
-        return _fail(args, "verify", args.n_max, f"n_max exceeds --max-n {args.max_n}", 2)
+        raise CommandError(args.n_max, "n_max must be at least 4", 2)
+    _check_max_n(args, args.n_max, "n_max")
     rows = {n: _verify_row(n, args.max_n, args.threads) for n in range(4, args.n_max + 1)}
-
-    def status(flag):
-        return "SKIP" if flag is None else ("PASS" if flag else "FAIL")
-
-    all_pass = all(flag is not False for row in rows.values() for flag in row.values())
-    if args.format == "json":
-        payload = {
-            "rows": [
-                {"n": n, "checks": {name: status(row[name]) for name in VERIFY_CHECKS}}
-                for n, row in rows.items()
-            ],
-            "all_pass": all_pass,
-        }
-        _emit_json("verify", args.n_max, payload)
-    elif args.format == "csv":
-        _emit_csv(
-            "n,check,status",
-            [(n, name, status(row[name])) for n, row in rows.items() for name in VERIFY_CHECKS],
-        )
-    else:
-        print(f"{'n':>4}  " + "  ".join(f"{name:>12}" for name in VERIFY_CHECKS))
-        for n, row in rows.items():
-            print(f"{n:>4}  " + "  ".join(f"{status(row[name]):>12}" for name in VERIFY_CHECKS))
-        verdict = "all checks passed" if all_pass else "FAILURES found"
-        print(f"result: {verdict} for n = 4..{args.n_max}")
-    return 0 if all_pass else 1
+    all_pass = all(status != "FAIL" for row in rows.values() for status in row.values())
+    verdict = "all checks passed" if all_pass else "FAILURES found"
+    return Output(
+        args.n_max,
+        {"rows": [{"n": n, "checks": row} for n, row in rows.items()], "all_pass": all_pass},
+        "n,check,status",
+        [(n, name, status) for n, row in rows.items() for name, status in row.items()],
+        [
+            f"{'n':>4}  " + "  ".join(f"{name:>12}" for name in rows[4]),
+            *(f"{n:>4}  " + "  ".join(f"{s:>12}" for s in row.values()) for n, row in rows.items()),
+            f"result: {verdict} for n = 4..{args.n_max}",
+        ],
+        0 if all_pass else 1,
+    )
 
 
-def cmd_oracle(args) -> int:
+def cmd_oracle(args) -> Output:
     graph = build_graph(args.n)
     try:
         if args.dump_edges:
@@ -339,9 +313,12 @@ def cmd_oracle(args) -> int:
         numeric = numeric_spectrum(graph, integer_tolerance=args.tolerance)
         report = compare(spectrum(args.n), numeric, tolerance=args.tolerance)
     except (OSError, ArithmeticError) as exc:
-        return _fail(args, "oracle", args.n, str(exc), 2)
-    if args.format == "json":
-        payload = {
+        raise CommandError(args.n, str(exc), 2) from exc
+    edges = int(graph.adjacency.sum()) // 2
+    verdict = "AGREE" if report.agreement else "DISAGREE"
+    return Output(
+        args.n,
+        {
             "order": graph.order,
             "agreement": report.agreement,
             "max_deviation": report.max_deviation,
@@ -349,21 +326,19 @@ def cmd_oracle(args) -> int:
                 [value, str(exact_mult), str(numeric_mult)]
                 for value, exact_mult, numeric_mult in report.discrepancies
             ],
-        }
-        _emit_json("oracle", args.n, payload)
-    elif args.format == "csv":
-        _emit_csv(
-            "n,order,agreement,max_deviation",
-            [(args.n, graph.order, report.agreement, report.max_deviation)],
-        )
-    else:
-        edges = int(graph.adjacency.sum()) // 2
-        print(f"oracle check, n = {args.n}: {graph.order} vertices, {edges} edges")
-        verdict = "AGREE" if report.agreement else "DISAGREE"
-        print(f"numeric vs exact spectrum: {verdict} (max deviation {report.max_deviation:.3e})")
-        for value, exact_mult, numeric_mult in report.discrepancies:
-            print(f"  eigenvalue {value}: exact multiplicity {exact_mult}, numeric {numeric_mult}")
-    return 0 if report.agreement else 1
+        },
+        "n,order,agreement,max_deviation",
+        [(args.n, graph.order, report.agreement, report.max_deviation)],
+        [
+            f"oracle check, n = {args.n}: {graph.order} vertices, {edges} edges",
+            f"numeric vs exact spectrum: {verdict} (max deviation {report.max_deviation:.3e})",
+            *(
+                f"  eigenvalue {value}: exact multiplicity {exact_mult}, numeric {numeric_mult}"
+                for value, exact_mult, numeric_mult in report.discrepancies
+            ),
+        ],
+        0 if report.agreement else 1,
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -450,8 +425,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command and render its output, or its error record, in ``--format``."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        out = args.func(args)
+    except CommandError as exc:
+        n, message, code = exc.args
+        payload, status = {"message": message}, "error"
+        lines, stream = [f"error: {message}"], sys.stderr
+    else:
+        n, payload, status, code = out.n, out.payload, "ok", out.code
+        lines, stream = out.lines, sys.stdout
+        if args.format == "csv":
+            lines = [out.header, *(",".join(str(cell) for cell in row) for row in out.rows)]
+    if args.format == "json":
+        record = {"command": args.command, "n": n, "payload": payload, "status": status}
+        print(json.dumps(record, sort_keys=True))
+    else:
+        print(*lines, sep="\n", file=stream)
+    return code
 
 
 if __name__ == "__main__":

@@ -12,7 +12,6 @@ numpy is imported inside the functions that use it, so importing this module
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 from .spectrum import Spectrum
@@ -94,11 +93,6 @@ def check_tolerance(tolerance: float) -> None:
         raise ValueError(f"tolerance must satisfy 0 < tolerance < 0.5, got {tolerance!r}")
 
 
-def _round_half_away_from_zero(x: float) -> int:
-    magnitude = int(math.floor(abs(x) + 0.5))
-    return magnitude if x >= 0 else -magnitude
-
-
 def compare(exact: Spectrum, numeric: NumericSpectrum, tolerance: float = 1e-6) -> ComparisonReport:
     """Round the numeric eigenvalues and compare multiset-for-multiset with the exact ones.
 
@@ -117,7 +111,7 @@ def compare(exact: Spectrum, numeric: NumericSpectrum, tolerance: float = 1e-6) 
     counts: dict[int, int] = {}
     max_deviation = 0.0
     for value in numeric.values:
-        rounded = _round_half_away_from_zero(value)
+        rounded = round(value)
         deviation = abs(value - rounded)
         if deviation > tolerance:
             raise ArithmeticError(

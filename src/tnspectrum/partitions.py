@@ -13,9 +13,6 @@ from typing import Iterator
 #: Enumeration resource guard; p(80) is already ~1.6e7 partitions.
 DEFAULT_MAX_N = 80
 
-#: Ragged grid of hook lengths, one tuple per row of the Young diagram.
-HookGrid = tuple[tuple[int, ...], ...]
-
 
 class Partition:
     """Nonincreasing positive integer parts; ``n`` is their sum.
@@ -113,7 +110,7 @@ def conjugate(p: Partition) -> Partition:
     return Partition(counts)
 
 
-def hook_lengths(p: Partition) -> HookGrid:
+def hook_lengths(p: Partition) -> tuple[tuple[int, ...], ...]:
     """Hook length of every box (arm + leg + 1), in the ragged shape of ``p``."""
     conj = conjugate(p).parts
     return tuple(

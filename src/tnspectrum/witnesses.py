@@ -43,17 +43,6 @@ def zero_partition(n: int) -> Partition:
     return Partition((n // 2, 2) + (1,) * ((n - 4) // 2))
 
 
-def one_partition(n: int) -> Partition:
-    """Partition of ``n`` with eigenvalue one; needs odd n >= 7 or even n >= 14."""
-    if n % 2 and n >= 7:
-        return Partition(((n - 1) // 2, 3) + (1,) * ((n - 5) // 2))
-    if n % 2 == 0 and n >= 14:
-        return Partition(((n - 6) // 2, 4, 4, 2) + (1,) * ((n - 14) // 2))
-    raise NoWitnessError(
-        f"no eigenvalue-one witness for n = {n} (needs odd n >= 7 or even n >= 14)"
-    )
-
-
 def lambda_partition_odd(n: int, lam: int) -> Partition:
     """Partition of odd ``n`` with eigenvalue ``lam``, for 1 <= lam <= (n - 3)/4."""
     if n % 2 == 0 or n < 7:
@@ -111,11 +100,13 @@ def verify_witness(n: int, target: int) -> WitnessReport:
         raise ValueError(f"n must be positive, got {n}")
     if target == 0:
         part = zero_partition(n)  # raises NoWitnessError for n == 2
-    elif target >= 1 and n % 2 == 1 and n >= 7 and 4 * target <= n - 3:
-        part = lambda_partition_odd(n, target)
-    elif target >= 1 and n % 2 == 0 and n >= 14 and 10 * target <= n - 4:
-        part = lambda_partition_even(n, target)
     else:
-        raise NoWitnessError(f"no construction known for eigenvalue {target} at n = {n}")
+        construct = lambda_partition_odd if n % 2 else lambda_partition_even
+        try:
+            part = construct(n, target)  # each constructor enforces its own region
+        except ValueError:
+            raise NoWitnessError(
+                f"no construction known for eigenvalue {target} at n = {n}"
+            ) from None
     verified = part.n == n and eigenvalue(part) == target
     return WitnessReport(n=n, target=target, partition=part, verified=verified)

@@ -24,8 +24,8 @@ from tnspectrum import (
     lambda_partition_odd,
     multiplicity,
     numeric_spectrum,
-    one_partition,
     spectrum,
+    verify_witness,
     zero_partition,
 )
 
@@ -123,10 +123,10 @@ def test_criterion_6_witness_sweeps():
     assert multiplicity(2, 0) == 0  # the exclusion is real, not just unconstructed
     # one: odd from 7, even from 14
     for n in range(7, 102, 2):
-        p = one_partition(n)
+        p = verify_witness(n, 1).partition
         assert p.n == n and eigenvalue(p) == 1
     for n in range(14, 105, 2):
-        p = one_partition(n)
+        p = verify_witness(n, 1).partition
         assert p.n == n and eigenvalue(p) == 1
     # general targets over the full validity regions
     for n in range(7, 102, 2):

@@ -169,6 +169,24 @@ class TestTablesCommand:
         assert "one,16,301532774400,301532774400,PASS" in lines
         assert len(lines) == 21  # header + 10 zero rows + 10 one rows
 
+    def test_resource_guard(self, capsys):
+        code, out, _ = run(capsys, "tables", "--max-n", "10", "--format", "json")
+        assert code == 2
+        assert json.loads(out) == {
+            "command": "tables",
+            "n": 20,
+            "payload": {"message": "n = 20 exceeds --max-n 10"},
+            "status": "error",
+        }
+        for fmt in ("text", "csv"):
+            assert run(capsys, "tables", "--max-n", "19", "--format", fmt) == (
+                2,
+                "",
+                "error: n = 20 exceeds --max-n 19\n",
+            )
+        code, _, _ = run(capsys, "tables", "--max-n", "20")
+        assert code == 0
+
     def test_each_spectrum_folded_once(self, capsys, monkeypatch):
         folded = []
 

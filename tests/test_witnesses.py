@@ -12,7 +12,6 @@ from tnspectrum import (
     lambda_partition_odd,
     min_n_for_prefix,
     multiplicity,
-    one_partition,
     verify_witness,
     zero_partition,
 )
@@ -41,20 +40,20 @@ class TestZeroPartition:
 
 class TestOnePartition:
     def test_examples(self):
-        assert one_partition(7).parts == (3, 3, 1)
-        assert one_partition(14).parts == (4, 4, 4, 2)
-        assert one_partition(9).parts == (4, 3, 1, 1)
+        assert verify_witness(7, 1).partition.parts == (3, 3, 1)
+        assert verify_witness(14, 1).partition.parts == (4, 4, 4, 2)
+        assert verify_witness(9, 1).partition.parts == (4, 3, 1, 1)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 8, 10, 12])
     def test_outside_validity_ranges(self, n):
         with pytest.raises(NoWitnessError):
-            one_partition(n)
+            verify_witness(n, 1)
 
     def test_agrees_with_general_construction(self):
         for n in range(7, 40, 2):
-            assert one_partition(n) == lambda_partition_odd(n, 1)
+            assert verify_witness(n, 1).partition == lambda_partition_odd(n, 1)
         for n in range(14, 44, 2):
-            assert one_partition(n) == lambda_partition_even(n, 1)
+            assert verify_witness(n, 1).partition == lambda_partition_even(n, 1)
 
 
 class TestLambdaPartitions:
