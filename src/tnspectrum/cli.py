@@ -31,6 +31,7 @@ from .oracle import (
 )
 from .partitions import DEFAULT_MAX_N, Partition, degree, enumerate_partitions
 from .spectrum import (
+    PARALLEL_MIN_N,
     character_ratio,
     eigenvalue,
     eigenvalue_upper_bound,
@@ -162,7 +163,10 @@ def cmd_eig(args) -> Output:
     _check_max_n(args, part.n)
     value = eigenvalue(part)
     bound = eigenvalue_upper_bound(part)
-    deg = degree(part)
+    try:
+        deg = degree(part)
+    except MemoryError as exc:
+        raise CommandError(part.n, f"out of memory at n = {part.n}", 2) from exc
     ratio = character_ratio(part) if part.n >= 2 else None
     ratio_text = None if ratio is None else f"{ratio.numerator}/{ratio.denominator}"
     return Output(
@@ -202,6 +206,8 @@ def cmd_witness(args) -> Output:
         report = verify_witness(args.n, args.target)
     except NoWitnessError as exc:
         raise CommandError(args.n, str(exc), 1) from exc
+    except MemoryError as exc:
+        raise CommandError(args.n, f"out of memory at n = {args.n}", 2) from exc
     parts = list(report.partition.parts)
     verdict = "verified" if report.verified else "FAILED"
     return Output(
@@ -260,12 +266,13 @@ def _verify_row(n: int, max_n: int, threads: int) -> dict[str, str]:
     """PASS, FAIL or SKIP for each check at ``n``, in column order."""
     spec = spectrum(n, max_n=max_n, threads=threads)
     top = spec.entries
+    checks = spec.invariant_checks()
     try:
         witness_one = _pass(verify_witness(n, 1).verified)
     except NoWitnessError:
         witness_one = "SKIP"
     return {
-        "largest": _pass(top[0] == (n * (n - 1) // 2, 1)),
+        "largest": _pass(checks["largest_eigenvalue_is_simple"]),
         "second": _pass(top[1] == (n * (n - 3) // 2, (n - 1) ** 2)),
         "third": _pass(top[2] == ((n - 1) * (n - 4) // 2, (n * (n - 3) // 2) ** 2)),
         # the fourth-largest formula needs n > 6: at n = 6 a second partition
@@ -273,7 +280,7 @@ def _verify_row(n: int, max_n: int, threads: int) -> dict[str, str]:
         "fourth": "SKIP"
         if n <= 6
         else _pass(top[3] == (n * (n - 5) // 2, ((n - 1) * (n - 2) // 2) ** 2)),
-        "invariants": _pass(all(spec.invariant_checks().values())),
+        "invariants": _pass(all(checks.values())),
         "bound": _pass(
             all(eigenvalue(p) <= eigenvalue_upper_bound(p) for p in enumerate_partitions(n, max_n))
         ),
@@ -351,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=_positive_int,
         default=1,
         help="worker processes for spectrum assembly, capped at the CPU count and the "
-        "shard count and used from n = 50 on (output is unchanged)",
+        f"shard count and used from n = {PARALLEL_MIN_N} on (output is unchanged)",
     )
     shared.add_argument(
         "--max-n",

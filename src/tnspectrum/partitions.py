@@ -56,10 +56,30 @@ def enumerate_partitions(n: int, max_n: int = DEFAULT_MAX_N) -> Iterator[Partiti
     """Yield every partition of ``n`` exactly once, in reverse-lexicographic order.
 
     The stream starts at (n,), ends at (1,)*n and has exactly
-    ``partition_count(n)`` items.
+    ``partition_count(n)`` items. The size guard runs at call time.
     """
     check_size(n, max_n)
-    return (Partition(parts) for first in range(n, 0, -1) for parts in descending_parts(n, first))
+
+    def successors():
+        parts = [n]
+        while True:
+            yield Partition(parts)
+            i = len(parts) - 1
+            while i >= 0 and parts[i] == 1:
+                i -= 1
+            if i < 0:
+                return
+            # Move one unit out of the rightmost part > 1, then repack the freed
+            # units greedily; greedy repacking is what keeps the order reverse-lex.
+            spare = len(parts) - i
+            cap = parts[i] - 1
+            parts[i] = cap
+            del parts[i + 1:]
+            parts.extend([cap] * (spare // cap))
+            if spare % cap:
+                parts.append(spare % cap)
+
+    return successors()
 
 
 def check_size(n: int, max_n: int) -> None:
@@ -68,35 +88,6 @@ def check_size(n: int, max_n: int) -> None:
         raise ValueError(f"n must be positive, got {n}")
     if n > max_n:
         raise ValueError(f"n = {n} exceeds the enumeration guard max_n = {max_n}")
-
-
-def descending_parts(n: int, first: int) -> Iterator[list[int]]:
-    """Yield the parts of each partition of ``n`` with first part ``first``, reverse-lex.
-
-    The run starts at (first, ..., first, rest) and ends at (first, 1, ..., 1);
-    the runs for first = n, n - 1, ..., 1 make up the reverse-lex order of all
-    partitions of n. Every item is the same list, updated in place between
-    items, so a caller copies what it keeps. Needs 1 <= first <= n, unchecked.
-    """
-    parts = [first] * (n // first)
-    if n % first:
-        parts.append(n % first)
-    while True:
-        yield parts
-        i = len(parts) - 1
-        while i > 0 and parts[i] == 1:
-            i -= 1
-        if i == 0:
-            return
-        # Move one unit out of the rightmost part > 1, then repack the freed
-        # units greedily; greedy repacking is what keeps the order reverse-lex.
-        spare = len(parts) - i
-        cap = parts[i] - 1
-        parts[i] = cap
-        del parts[i + 1:]
-        parts.extend([cap] * (spare // cap))
-        if spare % cap:
-            parts.append(spare % cap)
 
 
 def conjugate(p: Partition) -> Partition:

@@ -121,10 +121,11 @@ def spectrum(n: int, max_n: int = DEFAULT_MAX_N, threads: int = 1) -> Spectrum:
     The walk is sharded by the tail's bottom run (s, m): exactly m rows of
     length s at the bottom, with only longer rows above them. The shard
     (n, 0) is the one-row partition (n). With ``threads`` > 1 and n at least
-    ``PARALLEL_MIN_N``, the shards are dealt round-robin, largest tails
-    first, to min(threads, CPU count, shard count) worker processes, and none
-    is started when that minimum is 1. Bucket addition is commutative and
-    associative, so the result is identical to the serial one.
+    ``PARALLEL_MIN_N``, the shards are dealt round-robin, smallest tails
+    (largest subtrees) first, to min(threads, CPU count, shard count) worker
+    processes, and none is started when that minimum is 1. Bucket addition
+    is commutative and associative, so the result is identical to the
+    serial one.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")

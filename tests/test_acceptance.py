@@ -6,6 +6,7 @@ is symmetric about zero by construction, and that dense eigensolve is evidence
 of the symmetry independent of it.
 """
 
+import importlib
 import math
 import time
 
@@ -173,11 +174,13 @@ def test_criterion_8_invariant_suite():
     _report("criterion 8 (spectrum and per-partition invariants, n <= 12)")
 
 
-def test_criterion_9_performance_smoke():
+def test_criterion_9_performance_smoke(monkeypatch):
     start = time.perf_counter()
     serial = spectrum(40)
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
+    # real worker processes; the size floor would fold n = 40 in-process
+    monkeypatch.setattr(importlib.import_module("tnspectrum.spectrum"), "PARALLEL_MIN_N", 1)
     parallel = spectrum(40, threads=4)
     assert parallel == serial
     _report("criterion 9 (spectrum(40) timing and parallel determinism)", elapsed)

@@ -104,6 +104,19 @@ class TestEigCommand:
         assert code == 2
         assert "nonincreasing" in err
 
+    def test_memory_error_is_error_record(self, capsys, monkeypatch):
+        def too_large(part):
+            raise MemoryError
+
+        monkeypatch.setattr("tnspectrum.cli.degree", too_large)
+        code, out, _ = run(
+            capsys, "eig", "1000000000000", "--max-n", "2000000000000", "--format", "json"
+        )
+        assert code == 2
+        record = json.loads(out)
+        assert record["status"] == "error"
+        assert "out of memory" in record["payload"]["message"]
+
 
 class TestTopCommand:
     def test_n6(self, capsys):
@@ -151,6 +164,19 @@ class TestWitnessCommand:
         code, out, _ = run(capsys, "witness", "81", "0", "--max-n", "81")
         assert code == 0
         assert "verified" in out
+
+    def test_memory_error_is_error_record(self, capsys, monkeypatch):
+        def too_large(n, target):
+            raise MemoryError
+
+        monkeypatch.setattr("tnspectrum.cli.verify_witness", too_large)
+        code, out, _ = run(
+            capsys, "witness", "1000000000000", "1", "--max-n", "2000000000000", "--format", "json"
+        )
+        assert code == 2
+        record = json.loads(out)
+        assert record["status"] == "error"
+        assert "out of memory" in record["payload"]["message"]
 
 
 class TestTablesCommand:

@@ -88,7 +88,7 @@ class TestEnumeration:
         first = next(enumerate_partitions(81, max_n=100))
         assert first.parts == (81,)
 
-    @pytest.mark.parametrize("n", range(1, 13))
+    @pytest.mark.parametrize("n", range(1, 31))
     def test_strictly_decreasing_order_and_distinct(self, n):
         seen = [p.parts for p in enumerate_partitions(n)]
         assert len(set(seen)) == len(seen)
