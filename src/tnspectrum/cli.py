@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import __version__
 from .oracle import (
@@ -94,8 +94,7 @@ def _tolerance(text: str) -> float:
     return value
 
 
-@dataclass(frozen=True)
-class Output:
+class Output(NamedTuple):
     """What one command produced; ``main`` renders it in the requested format."""
 
     n: int
@@ -117,6 +116,20 @@ def _check_max_n(args, n: int, name: str | None = None) -> None:
         raise CommandError(n, f"{name} exceeds --max-n {args.max_n}", 2)
 
 
+def _run_fold(args, function, *rest):
+    """``function(args.n, *rest)`` behind the resource guard, for the commands that fold.
+
+    The fold walks each partition's rows one recursion level apiece, so from
+    about n = 3000 on it outgrows Python's recursion limit.
+    """
+    _check_max_n(args, args.n)
+    try:
+        return function(args.n, *rest, max_n=args.max_n, threads=args.threads)
+    except RecursionError as exc:
+        message = f"n = {args.n} exceeds the spectrum fold's recursion depth"
+        raise CommandError(args.n, message, 2) from exc
+
+
 def _pass(ok: bool) -> str:
     return "PASS" if ok else "FAIL"
 
@@ -130,8 +143,7 @@ def _eigen_table(n: int, pairs, title: str, extra_lines=(), code: int = 0) -> Ou
 
 
 def cmd_spectrum(args) -> Output:
-    _check_max_n(args, args.n)
-    spec = spectrum(args.n, max_n=args.max_n, threads=args.threads)
+    spec = _run_fold(args, spectrum)
     checks = spec.invariant_checks()
     return _eigen_table(
         args.n,
@@ -143,8 +155,7 @@ def cmd_spectrum(args) -> Output:
 
 
 def cmd_mult(args) -> Output:
-    _check_max_n(args, args.n)
-    mult = spectrum(args.n, max_n=args.max_n, threads=args.threads).multiplicity(args.value)
+    mult = _run_fold(args, spectrum).multiplicity(args.value)
     note = "" if mult else " (not an eigenvalue)"
     return Output(
         args.n,
@@ -191,9 +202,8 @@ def cmd_eig(args) -> Output:
 
 
 def cmd_top(args) -> Output:
-    _check_max_n(args, args.n)
     try:
-        pairs = top_eigenvalues(args.n, args.count, max_n=args.max_n, threads=args.threads)
+        pairs = _run_fold(args, top_eigenvalues, args.count)
     except ValueError as exc:
         raise CommandError(args.n, str(exc), 1) from exc
     title = f"{args.count} largest distinct eigenvalues for n = {args.n}"
@@ -204,23 +214,23 @@ def cmd_witness(args) -> Output:
     _check_max_n(args, args.n)
     try:
         report = verify_witness(args.n, args.target)
+        parts = list(report.partition.parts)
+        verdict = "verified" if report.verified else "FAILED"
+        return Output(
+            args.n,
+            {"partition": parts, "target": report.target, "verified": report.verified},
+            "n,target,partition,verified",
+            [(args.n, report.target, " ".join(map(str, parts)), report.verified)],
+            [
+                f"eigenvalue {report.target} witness for n = {report.n}: "
+                f"{report.partition.parts} {verdict}"
+            ],
+            0 if report.verified else 1,
+        )
     except NoWitnessError as exc:
         raise CommandError(args.n, str(exc), 1) from exc
     except MemoryError as exc:
         raise CommandError(args.n, f"out of memory at n = {args.n}", 2) from exc
-    parts = list(report.partition.parts)
-    verdict = "verified" if report.verified else "FAILED"
-    return Output(
-        args.n,
-        {"partition": parts, "target": report.target, "verified": report.verified},
-        "n,target,partition,verified",
-        [(args.n, report.target, " ".join(map(str, parts)), report.verified)],
-        [
-            f"eigenvalue {report.target} witness for n = {report.n}: "
-            f"{report.partition.parts} {verdict}"
-        ],
-        0 if report.verified else 1,
-    )
 
 
 def cmd_tables(args) -> Output:

@@ -12,7 +12,7 @@ numpy is imported inside the functions that use it, so importing this module
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .spectrum import Spectrum
 
@@ -20,20 +20,17 @@ ORACLE_MIN_N = 2
 ORACLE_MAX_N = 6  # 720 vertices; dense diagonalization beyond this is a time sink
 
 
-@dataclass(frozen=True)
-class CayleyGraph:
+class CayleyGraph(NamedTuple):
     n: int
     order: int
     adjacency: np.ndarray  # symmetric 0/1, zero diagonal, indexed by permutation rank
 
 
-@dataclass(frozen=True)
-class NumericSpectrum:
+class NumericSpectrum(NamedTuple):
     values: tuple[float, ...]  # descending, one per vertex
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     agreement: bool
     max_deviation: float
     discrepancies: tuple[tuple[int, int, int], ...]  # (eigenvalue, exact mult, numeric mult)
@@ -102,10 +99,9 @@ def compare(exact: Spectrum, numeric: NumericSpectrum, tolerance: float = 1e-6) 
     The tolerance must satisfy 0 < tolerance < 0.5 (see ``check_tolerance``).
     """
     check_tolerance(tolerance)
-    total = sum(m for _, m in exact.entries)
-    if total != len(numeric.values):
+    if exact.order != len(numeric.values):
         raise ValueError(
-            f"size mismatch: exact spectrum carries {total} eigenvalues, "
+            f"size mismatch: exact spectrum carries {exact.order} eigenvalues, "
             f"numeric carries {len(numeric.values)}"
         )
     counts: dict[int, int] = {}

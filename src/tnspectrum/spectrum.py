@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from typing import NamedTuple
 
 from .partitions import DEFAULT_MAX_N, Partition, check_size
 
@@ -56,35 +55,31 @@ def eigenvalue_upper_bound(p: Partition) -> int:
     return doubled // 2
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(NamedTuple):
     """Distinct eigenvalues with exact multiplicities, in descending order."""
 
     n: int
     entries: tuple[tuple[int, int], ...]
 
-    @cached_property
-    def _lookup(self) -> dict[int, int]:
-        return dict(self.entries)
-
-    @cached_property
+    @property
     def order(self) -> int:
         """Vertex count n!, also the sum of all multiplicities."""
         return sum(m for _, m in self.entries)
 
     def multiplicity(self, value: int) -> int:
-        return self._lookup.get(value, 0)
+        return next((m for v, m in self.entries if v == value), 0)
 
     def __contains__(self, value: int) -> bool:
-        return value in self._lookup
+        # a tuple's own ``in`` would test the fields, not the eigenvalues
+        return any(v == value for v, _ in self.entries)
 
     def invariant_checks(self) -> dict[str, bool]:
         """The five structural facts every transposition-graph spectrum satisfies."""
         fact = math.factorial(self.n)
         pairs = self.entries
-        lookup = self._lookup
+        lookup = dict(pairs)
         return {
-            "multiplicity_sum_is_factorial": sum(m for _, m in pairs) == fact,
+            "multiplicity_sum_is_factorial": self.order == fact,
             "trace_is_zero": sum(v * m for v, m in pairs) == 0,
             "square_trace_is_twice_edge_count":
                 sum(v * v * m for v, m in pairs) == fact * self.n * (self.n - 1) // 2,

@@ -9,7 +9,7 @@ the boundary cases of every construction come out right.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .partitions import Partition
 from .spectrum import eigenvalue
@@ -24,8 +24,7 @@ class NoWitnessError(ValueError):
     """
 
 
-@dataclass(frozen=True)
-class WitnessReport:
+class WitnessReport(NamedTuple):
     n: int
     target: int
     partition: Partition

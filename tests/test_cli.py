@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from tnspectrum import spectrum
+from tnspectrum import Partition, WitnessReport, spectrum
 from tnspectrum.cli import ONE_MULTIPLICITIES, ZERO_MULTIPLICITIES, build_parser, main
 
 #: stdout, stderr, exit status and edge-file digest of every case, captured
@@ -177,6 +177,44 @@ class TestWitnessCommand:
         record = json.loads(out)
         assert record["status"] == "error"
         assert "out of memory" in record["payload"]["message"]
+
+    def test_memory_error_while_formatting_is_error_record(self, capsys, monkeypatch):
+        class Unprintable(int):
+            def __repr__(self):
+                raise MemoryError
+
+        def huge_witness(n, target):
+            return WitnessReport(n, target, Partition([Unprintable(n)]), True)
+
+        monkeypatch.setattr("tnspectrum.cli.verify_witness", huge_witness)
+        for fmt in ("json", "csv", "text"):
+            code, out, err = run(capsys, "witness", "20", "1", "--format", fmt)
+            assert code == 2
+            assert "out of memory at n = 20" in out + err
+
+
+class TestFoldTooDeep:
+    @pytest.mark.parametrize(
+        "argv, folder",
+        [
+            (["spectrum", "2990"], "spectrum"),
+            (["mult", "3000", "0"], "spectrum"),
+            (["top", "3000", "2"], "top_eigenvalues"),
+        ],
+    )
+    def test_recursion_error_is_error_record(self, capsys, monkeypatch, argv, folder):
+        def too_deep(n, *rest, max_n, threads):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(f"tnspectrum.cli.{folder}", too_deep)
+        code, out, _ = run(capsys, *argv, "--max-n", "3000", "--format", "json")
+        assert code == 2
+        assert json.loads(out) == {
+            "command": argv[0],
+            "n": int(argv[1]),
+            "payload": {"message": f"n = {argv[1]} exceeds the spectrum fold's recursion depth"},
+            "status": "error",
+        }
 
 
 class TestTablesCommand:
@@ -361,7 +399,8 @@ class TestDeterminism:
 
 
 class TestLazyImports:
-    """Only ``oracle`` needs numpy, and only a multi-worker fold needs the process pool."""
+    """Only ``oracle`` needs numpy, only a multi-worker fold needs the process pool,
+    and the package itself imports neither ``dataclasses`` nor ``inspect``."""
 
     @staticmethod
     def loaded_after(argv):
@@ -369,7 +408,8 @@ class TestLazyImports:
             "import sys\n"
             "from tnspectrum.cli import main\n"
             f"main({argv!r})\n"
-            "print(sorted(m for m in ('numpy', 'concurrent.futures') if m in sys.modules))\n"
+            "watched = ('numpy', 'concurrent.futures', 'dataclasses', 'inspect')\n"
+            "print(sorted(m for m in watched if m in sys.modules))\n"
         )
         result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert result.returncode == 0, result.stderr

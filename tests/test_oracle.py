@@ -120,6 +120,22 @@ class TestCompare:
 OUTSIDE_OPEN_INTERVAL = [float("nan"), float("inf"), float("-inf"), 0.0, -1e-6, 0.5, 2.0]
 
 
+class TestRecords:
+    @pytest.mark.parametrize(
+        "make, field",
+        [
+            (lambda: build_graph(3), "order"),
+            (lambda: numeric_spectrum(build_graph(3)), "values"),
+            (lambda: compare(spectrum(3), numeric_spectrum(build_graph(3))), "agreement"),
+        ],
+        ids=["CayleyGraph", "NumericSpectrum", "ComparisonReport"],
+    )
+    def test_fields_are_read_only(self, make, field):
+        record = make()
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+
+
 class TestToleranceValidation:
     """A tolerance outside 0 < tol < 0.5 would silently turn the integrality check off."""
 

@@ -152,6 +152,13 @@ class TestSpectrum:
         assert 2 in spec
         assert 5 not in spec
 
+    def test_value_semantics(self):
+        spec = spectrum(6)
+        assert spec == spectrum(6)
+        assert hash(spec) == hash(spectrum(6))
+        with pytest.raises(AttributeError):
+            spec.entries = ()
+
     @pytest.mark.parametrize("n", range(1, 31))
     def test_matches_plain_fold(self, n):
         assert spectrum(n).entries == plain_fold(n)

@@ -1,3 +1,7 @@
+import pathlib
+import subprocess
+import sys
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given
@@ -15,6 +19,8 @@ from tnspectrum import (
     verify_witness,
     zero_partition,
 )
+
+ROOT = pathlib.Path(__file__).parents[1]
 
 
 class TestZeroPartition:
@@ -146,6 +152,26 @@ class TestMinNForPrefix:
         with pytest.raises(ValueError):
             min_n_for_prefix(-1)
 
+    def test_prefix_scan_script(self, spectra_up_to_30):
+        script = ROOT / "scripts" / "eigenvalue_prefix_scan.py"
+        result = subprocess.run(
+            [sys.executable, str(script), "--max-target", "1", "--max-n", "16"],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        header, *rows = result.stdout.splitlines()
+        assert header.split() == ["n", "m=0", "m=1"]
+        marks = {}
+        for row in rows:
+            cells, _, mark = row.partition("  <- ")
+            n, *present = cells.split()
+            assert present == ["+" if m in spectra_up_to_30[int(n)] else "." for m in (0, 1)]
+            if mark:
+                marks[int(n)] = mark
+        assert [int(row.split()[0]) for row in rows] == list(range(2, 17))
+        assert marks == {4: "0..0 guaranteed from here on", 14: "0..1 guaranteed from here on"}
+
 
 class TestVerifyWitness:
     def test_zero_witness(self):
@@ -157,6 +183,18 @@ class TestVerifyWitness:
         report = verify_witness(14, 1)
         assert report.partition.parts == (4, 4, 4, 2)
         assert report.verified
+
+    def test_report_repr_is_the_readme_example(self):
+        text = repr(verify_witness(14, 1))
+        assert text == (
+            "WitnessReport(n=14, target=1, partition=Partition(4, 4, 4, 2), verified=True)"
+        )
+        assert text in (ROOT / "README.md").read_text()
+
+    def test_report_fields_are_read_only(self):
+        report = verify_witness(14, 1)
+        with pytest.raises(AttributeError):
+            report.verified = False
 
     def test_no_construction_for_n2_zero(self):
         with pytest.raises(NoWitnessError):
