@@ -15,10 +15,10 @@ import argparse
 from tnspectrum import enumerate_partitions, eigenvalue, min_n_for_prefix
 
 
-def present_targets(n, targets):
+def present_targets(n, targets, max_n):
     remaining = set(targets)
     found = set()
-    for p in enumerate_partitions(n):
+    for p in enumerate_partitions(n, max_n=max_n):
         value = eigenvalue(p)
         if value in remaining:
             remaining.remove(value)
@@ -38,7 +38,7 @@ def main():
     thresholds = {min_n_for_prefix(m): m for m in targets}
     print("   n  " + " ".join(f"m={m}" for m in targets))
     for n in range(2, args.max_n + 1):
-        found = present_targets(n, targets)
+        found = present_targets(n, targets, args.max_n)
         cells = " ".join(f"{'+' if m in found else '.':>3}" for m in targets)
         note = ""
         if n in thresholds:

@@ -183,16 +183,16 @@ def cmd_eig(args) -> Output:
     return Output(
         part.n,
         {
-            "partition": list(part.parts),
+            "partition": list(part),
             "eigenvalue": value,
             "upper_bound": bound,
             "degree": str(deg),
             "character_ratio": ratio_text,
         },
         "n,partition,eigenvalue,upper_bound,degree,character_ratio",
-        [(part.n, " ".join(map(str, part.parts)), value, bound, deg, ratio_text or "")],
+        [(part.n, " ".join(map(str, part)), value, bound, deg, ratio_text or "")],
         [
-            f"partition {part.parts} of n = {part.n}",
+            f"partition {tuple(part)} of n = {part.n}",
             f"  eigenvalue       {value}",
             f"  upper bound      {bound}",
             f"  degree           {deg}",
@@ -214,7 +214,7 @@ def cmd_witness(args) -> Output:
     _check_max_n(args, args.n)
     try:
         report = verify_witness(args.n, args.target)
-        parts = list(report.partition.parts)
+        parts = list(report.partition)
         verdict = "verified" if report.verified else "FAILED"
         return Output(
             args.n,
@@ -223,7 +223,7 @@ def cmd_witness(args) -> Output:
             [(args.n, report.target, " ".join(map(str, parts)), report.verified)],
             [
                 f"eigenvalue {report.target} witness for n = {report.n}: "
-                f"{report.partition.parts} {verdict}"
+                f"{tuple(report.partition)} {verdict}"
             ],
             0 if report.verified else 1,
         )

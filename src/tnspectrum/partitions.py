@@ -14,42 +14,31 @@ from typing import Iterator
 DEFAULT_MAX_N = 80
 
 
-class Partition:
+class Partition(tuple):
     """Nonincreasing positive integer parts; ``n`` is their sum.
 
-    Immutable value object. The empty partition (n = 0) is permitted but
-    plays no role in the spectrum pipeline.
+    The tuple of its parts, checked on construction; its slices are plain
+    tuples. The empty partition (n = 0) is permitted but plays no role in
+    the spectrum pipeline.
     """
 
-    __slots__ = ("parts", "n")
+    __slots__ = ()
 
-    def __init__(self, parts=()):
-        parts = tuple(parts)
-        for left, right in zip(parts, parts[1:]):
+    def __new__(cls, parts=()):
+        self = tuple.__new__(cls, parts)
+        for left, right in zip(self, self[1:]):
             if left < right:
-                raise ValueError(f"parts must be nonincreasing: {parts}")
-        if parts and parts[-1] < 1:
-            raise ValueError(f"parts must be positive integers: {parts}")
-        self.parts = parts
-        self.n = sum(parts)
+                raise ValueError(f"parts must be nonincreasing: {tuple(self)}")
+        if self and self[-1] < 1:
+            raise ValueError(f"parts must be positive integers: {tuple(self)}")
+        return self
+
+    @property
+    def n(self) -> int:
+        return sum(self)
 
     def __repr__(self):
-        return f"Partition{self.parts}"
-
-    def __eq__(self, other):
-        return isinstance(other, Partition) and self.parts == other.parts
-
-    def __hash__(self):
-        return hash(self.parts)
-
-    def __len__(self):
-        return len(self.parts)
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __getitem__(self, index):
-        return self.parts[index]
+        return f"Partition{tuple(self)}"
 
 
 def enumerate_partitions(n: int, max_n: int = DEFAULT_MAX_N) -> Iterator[Partition]:
@@ -92,10 +81,10 @@ def check_size(n: int, max_n: int) -> None:
 
 def conjugate(p: Partition) -> Partition:
     """Transpose of the Young diagram; an involution preserving n."""
-    if not p.parts:
+    if not p:
         return Partition()
-    counts = [0] * p.parts[0]
-    for part in p.parts:
+    counts = [0] * p[0]
+    for part in p:
         for j in range(part):
             counts[j] += 1
     return Partition(counts)
@@ -103,10 +92,10 @@ def conjugate(p: Partition) -> Partition:
 
 def hook_lengths(p: Partition) -> tuple[tuple[int, ...], ...]:
     """Hook length of every box (arm + leg + 1), in the ragged shape of ``p``."""
-    conj = conjugate(p).parts
+    conj = conjugate(p)
     return tuple(
         tuple(row_len - j + conj[j] - t - 1 for j in range(row_len))
-        for t, row_len in enumerate(p.parts)
+        for t, row_len in enumerate(p)
     )
 
 
@@ -116,11 +105,9 @@ def degree(p: Partition) -> int:
     The division is exact for every valid partition; an inexact division can
     only mean a corrupted hook grid, so it raises instead of rounding.
     """
-    if not p.parts:
-        return 1
-    conj = conjugate(p).parts
+    conj = conjugate(p)
     hook_product = 1
-    for t, row_len in enumerate(p.parts):
+    for t, row_len in enumerate(p):
         for j in range(row_len):
             hook_product *= row_len - j + conj[j] - t - 1
     quotient, remainder = divmod(math.factorial(p.n), hook_product)

@@ -25,7 +25,7 @@ def eigenvalue(p: Partition) -> int:
     why the spectrum is symmetric about zero.
     """
     doubled = 0
-    for j, part in enumerate(p.parts, start=1):
+    for j, part in enumerate(p, start=1):
         doubled += part * (part - 2 * j + 1)
     if doubled % 2:
         raise ArithmeticError(f"doubled eigenvalue sum {doubled} is odd for {p}")
@@ -48,7 +48,7 @@ def eigenvalue_upper_bound(p: Partition) -> int:
     Half of (n - n_k)(n - n_k + 1) + n_k (n_k - 2k + 1) for a partition with
     k parts and smallest part n_k.
     """
-    n, k, last = p.n, len(p.parts), p.parts[-1]
+    n, k, last = p.n, len(p), p[-1]
     doubled = (n - last) * (n - last + 1) + last * (last - 2 * k + 1)
     if doubled % 2:
         raise ArithmeticError(f"doubled bound {doubled} is odd for {p}")
@@ -121,6 +121,10 @@ def spectrum(n: int, max_n: int = DEFAULT_MAX_N, threads: int = 1) -> Spectrum:
     processes, and none is started when that minimum is 1. Bucket addition
     is commutative and associative, so the result is identical to the
     serial one.
+
+    The walk recurses once per row above the bottom run, which is about n/3
+    levels, so from about n = 3000 (reachable only with a raised ``max_n``)
+    this, ``multiplicity`` and ``top_eigenvalues`` raise RecursionError.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")

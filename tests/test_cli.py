@@ -389,10 +389,10 @@ class TestDeterminism:
             ["verify", "8", "--format", "json"],
         ],
     )
-    def test_byte_identical_invocations(self, argv):
+    def test_byte_identical_invocations(self, argv, child_env):
         cmd = [sys.executable, "-m", "tnspectrum", *argv]
-        first = subprocess.run(cmd, capture_output=True)
-        second = subprocess.run(cmd, capture_output=True)
+        first = subprocess.run(cmd, capture_output=True, env=child_env)
+        second = subprocess.run(cmd, capture_output=True, env=child_env)
         assert first.returncode == second.returncode == 0
         assert first.stdout == second.stdout
         assert first.stdout
@@ -403,7 +403,7 @@ class TestLazyImports:
     and the package itself imports neither ``dataclasses`` nor ``inspect``."""
 
     @staticmethod
-    def loaded_after(argv):
+    def loaded_after(argv, env):
         script = (
             "import sys\n"
             "from tnspectrum.cli import main\n"
@@ -411,21 +411,26 @@ class TestLazyImports:
             "watched = ('numpy', 'concurrent.futures', 'dataclasses', 'inspect')\n"
             "print(sorted(m for m in watched if m in sys.modules))\n"
         )
-        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env
+        )
         assert result.returncode == 0, result.stderr
         return result.stdout.splitlines()[-1]
 
-    def test_mult_loads_neither_numpy_nor_the_pool(self):
-        assert self.loaded_after(["mult", "8", "0"]) == "[]"
+    def test_mult_loads_neither_numpy_nor_the_pool(self, child_env):
+        assert self.loaded_after(["mult", "8", "0"], child_env) == "[]"
 
-    def test_oracle_loads_numpy(self):
-        assert "'numpy'" in self.loaded_after(["oracle", "4"])
+    def test_oracle_loads_numpy(self, child_env):
+        assert "'numpy'" in self.loaded_after(["oracle", "4"], child_env)
 
 
 class TestEntryPoint:
-    def test_console_help(self):
+    def test_console_help(self, child_env):
         result = subprocess.run(
-            [sys.executable, "-m", "tnspectrum", "--help"], capture_output=True, text=True
+            [sys.executable, "-m", "tnspectrum", "--help"],
+            capture_output=True,
+            text=True,
+            env=child_env,
         )
         assert result.returncode == 0
         for name in ("spectrum", "mult", "eig", "witness", "tables", "verify", "oracle", "top"):

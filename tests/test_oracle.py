@@ -76,6 +76,12 @@ class TestNumericSpectrum:
         assert all(a >= b for a, b in zip(ns.values, ns.values[1:]))
         assert all(abs(v - round(v)) <= 1e-6 for v in ns.values)
 
+    def test_non_integer_eigenvalue_raises(self, monkeypatch):
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: eigvalsh(a) + 0.25)
+        with pytest.raises(ArithmeticError, match="away from an integer"):
+            numeric_spectrum(build_graph(3))
+
     @pytest.mark.parametrize("n", range(2, 6))
     def test_moment_sums(self, n):
         ns = numeric_spectrum(build_graph(n))

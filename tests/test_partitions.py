@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import hypothesis.strategies as st
 import pytest
@@ -23,7 +25,7 @@ partitions_st = st.builds(
 class TestPartitionType:
     def test_valid_construction(self):
         p = Partition((4, 2, 1))
-        assert p.parts == (4, 2, 1)
+        assert p == (4, 2, 1)
         assert p.n == 7
         assert len(p) == 3
         assert list(p) == [4, 2, 1]
@@ -33,12 +35,14 @@ class TestPartitionType:
         assert Partition().n == 0
 
     def test_rejects_increasing_parts(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^parts must be nonincreasing: \(1, 2\)$"):
             Partition((1, 2))
 
     def test_rejects_nonpositive_parts(self):
         with pytest.raises(ValueError):
             Partition((3, 0))
+        with pytest.raises(ValueError, match=r"^parts must be positive integers: \(0,\)$"):
+            Partition((0,))
         with pytest.raises(ValueError):
             Partition((-1,))
 
@@ -47,14 +51,36 @@ class TestPartitionType:
         assert hash(Partition((2, 1))) == hash(Partition((2, 1)))
         assert Partition((2, 1)) != Partition((3,))
 
+    def test_is_the_tuple_of_its_parts(self):
+        p = Partition((4, 2, 1))
+        assert isinstance(p, tuple)
+        assert p == (4, 2, 1) and (4, 2, 1) == p
+        assert hash(p) == hash((4, 2, 1))
+        assert repr(p) == "Partition(4, 2, 1)"
+
+    def test_slices_and_concatenations_are_plain_tuples(self):
+        p = Partition((4, 2, 1))
+        assert type(p[1:]) is tuple and p[1:] == (2, 1)
+        assert type(p + (5,)) is tuple
+
+    @pytest.mark.parametrize(
+        "clone", [lambda p: pickle.loads(pickle.dumps(p)), copy.copy, copy.deepcopy]
+    )
+    def test_pickle_and_copy_go_through_validation(self, clone):
+        p = Partition((4, 2, 1))
+        assert type(clone(p)) is Partition and clone(p) == p
+        forged = tuple.__new__(Partition, (1, 2))  # skips __new__'s checks
+        with pytest.raises(ValueError):
+            clone(forged)
+
 
 class TestEnumeration:
     def test_n1(self):
-        assert [p.parts for p in enumerate_partitions(1)] == [(1,)]
+        assert list(enumerate_partitions(1)) == [(1,)]
 
     def test_n4_reverse_lex_listing(self):
         expected = [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
-        assert [p.parts for p in enumerate_partitions(4)] == expected
+        assert list(enumerate_partitions(4)) == expected
 
     def test_n6_reverse_lex_listing(self):
         expected = [
@@ -70,7 +96,7 @@ class TestEnumeration:
             (2, 1, 1, 1, 1),
             (1, 1, 1, 1, 1, 1),
         ]
-        assert [p.parts for p in enumerate_partitions(6)] == expected
+        assert list(enumerate_partitions(6)) == expected
 
     def test_n11_stream_length(self):
         assert sum(1 for _ in enumerate_partitions(11)) == 56
@@ -86,11 +112,11 @@ class TestEnumeration:
             enumerate_partitions(6, max_n=5)
         # a raised guard is adjustable; validation happens before streaming
         first = next(enumerate_partitions(81, max_n=100))
-        assert first.parts == (81,)
+        assert first == (81,)
 
     @pytest.mark.parametrize("n", range(1, 31))
     def test_strictly_decreasing_order_and_distinct(self, n):
-        seen = [p.parts for p in enumerate_partitions(n)]
+        seen = list(enumerate_partitions(n))
         assert len(set(seen)) == len(seen)
         for prev, cur in zip(seen, seen[1:]):
             assert prev > cur  # lexicographic on tuples
@@ -115,9 +141,10 @@ class TestPartitionCount:
 
 class TestConjugate:
     def test_examples(self):
-        assert conjugate(Partition((4,))).parts == (1, 1, 1, 1)
-        assert conjugate(Partition((2, 1))).parts == (2, 1)
-        assert conjugate(Partition((3, 1))).parts == (2, 1, 1)
+        assert conjugate(Partition((4,))) == (1, 1, 1, 1)
+        assert conjugate(Partition((2, 1))) == (2, 1)
+        assert conjugate(Partition((3, 1))) == (2, 1, 1)
+        assert conjugate(Partition()) == ()
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_involution_preserves_n_and_degree(self, n):
@@ -142,9 +169,9 @@ class TestHookLengths:
     @given(partitions_st)
     def test_shape_positivity_and_corner(self, p):
         grid = hook_lengths(p)
-        assert tuple(len(row) for row in grid) == p.parts
+        assert tuple(len(row) for row in grid) == p
         assert all(h >= 1 for row in grid for h in row)
-        assert grid[0][0] == p.parts[0] + len(p.parts) - 1
+        assert grid[0][0] == p[0] + len(p) - 1
 
     @given(partitions_st)
     def test_product_divides_factorial(self, p):
@@ -161,6 +188,13 @@ class TestDegree:
         assert degree(Partition((3, 1))) == 3
         assert degree(Partition((2, 1))) == 2
         assert degree(Partition((2, 2))) == 2
+        assert degree(Partition()) == 1
+
+    def test_inexact_division_raises(self, monkeypatch):
+        # 3! + 1 is not a multiple of (2, 1)'s hook product 3
+        monkeypatch.setattr(math, "factorial", lambda n: 7)
+        with pytest.raises(ArithmeticError, match="does not divide"):
+            degree(Partition((2, 1)))
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_squared_degrees_sum_to_factorial(self, n):

@@ -1,3 +1,4 @@
+import importlib.util
 import pathlib
 import subprocess
 import sys
@@ -11,6 +12,7 @@ from tnspectrum import (
     Partition,
     degree,
     eigenvalue,
+    enumerate_partitions,
     hook_partition,
     lambda_partition_even,
     lambda_partition_odd,
@@ -25,9 +27,9 @@ ROOT = pathlib.Path(__file__).parents[1]
 
 class TestZeroPartition:
     def test_examples(self):
-        assert zero_partition(5).parts == (3, 1, 1)
-        assert zero_partition(4).parts == (2, 2)
-        assert zero_partition(1).parts == (1,)
+        assert zero_partition(5) == (3, 1, 1)
+        assert zero_partition(4) == (2, 2)
+        assert zero_partition(1) == (1,)
 
     def test_n2_has_no_zero(self):
         with pytest.raises(NoWitnessError):
@@ -46,9 +48,9 @@ class TestZeroPartition:
 
 class TestOnePartition:
     def test_examples(self):
-        assert verify_witness(7, 1).partition.parts == (3, 3, 1)
-        assert verify_witness(14, 1).partition.parts == (4, 4, 4, 2)
-        assert verify_witness(9, 1).partition.parts == (4, 3, 1, 1)
+        assert verify_witness(7, 1).partition == (3, 3, 1)
+        assert verify_witness(14, 1).partition == (4, 4, 4, 2)
+        assert verify_witness(9, 1).partition == (4, 3, 1, 1)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 8, 10, 12])
     def test_outside_validity_ranges(self, n):
@@ -64,8 +66,8 @@ class TestOnePartition:
 
 class TestLambdaPartitions:
     def test_odd_examples(self):
-        assert lambda_partition_odd(7, 1).parts == (3, 3, 1)
-        assert lambda_partition_odd(11, 2).parts == (4, 4, 2, 1)
+        assert lambda_partition_odd(7, 1) == (3, 3, 1)
+        assert lambda_partition_odd(11, 2) == (4, 4, 2, 1)
 
     def test_odd_region_enforced(self):
         with pytest.raises(ValueError):
@@ -78,8 +80,8 @@ class TestLambdaPartitions:
             lambda_partition_odd(11, 0)
 
     def test_even_examples(self):
-        assert lambda_partition_even(14, 1).parts == (4, 4, 4, 2)
-        assert lambda_partition_even(24, 2).parts == (6, 6, 5, 3, 2, 2)
+        assert lambda_partition_even(14, 1) == (4, 4, 4, 2)
+        assert lambda_partition_even(24, 2) == (6, 6, 5, 3, 2, 2)
 
     def test_even_region_enforced(self):
         with pytest.raises(ValueError):
@@ -109,9 +111,9 @@ class TestLambdaPartitions:
 class TestHookPartition:
     def test_examples(self):
         p = hook_partition(6, 3)
-        assert p.parts == (4, 1, 1)
+        assert p == (4, 1, 1)
         assert eigenvalue(p) == 3
-        assert hook_partition(5, 1).parts == (5,)
+        assert hook_partition(5, 1) == (5,)
         assert eigenvalue(hook_partition(5, 1)) == 10
         assert eigenvalue(hook_partition(4, 4)) == -6
 
@@ -120,6 +122,8 @@ class TestHookPartition:
             hook_partition(4, 5)
         with pytest.raises(ValueError):
             hook_partition(4, 0)
+        with pytest.raises(ValueError):
+            hook_partition(0, 1)
 
     @pytest.mark.parametrize("n", range(2, 31))
     def test_value_formula(self, n):
@@ -152,12 +156,13 @@ class TestMinNForPrefix:
         with pytest.raises(ValueError):
             min_n_for_prefix(-1)
 
-    def test_prefix_scan_script(self, spectra_up_to_30):
+    def test_prefix_scan_script(self, spectra_up_to_30, child_env):
         script = ROOT / "scripts" / "eigenvalue_prefix_scan.py"
         result = subprocess.run(
             [sys.executable, str(script), "--max-target", "1", "--max-n", "16"],
             capture_output=True,
             text=True,
+            env=child_env,
         )
         assert result.returncode == 0, result.stderr
         header, *rows = result.stdout.splitlines()
@@ -172,16 +177,31 @@ class TestMinNForPrefix:
         assert [int(row.split()[0]) for row in rows] == list(range(2, 17))
         assert marks == {4: "0..0 guaranteed from here on", 14: "0..1 guaranteed from here on"}
 
+    def test_prefix_scan_passes_max_n_as_the_guard(self, monkeypatch, capsys):
+        # a guard of 3 stands in for the default 80, which a subprocess run
+        # past n = 80 would take seconds to reach
+        script = ROOT / "scripts" / "eigenvalue_prefix_scan.py"
+        spec = importlib.util.spec_from_file_location("eigenvalue_prefix_scan", script)
+        scan = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(scan)
+        monkeypatch.setattr(
+            scan, "enumerate_partitions", lambda n, max_n=3: enumerate_partitions(n, max_n)
+        )
+        monkeypatch.setattr(sys, "argv", [str(script), "--max-target", "0", "--max-n", "4"])
+        scan.main()
+        _, *rows = capsys.readouterr().out.splitlines()
+        assert [int(row.split()[0]) for row in rows] == [2, 3, 4]
+
 
 class TestVerifyWitness:
     def test_zero_witness(self):
         report = verify_witness(9, 0)
-        assert report.partition.parts == (5, 1, 1, 1, 1)
+        assert report.partition == (5, 1, 1, 1, 1)
         assert report.verified
 
     def test_one_witness(self):
         report = verify_witness(14, 1)
-        assert report.partition.parts == (4, 4, 4, 2)
+        assert report.partition == (4, 4, 4, 2)
         assert report.verified
 
     def test_report_repr_is_the_readme_example(self):
@@ -195,6 +215,10 @@ class TestVerifyWitness:
         report = verify_witness(14, 1)
         with pytest.raises(AttributeError):
             report.verified = False
+
+    def test_rejects_nonpositive_n(self):
+        with pytest.raises(ValueError):
+            verify_witness(0, 0)
 
     def test_no_construction_for_n2_zero(self):
         with pytest.raises(NoWitnessError):
@@ -211,5 +235,5 @@ class TestVerifyWitness:
             verify_witness(9, -1)
 
     def test_lambda_dispatch(self):
-        assert verify_witness(11, 2).partition.parts == (4, 4, 2, 1)
-        assert verify_witness(24, 2).partition.parts == (6, 6, 5, 3, 2, 2)
+        assert verify_witness(11, 2).partition == (4, 4, 2, 1)
+        assert verify_witness(24, 2).partition == (6, 6, 5, 3, 2, 2)
