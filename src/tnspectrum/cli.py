@@ -35,6 +35,7 @@ from .spectrum import (
     character_ratio,
     eigenvalue,
     eigenvalue_upper_bound,
+    multiplicity,
     spectrum,
     top_eigenvalues,
 )
@@ -116,18 +117,20 @@ def _check_max_n(args, n: int, name: str | None = None) -> None:
         raise CommandError(n, f"{name} exceeds --max-n {args.max_n}", 2)
 
 
-def _run_fold(args, function, *rest):
-    """``function(args.n, *rest)`` behind the resource guard, for the commands that fold.
+def _run_fold(args, query, n: int, *rest):
+    """``query(n, *rest)`` behind the resource guard: every fold a command asks for.
 
-    The fold walks each partition's rows one recursion level apiece, so from
-    about n = 3000 on it outgrows Python's recursion limit.
+    From about n = 3000 on the fold outgrows Python's recursion limit, and its
+    table of k! for every k <= n (324 MB at n = 20 000) can exhaust memory.
     """
-    _check_max_n(args, args.n)
+    _check_max_n(args, n)
     try:
-        return function(args.n, *rest, max_n=args.max_n, threads=args.threads)
+        return query(n, *rest, max_n=args.max_n, threads=args.threads)
     except RecursionError as exc:
-        message = f"n = {args.n} exceeds the spectrum fold's recursion depth"
-        raise CommandError(args.n, message, 2) from exc
+        message = f"n = {n} exceeds the spectrum fold's recursion depth"
+        raise CommandError(n, message, 2) from exc
+    except MemoryError as exc:
+        raise CommandError(n, f"out of memory at n = {n}", 2) from exc
 
 
 def _pass(ok: bool) -> str:
@@ -143,7 +146,7 @@ def _eigen_table(n: int, pairs, title: str, extra_lines=(), code: int = 0) -> Ou
 
 
 def cmd_spectrum(args) -> Output:
-    spec = _run_fold(args, spectrum)
+    spec = _run_fold(args, spectrum, args.n)
     checks = spec.invariant_checks()
     return _eigen_table(
         args.n,
@@ -155,7 +158,7 @@ def cmd_spectrum(args) -> Output:
 
 
 def cmd_mult(args) -> Output:
-    mult = _run_fold(args, spectrum).multiplicity(args.value)
+    mult = _run_fold(args, multiplicity, args.n, args.value)
     note = "" if mult else " (not an eigenvalue)"
     return Output(
         args.n,
@@ -203,7 +206,7 @@ def cmd_eig(args) -> Output:
 
 def cmd_top(args) -> Output:
     try:
-        pairs = _run_fold(args, top_eigenvalues, args.count)
+        pairs = _run_fold(args, top_eigenvalues, args.n, args.count)
     except ValueError as exc:
         raise CommandError(args.n, str(exc), 1) from exc
     title = f"{args.count} largest distinct eigenvalues for n = {args.n}"
@@ -244,7 +247,7 @@ def cmd_tables(args) -> Output:
     ):
         for n in sorted(golden):
             if n not in spectra:
-                spectra[n] = spectrum(n, max_n=args.max_n, threads=args.threads)
+                spectra[n] = _run_fold(args, spectrum, n)
             computed = spectra[n].multiplicity(target)
             rows.append((label, n, golden[n], computed, _pass(computed == golden[n])))
     all_pass = all(row[4] == "PASS" for row in rows)
@@ -272,15 +275,16 @@ def cmd_tables(args) -> Output:
     )
 
 
-def _verify_row(n: int, max_n: int, threads: int) -> dict[str, str]:
+def _verify_row(args, n: int) -> dict[str, str]:
     """PASS, FAIL or SKIP for each check at ``n``, in column order."""
-    spec = spectrum(n, max_n=max_n, threads=threads)
+    spec = _run_fold(args, spectrum, n)
     top = spec.entries
     checks = spec.invariant_checks()
     try:
         witness_one = _pass(verify_witness(n, 1).verified)
     except NoWitnessError:
         witness_one = "SKIP"
+    partitions = enumerate_partitions(n, args.max_n)  # the default guard is 80, not --max-n
     return {
         "largest": _pass(checks["largest_eigenvalue_is_simple"]),
         "second": _pass(top[1] == (n * (n - 3) // 2, (n - 1) ** 2)),
@@ -291,9 +295,7 @@ def _verify_row(n: int, max_n: int, threads: int) -> dict[str, str]:
         if n <= 6
         else _pass(top[3] == (n * (n - 5) // 2, ((n - 1) * (n - 2) // 2) ** 2)),
         "invariants": _pass(all(checks.values())),
-        "bound": _pass(
-            all(eigenvalue(p) <= eigenvalue_upper_bound(p) for p in enumerate_partitions(n, max_n))
-        ),
+        "bound": _pass(all(eigenvalue(p) <= eigenvalue_upper_bound(p) for p in partitions)),
         "witness_zero": _pass(verify_witness(n, 0).verified),
         "witness_one": witness_one,
     }
@@ -303,7 +305,7 @@ def cmd_verify(args) -> Output:
     if args.n_max < 4:
         raise CommandError(args.n_max, "n_max must be at least 4", 2)
     _check_max_n(args, args.n_max, "n_max")
-    rows = {n: _verify_row(n, args.max_n, args.threads) for n in range(4, args.n_max + 1)}
+    rows = {n: _verify_row(args, n) for n in range(4, args.n_max + 1)}
     all_pass = all(status != "FAIL" for row in rows.values() for status in row.values())
     verdict = "all checks passed" if all_pass else "FAILURES found"
     return Output(

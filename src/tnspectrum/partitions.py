@@ -116,29 +116,23 @@ def degree(p: Partition) -> int:
     return quotient
 
 
-_COUNTS = [1]  # p(0)
-
-
 def partition_count(n: int) -> int:
     """Number of partitions of ``n``, by Euler's pentagonal-number recurrence.
 
     Independent of ``enumerate_partitions``; used to cross-check stream lengths.
+    Each call builds its own table of p(0), ..., p(n), so threads share nothing.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    while len(_COUNTS) <= n:
-        m = len(_COUNTS)
+    counts = [1]  # p(0)
+    for m in range(1, n + 1):
         total = 0
         k = 1
-        while True:
-            pent = k * (3 * k - 1) // 2
-            if pent > m:
-                break
+        while (pent := k * (3 * k - 1) // 2) <= m:
             sign = 1 if k % 2 else -1
-            total += sign * _COUNTS[m - pent]
-            pent += k  # second pentagonal number, k(3k+1)/2
-            if pent <= m:
-                total += sign * _COUNTS[m - pent]
+            total += sign * counts[m - pent]
+            if pent + k <= m:  # second pentagonal number, k(3k+1)/2
+                total += sign * counts[m - pent - k]
             k += 1
-        _COUNTS.append(total)
-    return _COUNTS[n]
+        counts.append(total)
+    return counts[n]

@@ -13,7 +13,7 @@ import os
 from fractions import Fraction
 from typing import NamedTuple
 
-from .partitions import DEFAULT_MAX_N, Partition, check_size
+from .partitions import DEFAULT_MAX_N, Partition, check_size, conjugate
 
 
 def eigenvalue(p: Partition) -> int:
@@ -125,6 +125,8 @@ def spectrum(n: int, max_n: int = DEFAULT_MAX_N, threads: int = 1) -> Spectrum:
     The walk recurses once per row above the bottom run, which is about n/3
     levels, so from about n = 3000 (reachable only with a raised ``max_n``)
     this, ``multiplicity`` and ``top_eigenvalues`` raise RecursionError.
+    Before it walks, the fold tabulates k! for every k <= n, which is 324 MB
+    at n = 20 000, so a raised ``max_n`` can also end in MemoryError.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
@@ -220,9 +222,7 @@ def _fold(n: int, shards) -> dict[int, int]:
 
 def _completed(top: int, length: int, cols: list[int]) -> Partition:
     """The partition ``_fold`` visits at the tail ``cols`` of length ``length``, for messages."""
-    columns = [offset + j + length for j, offset in enumerate(cols)]
-    rows = [sum(1 for column in columns if column > t) for t in range(length)]
-    return Partition([top, *rows])
+    return Partition([top, *conjugate([offset + j + length for j, offset in enumerate(cols)])])
 
 
 def multiplicity(n: int, value: int, max_n: int = DEFAULT_MAX_N, threads: int = 1) -> int:

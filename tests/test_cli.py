@@ -198,7 +198,7 @@ class TestFoldTooDeep:
         "argv, folder",
         [
             (["spectrum", "2990"], "spectrum"),
-            (["mult", "3000", "0"], "spectrum"),
+            (["mult", "3000", "0"], "multiplicity"),
             (["top", "3000", "2"], "top_eigenvalues"),
         ],
     )
@@ -213,6 +213,53 @@ class TestFoldTooDeep:
             "command": argv[0],
             "n": int(argv[1]),
             "payload": {"message": f"n = {argv[1]} exceeds the spectrum fold's recursion depth"},
+            "status": "error",
+        }
+
+
+class TestFoldOutOfMemory:
+    @pytest.mark.parametrize(
+        "argv, query, n",
+        [
+            (["spectrum", "2990"], "spectrum", 2990),
+            (["mult", "3000", "0"], "multiplicity", 3000),
+            (["top", "3000", "2"], "top_eigenvalues", 3000),
+            (["tables"], "spectrum", 1),  # the first n either table folds
+            (["verify", "12"], "spectrum", 4),
+        ],
+    )
+    def test_memory_error_is_error_record(self, capsys, monkeypatch, argv, query, n):
+        def too_large(n, *rest, max_n, threads):
+            raise MemoryError
+
+        monkeypatch.setattr(f"tnspectrum.cli.{query}", too_large)
+        code, out, _ = run(capsys, *argv, "--max-n", "3000", "--format", "json")
+        assert code == 2
+        assert json.loads(out) == {
+            "command": argv[0],
+            "n": n,
+            "payload": {"message": f"out of memory at n = {n}"},
+            "status": "error",
+        }
+
+    def test_factorial_table_out_of_memory(self, child_env):
+        # the fold's table of k! for k <= 100000 far outgrows a 512 MiB address space
+        resource = pytest.importorskip("resource")
+        cap = 512 * 2**20
+        argv = ["mult", "100000", "0", "--max-n", "100000", "--format", "json"]
+        result = subprocess.run(
+            [sys.executable, "-m", "tnspectrum", *argv],
+            capture_output=True,
+            text=True,
+            env=child_env,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+            timeout=120,
+        )
+        assert (result.returncode, result.stderr) == (2, "")
+        assert json.loads(result.stdout) == {
+            "command": "mult",
+            "n": 100000,
+            "payload": {"message": "out of memory at n = 100000"},
             "status": "error",
         }
 

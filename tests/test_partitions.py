@@ -1,6 +1,8 @@
 import copy
 import math
 import pickle
+import subprocess
+import sys
 
 import hypothesis.strategies as st
 import pytest
@@ -137,6 +139,37 @@ class TestPartitionCount:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             partition_count(-1)
+
+    def test_concurrent_first_calls_agree(self, child_env):
+        # a fresh interpreter, so the first calls of all four threads overlap;
+        # the tiny switch interval interleaves them as finely as Python allows
+        script = (
+            "import sys, threading\n"
+            "from tnspectrum import partition_count\n"
+            "n = 1500\n"
+            "ways = [1] + [0] * n  # coin change over the parts 1..n\n"
+            "for part in range(1, n + 1):\n"
+            "    for total in range(part, n + 1):\n"
+            "        ways[total] += ways[total - part]\n"
+            "sys.setswitchinterval(1e-5)\n"
+            "results = []\n"
+            "threads = [threading.Thread(target=lambda: results.append(partition_count(n)))\n"
+            "           for _ in range(4)]\n"
+            "for thread in threads:\n"
+            "    thread.start()\n"
+            "for thread in threads:\n"
+            "    thread.join()\n"
+            "print(results == [ways[n]] * 4)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=child_env,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "True\n"
 
 
 class TestConjugate:

@@ -163,6 +163,14 @@ class TestSpectrum:
     def test_matches_plain_fold(self, n):
         assert spectrum(n).entries == plain_fold(n)
 
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_completed_names_the_visited_partition(self, n):
+        # the fold describes a tail mu by its column offsets mu'_j - j - len(mu)
+        for p in enumerate_partitions(n):
+            tail = p[1:]
+            cols = [column - j - len(tail) for j, column in enumerate(conjugate(tail))]
+            assert spectrum_module._completed(p[0], len(tail), cols) == p
+
     def test_hook_product_exactness_is_checked(self, monkeypatch):
         exact_prod = math.prod
         monkeypatch.setattr(math, "prod", lambda factors: exact_prod(factors) + 1)
