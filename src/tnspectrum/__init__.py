@@ -9,9 +9,7 @@ whole pipeline against a brute-force graph build at small n.
 """
 
 from .oracle import (
-    CayleyGraph,
     ComparisonReport,
-    NumericSpectrum,
     ORACLE_MAX_N,
     ORACLE_MIN_N,
     build_graph,
@@ -52,11 +50,9 @@ from .witnesses import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CayleyGraph",
     "ComparisonReport",
     "DEFAULT_MAX_N",
     "NoWitnessError",
-    "NumericSpectrum",
     "ORACLE_MAX_N",
     "ORACLE_MIN_N",
     "Partition",

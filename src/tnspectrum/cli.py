@@ -179,7 +179,7 @@ def cmd_eig(args) -> Output:
     bound = eigenvalue_upper_bound(part)
     try:
         deg = degree(part)
-    except MemoryError as exc:
+    except (MemoryError, OverflowError) as exc:
         raise CommandError(part.n, f"out of memory at n = {part.n}", 2) from exc
     ratio = character_ratio(part) if part.n >= 2 else None
     ratio_text = None if ratio is None else f"{ratio.numerator}/{ratio.denominator}"
@@ -232,7 +232,7 @@ def cmd_witness(args) -> Output:
         )
     except NoWitnessError as exc:
         raise CommandError(args.n, str(exc), 1) from exc
-    except MemoryError as exc:
+    except (MemoryError, OverflowError) as exc:
         raise CommandError(args.n, f"out of memory at n = {args.n}", 2) from exc
 
 
@@ -333,12 +333,12 @@ def cmd_oracle(args) -> Output:
         report = compare(spectrum(args.n), numeric, tolerance=args.tolerance)
     except (OSError, ArithmeticError) as exc:
         raise CommandError(args.n, str(exc), 2) from exc
-    edges = int(graph.adjacency.sum()) // 2
+    edges = int(graph.sum()) // 2
     verdict = "AGREE" if report.agreement else "DISAGREE"
     return Output(
         args.n,
         {
-            "order": graph.order,
+            "order": len(graph),
             "agreement": report.agreement,
             "max_deviation": report.max_deviation,
             "discrepancies": [
@@ -347,9 +347,9 @@ def cmd_oracle(args) -> Output:
             ],
         },
         "n,order,agreement,max_deviation",
-        [(args.n, graph.order, report.agreement, report.max_deviation)],
+        [(args.n, len(graph), report.agreement, report.max_deviation)],
         [
-            f"oracle check, n = {args.n}: {graph.order} vertices, {edges} edges",
+            f"oracle check, n = {args.n}: {len(graph)} vertices, {edges} edges",
             f"numeric vs exact spectrum: {verdict} (max deviation {report.max_deviation:.3e})",
             *(
                 f"  eigenvalue {value}: exact multiplicity {exact_mult}, numeric {numeric_mult}"
@@ -446,23 +446,29 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one command and render its output, or its error record, in ``--format``."""
     args = build_parser().parse_args(argv)
+    # argv parses under the int-to-str digit limit; degrees and sums of parts may exceed it
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
-        out = args.func(args)
-    except CommandError as exc:
-        n, message, code = exc.args
-        payload, status = {"message": message}, "error"
-        lines, stream = [f"error: {message}"], sys.stderr
-    else:
-        n, payload, status, code = out.n, out.payload, "ok", out.code
-        lines, stream = out.lines, sys.stdout
-        if args.format == "csv":
-            lines = [out.header, *(",".join(str(cell) for cell in row) for row in out.rows)]
-    if args.format == "json":
-        record = {"command": args.command, "n": n, "payload": payload, "status": status}
-        print(json.dumps(record, sort_keys=True))
-    else:
-        print(*lines, sep="\n", file=stream)
-    return code
+        try:
+            out = args.func(args)
+        except CommandError as exc:
+            n, message, code = exc.args
+            payload, status = {"message": message}, "error"
+            lines, stream = [f"error: {message}"], sys.stderr
+        else:
+            n, payload, status, code = out.n, out.payload, "ok", out.code
+            lines, stream = out.lines, sys.stdout
+            if args.format == "csv":
+                lines = [out.header, *(",".join(str(cell) for cell in row) for row in out.rows)]
+        if args.format == "json":
+            record = {"command": args.command, "n": n, "payload": payload, "status": status}
+            print(json.dumps(record, sort_keys=True))
+        else:
+            print(*lines, sep="\n", file=stream)
+        return code
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

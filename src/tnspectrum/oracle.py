@@ -20,24 +20,14 @@ ORACLE_MIN_N = 2
 ORACLE_MAX_N = 6  # 720 vertices; dense diagonalization beyond this is a time sink
 
 
-class CayleyGraph(NamedTuple):
-    n: int
-    order: int
-    adjacency: np.ndarray  # symmetric 0/1, zero diagonal, indexed by permutation rank
-
-
-class NumericSpectrum(NamedTuple):
-    values: tuple[float, ...]  # descending, one per vertex
-
-
 class ComparisonReport(NamedTuple):
     agreement: bool
     max_deviation: float
     discrepancies: tuple[tuple[int, int, int], ...]  # (eigenvalue, exact mult, numeric mult)
 
 
-def build_graph(n: int) -> CayleyGraph:
-    """Adjacency matrix of the transposition graph, vertices in lexicographic rank order."""
+def build_graph(n: int) -> np.ndarray:
+    """The n! x n! symmetric 0/1 adjacency matrix, vertices in lexicographic rank order."""
     import numpy as np
 
     if not ORACLE_MIN_N <= n <= ORACLE_MAX_N:
@@ -46,17 +36,16 @@ def build_graph(n: int) -> CayleyGraph:
         )
     perms = list(itertools.permutations(range(n)))
     rank = {perm: i for i, perm in enumerate(perms)}
-    order = len(perms)
-    adjacency = np.zeros((order, order), dtype=np.uint8)
+    adjacency = np.zeros((len(perms), len(perms)), dtype=np.uint8)
     for u, perm in enumerate(perms):
         for i, j in itertools.combinations(range(n), 2):
             swapped = list(perm)
             swapped[i], swapped[j] = swapped[j], swapped[i]
             adjacency[u, rank[tuple(swapped)]] = 1
-    return CayleyGraph(n=n, order=order, adjacency=adjacency)
+    return adjacency
 
 
-def numeric_spectrum(g: CayleyGraph, integer_tolerance: float = 1e-6) -> NumericSpectrum:
+def numeric_spectrum(adjacency: np.ndarray, integer_tolerance: float = 1e-6) -> tuple[float, ...]:
     """Eigenvalues of the adjacency matrix, descending; each must sit near an integer.
 
     Raises on eigensolver non-convergence and on any eigenvalue farther than
@@ -67,7 +56,7 @@ def numeric_spectrum(g: CayleyGraph, integer_tolerance: float = 1e-6) -> Numeric
     import numpy as np
 
     check_tolerance(integer_tolerance)
-    values = np.linalg.eigvalsh(g.adjacency.astype(np.float64))[::-1]
+    values = np.linalg.eigvalsh(adjacency.astype(np.float64))[::-1]
     deviations = np.abs(values - np.rint(values))
     worst = float(deviations.max())
     if worst > integer_tolerance:
@@ -76,7 +65,7 @@ def numeric_spectrum(g: CayleyGraph, integer_tolerance: float = 1e-6) -> Numeric
             f"eigenvalue {culprit!r} is {worst:.3e} away from an integer "
             f"(tolerance {integer_tolerance:g})"
         )
-    return NumericSpectrum(values=tuple(float(v) for v in values))
+    return tuple(float(v) for v in values)
 
 
 def check_tolerance(tolerance: float) -> None:
@@ -90,7 +79,9 @@ def check_tolerance(tolerance: float) -> None:
         raise ValueError(f"tolerance must satisfy 0 < tolerance < 0.5, got {tolerance!r}")
 
 
-def compare(exact: Spectrum, numeric: NumericSpectrum, tolerance: float = 1e-6) -> ComparisonReport:
+def compare(
+    exact: Spectrum, numeric: tuple[float, ...], tolerance: float = 1e-6
+) -> ComparisonReport:
     """Round the numeric eigenvalues and compare multiset-for-multiset with the exact ones.
 
     Size mismatch (different n) is a usage error and raises; multiplicity
@@ -99,14 +90,14 @@ def compare(exact: Spectrum, numeric: NumericSpectrum, tolerance: float = 1e-6) 
     The tolerance must satisfy 0 < tolerance < 0.5 (see ``check_tolerance``).
     """
     check_tolerance(tolerance)
-    if exact.order != len(numeric.values):
+    if exact.order != len(numeric):
         raise ValueError(
             f"size mismatch: exact spectrum carries {exact.order} eigenvalues, "
-            f"numeric carries {len(numeric.values)}"
+            f"numeric carries {len(numeric)}"
         )
     counts: dict[int, int] = {}
     max_deviation = 0.0
-    for value in numeric.values:
+    for value in numeric:
         rounded = round(value)
         deviation = abs(value - rounded)
         if deviation > tolerance:
@@ -129,11 +120,11 @@ def compare(exact: Spectrum, numeric: NumericSpectrum, tolerance: float = 1e-6) 
     )
 
 
-def edge_list(g: CayleyGraph) -> list[tuple[int, int]]:
+def edge_list(adjacency: np.ndarray) -> list[tuple[int, int]]:
     """Edges as (u, v) rank pairs with u < v, sorted; for external verification."""
     import numpy as np
 
-    rows, cols = np.nonzero(np.triu(g.adjacency, k=1))
+    rows, cols = np.nonzero(np.triu(adjacency, k=1))
     return [(int(u), int(v)) for u, v in zip(rows, cols)]
 
 

@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import math
 import pathlib
 import subprocess
 import sys
@@ -262,6 +263,70 @@ class TestFoldOutOfMemory:
             "payload": {"message": "out of memory at n = 100000"},
             "status": "error",
         }
+
+
+E19, E19X4 = 10**19, 4 * 10**19  # past sys.maxsize, so no list of that length can be asked for
+NINES = "9" * 4300  # the longest integer argv may spell under the default int-to-str limit
+SQUARE = ["63"] * 63  # its degree has 5616 digits
+
+
+class TestHugeIntegers:
+    """Counts past an index's range, and integers past the 4300-digit int-to-str limit."""
+
+    @pytest.mark.parametrize(
+        "argv, code, expected",
+        [
+            (
+                ["eig", str(E19), "--max-n", str(E19)],
+                2,
+                lambda: (E19, {"message": f"out of memory at n = {E19}"}),
+            ),
+            (
+                ["witness", str(E19X4), "1", "--max-n", str(E19X4)],
+                2,
+                lambda: (E19X4, {"message": f"out of memory at n = {E19X4}"}),
+            ),
+            (
+                ["eig", *SQUARE, "--max-n", "4000"],
+                0,
+                lambda: (
+                    3969,
+                    {
+                        "partition": [63] * 63,
+                        "eigenvalue": 0,
+                        "upper_bound": 7628418,  # (3906 * 3907 - 63 * 62) / 2
+                        # n! over the hook product; the hooks of the square are i + j + 1
+                        "degree": str(
+                            math.factorial(3969)
+                            // math.prod(i + j + 1 for i in range(63) for j in range(63))
+                        ),
+                        "character_ratio": "0/1",
+                    },
+                ),
+            ),
+            (
+                ["eig", NINES, NINES, "--max-n", "5"],
+                2,
+                lambda: (2 * int(NINES), {"message": f"n = {2 * int(NINES)} exceeds --max-n 5"}),
+            ),
+        ],
+        ids=["eig-index-overflow", "witness-index-overflow", "eig-long-degree", "eig-long-n"],
+    )
+    def test_result_or_error_record(self, capsys, argv, code, expected):
+        limit = sys.get_int_max_str_digits()
+        status, out, _ = run(capsys, *argv, "--format", "json")
+        assert (status, sys.get_int_max_str_digits()) == (code, limit)  # main restores the limit
+        sys.set_int_max_str_digits(0)  # the expected record and its parse need long integers
+        try:
+            n, payload = expected()
+            assert json.loads(out) == {
+                "command": argv[0],
+                "n": n,
+                "payload": payload,
+                "status": "ok" if code == 0 else "error",
+            }
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 class TestTablesCommand:
