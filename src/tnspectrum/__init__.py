@@ -16,7 +16,6 @@ from .oracle import (
     compare,
     edge_list,
     numeric_spectrum,
-    permutation_parity,
 )
 from .partitions import (
     DEFAULT_MAX_N,
@@ -24,7 +23,6 @@ from .partitions import (
     conjugate,
     degree,
     enumerate_partitions,
-    hook_lengths,
     partition_count,
 )
 from .spectrum import (
@@ -67,7 +65,6 @@ __all__ = [
     "eigenvalue",
     "eigenvalue_upper_bound",
     "enumerate_partitions",
-    "hook_lengths",
     "hook_partition",
     "lambda_partition_even",
     "lambda_partition_odd",
@@ -75,7 +72,6 @@ __all__ = [
     "multiplicity",
     "numeric_spectrum",
     "partition_count",
-    "permutation_parity",
     "spectrum",
     "top_eigenvalues",
     "verify_witness",

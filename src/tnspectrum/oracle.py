@@ -26,7 +26,7 @@ class ComparisonReport(NamedTuple):
     discrepancies: tuple[tuple[int, int, int], ...]  # (eigenvalue, exact mult, numeric mult)
 
 
-def build_graph(n: int) -> np.ndarray:
+def build_graph(n: int):
     """The n! x n! symmetric 0/1 adjacency matrix, vertices in lexicographic rank order."""
     import numpy as np
 
@@ -45,7 +45,7 @@ def build_graph(n: int) -> np.ndarray:
     return adjacency
 
 
-def numeric_spectrum(adjacency: np.ndarray, integer_tolerance: float = 1e-6) -> tuple[float, ...]:
+def numeric_spectrum(adjacency, integer_tolerance: float = 1e-6) -> tuple[float, ...]:
     """Eigenvalues of the adjacency matrix, descending; each must sit near an integer.
 
     Raises on eigensolver non-convergence and on any eigenvalue farther than
@@ -120,27 +120,9 @@ def compare(
     )
 
 
-def edge_list(adjacency: np.ndarray) -> list[tuple[int, int]]:
+def edge_list(adjacency) -> list[tuple[int, int]]:
     """Edges as (u, v) rank pairs with u < v, sorted; for external verification."""
     import numpy as np
 
     rows, cols = np.nonzero(np.triu(adjacency, k=1))
     return [(int(u), int(v)) for u, v in zip(rows, cols)]
-
-
-def permutation_parity(perm) -> int:
-    """+1 for even permutations, -1 for odd, via cycle decomposition."""
-    seen = [False] * len(perm)
-    parity = 1
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        i = start
-        while not seen[i]:
-            seen[i] = True
-            i = perm[i]
-            length += 1
-        if length % 2 == 0:
-            parity = -parity
-    return parity

@@ -1,4 +1,4 @@
-"""Integer partitions: enumeration, conjugation, hook lengths, character degrees.
+"""Integer partitions: enumeration, conjugation, character degrees, p(n).
 
 Partitions of n index the irreducible representations of the symmetric group
 on n symbols; the degree attached to a partition is n! divided by the product
@@ -88,15 +88,6 @@ def conjugate(p: Partition) -> Partition:
         for j in range(part):
             counts[j] += 1
     return Partition(counts)
-
-
-def hook_lengths(p: Partition) -> tuple[tuple[int, ...], ...]:
-    """Hook length of every box (arm + leg + 1), in the ragged shape of ``p``."""
-    conj = conjugate(p)
-    return tuple(
-        tuple(row_len - j + conj[j] - t - 1 for j in range(row_len))
-        for t, row_len in enumerate(p)
-    )
 
 
 def degree(p: Partition) -> int:

@@ -9,7 +9,6 @@ from tnspectrum import (
     compare,
     edge_list,
     numeric_spectrum,
-    permutation_parity,
     spectrum,
 )
 
@@ -54,7 +53,7 @@ class TestBuildGraph:
         # odd cycles outright
         g = build_graph(n)
         perms = list(itertools.permutations(range(n)))
-        colors = np.array([permutation_parity(p) for p in perms])
+        colors = np.array([sum(a > b for a, b in itertools.combinations(p, 2)) % 2 for p in perms])
         rows, cols = np.nonzero(g)
         assert (colors[rows] != colors[cols]).all()
 
@@ -168,18 +167,3 @@ class TestEdgeList:
         assert len(edges) == math.factorial(n) * n * (n - 1) // 4
         assert all(0 <= u < v < len(g) for u, v in edges)
         assert edges == sorted(edges)
-
-
-class TestPermutationParity:
-    def test_known_cases(self):
-        assert permutation_parity((0, 1, 2)) == 1
-        assert permutation_parity((1, 0, 2)) == -1
-        assert permutation_parity((1, 2, 0)) == 1
-        assert permutation_parity((3, 2, 0, 1)) == -1
-
-    def test_transposition_flips_parity(self):
-        for perm in itertools.permutations(range(4)):
-            for i, j in itertools.combinations(range(4), 2):
-                swapped = list(perm)
-                swapped[i], swapped[j] = swapped[j], swapped[i]
-                assert permutation_parity(swapped) == -permutation_parity(perm)

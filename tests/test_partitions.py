@@ -13,7 +13,6 @@ from tnspectrum import (
     conjugate,
     degree,
     enumerate_partitions,
-    hook_lengths,
     partition_count,
 )
 
@@ -193,25 +192,6 @@ class TestConjugate:
         assert conjugate(p).n == p.n
 
 
-class TestHookLengths:
-    def test_examples(self):
-        assert hook_lengths(Partition((2, 2))) == ((3, 2), (2, 1))
-        assert hook_lengths(Partition((4, 2))) == ((5, 4, 2, 1), (2, 1))
-        assert hook_lengths(Partition((1,))) == ((1,),)
-
-    @given(partitions_st)
-    def test_shape_positivity_and_corner(self, p):
-        grid = hook_lengths(p)
-        assert tuple(len(row) for row in grid) == p
-        assert all(h >= 1 for row in grid for h in row)
-        assert grid[0][0] == p[0] + len(p) - 1
-
-    @given(partitions_st)
-    def test_product_divides_factorial(self, p):
-        product = math.prod(h for row in hook_lengths(p) for h in row)
-        assert math.factorial(p.n) % product == 0
-
-
 class TestDegree:
     @pytest.mark.parametrize("n", range(1, 10))
     def test_single_row_is_trivial_representation(self, n):
@@ -221,7 +201,15 @@ class TestDegree:
         assert degree(Partition((3, 1))) == 3
         assert degree(Partition((2, 1))) == 2
         assert degree(Partition((2, 2))) == 2
+        assert degree(Partition((4, 2))) == 9  # 6! / (5*4*2*1 * 2*1)
         assert degree(Partition()) == 1
+
+    @given(partitions_st)
+    def test_positive_int_and_conjugation_invariant(self, p):
+        # degree raises unless the hook product divides n!
+        d = degree(p)
+        assert type(d) is int and d >= 1
+        assert degree(conjugate(p)) == d
 
     def test_inexact_division_raises(self, monkeypatch):
         # 3! + 1 is not a multiple of (2, 1)'s hook product 3
