@@ -329,7 +329,7 @@ def cmd_oracle(args) -> Output:
             with open(args.dump_edges, "w", encoding="ascii") as handle:
                 for u, v in edge_list(graph):
                     handle.write(f"{u} {v}\n")
-        numeric = numeric_spectrum(graph, integer_tolerance=args.tolerance)
+        numeric = numeric_spectrum(graph)
         report = compare(spectrum(args.n), numeric, tolerance=args.tolerance)
     except (OSError, ArithmeticError) as exc:
         raise CommandError(args.n, str(exc), 2) from exc

@@ -48,7 +48,7 @@ def eigenvalue_upper_bound(p: Partition) -> int:
     Half of (n - n_k)(n - n_k + 1) + n_k (n_k - 2k + 1) for a partition with
     k parts and smallest part n_k.
     """
-    n, k, last = p.n, len(p), p[-1]
+    n, k, last = p.n, len(p), p[-1] if p else 0
     doubled = (n - last) * (n - last + 1) + last * (last - 2 * k + 1)
     if doubled % 2:
         raise ArithmeticError(f"doubled bound {doubled} is odd for {p}")

@@ -1,5 +1,7 @@
-"""The public surface: ``__all__`` is exactly the public names, and their annotations resolve."""
+"""The public surface: ``__all__`` is exactly the public names, their annotations resolve,
+and every public function's parameter names are pinned below."""
 
+import inspect
 import types
 import typing
 
@@ -27,3 +29,38 @@ def test_all_lists_exactly_the_public_names():
 def test_annotations_resolve(name):
     # numpy is imported inside the oracle functions, so no annotation may name it
     typing.get_type_hints(getattr(tnspectrum, name))
+
+
+# A change to a public signature must edit this table, and CHANGES.md says why.
+PUBLIC_SIGNATURES = {
+    "build_graph": ("n",),
+    "character_ratio": ("p",),
+    "compare": ("exact", "numeric", "tolerance"),
+    "conjugate": ("p",),
+    "degree": ("p",),
+    "edge_list": ("adjacency",),
+    "eigenvalue": ("p",),
+    "eigenvalue_upper_bound": ("p",),
+    "enumerate_partitions": ("n", "max_n"),
+    "hook_partition": ("n", "k"),
+    "lambda_partition_even": ("n", "lam"),
+    "lambda_partition_odd": ("n", "lam"),
+    "min_n_for_prefix": ("k",),
+    "multiplicity": ("n", "value", "max_n", "threads"),
+    "numeric_spectrum": ("adjacency",),
+    "partition_count": ("n",),
+    "spectrum": ("n", "max_n", "threads"),
+    "top_eigenvalues": ("n", "count", "max_n", "threads"),
+    "verify_witness": ("n", "target"),
+    "zero_partition": ("n",),
+}
+
+
+def test_public_signatures_are_pinned():
+    public = {name: getattr(tnspectrum, name) for name in tnspectrum.__all__}
+    actual = {
+        name: tuple(inspect.signature(value).parameters)
+        for name, value in public.items()
+        if inspect.isfunction(value)
+    }
+    assert actual == PUBLIC_SIGNATURES

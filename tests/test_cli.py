@@ -3,9 +3,11 @@ import hashlib
 import json
 import math
 import pathlib
+import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from tnspectrum import Partition, WitnessReport, spectrum
@@ -447,15 +449,16 @@ class TestOracleCommand:
         assert err.startswith("error: ")
 
     def test_arithmetic_error_is_error_record(self, capsys, monkeypatch):
-        def not_integral(graph, integer_tolerance):
-            raise ArithmeticError("eigenvalue 0.25 is 2.500e-01 away from an integer")
-
-        monkeypatch.setattr("tnspectrum.cli.numeric_spectrum", not_integral)
-        code, out, _ = run(capsys, "oracle", "4", "--format", "json")
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: eigvalsh(a) + 0.25)
+        code, out, _ = run(capsys, "oracle", "3", "--format", "json")
         assert code == 2
         record = json.loads(out)
         assert record["status"] == "error"
-        assert "away from an integer" in record["payload"]["message"]
+        assert re.fullmatch(
+            r"eigenvalue 3\.25\d* is 2\.500e-01 away from an integer \(tolerance 1e-06\)",
+            record["payload"]["message"],
+        )
 
     def test_edge_dump(self, capsys, tmp_path):
         path = tmp_path / "edges.txt"

@@ -75,10 +75,13 @@ class TestNumericSpectrum:
         assert all(abs(v - round(v)) <= 1e-6 for v in values)
 
     def test_non_integer_eigenvalue_raises(self, monkeypatch):
+        # numeric_spectrum hands the raw values on; compare is the one that judges them
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: eigvalsh(a) + 0.25)
+        values = numeric_spectrum(build_graph(3))
+        assert values == pytest.approx((3.25, 0.25, 0.25, 0.25, 0.25, -2.75), abs=1e-9)
         with pytest.raises(ArithmeticError, match="away from an integer"):
-            numeric_spectrum(build_graph(3))
+            compare(spectrum(3), values)
 
     @pytest.mark.parametrize("n", range(2, 6))
     def test_moment_sums(self, n):
@@ -116,6 +119,12 @@ class TestCompare:
         with pytest.raises(ArithmeticError):
             compare(spectrum(3), drifted, 1e-6)
 
+    def test_tolerance_violation_names_the_farthest_value(self):
+        drifted = (3.0, 0.1, 0.0, 0.0, 0.0, -3.4)
+        message = r"^eigenvalue -3\.4 is 4\.000e-01 away from an integer \(tolerance 1e-06\)$"
+        with pytest.raises(ArithmeticError, match=message):
+            compare(spectrum(3), drifted, 1e-6)
+
 
 OUTSIDE_OPEN_INTERVAL = [float("nan"), float("inf"), float("-inf"), 0.0, -1e-6, 0.5, 2.0]
 
@@ -143,11 +152,6 @@ class TestToleranceValidation:
     """A tolerance outside 0 < tol < 0.5 would silently turn the integrality check off."""
 
     @pytest.mark.parametrize("tolerance", OUTSIDE_OPEN_INTERVAL, ids=repr)
-    def test_numeric_spectrum_rejects(self, tolerance):
-        with pytest.raises(ValueError, match="0 < tolerance < 0.5"):
-            numeric_spectrum(build_graph(3), integer_tolerance=tolerance)
-
-    @pytest.mark.parametrize("tolerance", OUTSIDE_OPEN_INTERVAL, ids=repr)
     def test_compare_rejects(self, tolerance):
         numeric = numeric_spectrum(build_graph(3))
         with pytest.raises(ValueError, match="0 < tolerance < 0.5"):
@@ -155,7 +159,7 @@ class TestToleranceValidation:
 
     @pytest.mark.parametrize("tolerance", [1e-12, 0.49])
     def test_open_interval_accepted(self, tolerance):
-        numeric = numeric_spectrum(build_graph(3), integer_tolerance=tolerance)
+        numeric = numeric_spectrum(build_graph(3))
         assert compare(spectrum(3), numeric, tolerance=tolerance).agreement
 
 

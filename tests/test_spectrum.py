@@ -105,6 +105,7 @@ class TestUpperBound:
         assert eigenvalue_upper_bound(Partition((6,))) == 15
         assert eigenvalue_upper_bound(Partition((2, 1))) == 2
         assert eigenvalue_upper_bound(Partition((2, 1, 1))) == 4
+        assert eigenvalue_upper_bound(Partition()) == 0 == eigenvalue(Partition())
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_bounds_every_eigenvalue(self, n):
