@@ -108,6 +108,59 @@ class TestLambdaPartitions:
         assert eigenvalue(p) == lam
 
 
+def _reference_zero(n):
+    # the closed forms the constructors had before they shared one helper
+    if n < 1 or n == 2:
+        return None
+    if n % 2:
+        return ((n + 1) // 2,) + (1,) * ((n - 1) // 2)
+    return (n // 2, 2) + (1,) * ((n - 4) // 2)
+
+
+def _reference_odd(n, lam):
+    if n % 2 == 0 or n < 7 or lam < 1 or 4 * lam > n - 3:
+        return None
+    return ((n - 2 * lam + 1) // 2, lam + 2) + (2,) * (lam - 1) + (1,) * ((n - 4 * lam - 1) // 2)
+
+
+def _reference_even(n, lam):
+    if n % 2 or n < 14 or lam < 1 or 10 * lam > n - 4:
+        return None
+    return (
+        ((n - 6 * lam) // 2, 2 * lam + 2, lam + 3)
+        + (3,) * (lam - 1)
+        + (2,) * lam
+        + (1,) * ((n - 10 * lam - 4) // 2)
+    )
+
+
+class TestConstructorsPinned:
+    """Each constructor returns the reference partition inside its region and raises outside."""
+
+    @staticmethod
+    def check(construct, reference, *args):
+        expected = reference(*args)
+        if expected is None:
+            with pytest.raises(ValueError):
+                construct(*args)
+        else:
+            assert construct(*args) == expected
+
+    def test_zero(self):
+        for n in range(-5, 200):
+            self.check(zero_partition, _reference_zero, n)
+
+    @pytest.mark.parametrize(
+        "construct, reference",
+        [(lambda_partition_odd, _reference_odd), (lambda_partition_even, _reference_even)],
+        ids=["odd", "even"],
+    )
+    def test_lambda(self, construct, reference):
+        for n in range(-5, 200):
+            for lam in range(-3, 60):
+                self.check(construct, reference, n, lam)
+
+
 class TestHookPartition:
     def test_examples(self):
         p = hook_partition(6, 3)
