@@ -37,7 +37,6 @@ from .spectrum import (
 from .witnesses import (
     NoWitnessError,
     WitnessReport,
-    hook_partition,
     lambda_partition_even,
     lambda_partition_odd,
     min_n_for_prefix,
@@ -65,7 +64,6 @@ __all__ = [
     "eigenvalue",
     "eigenvalue_upper_bound",
     "enumerate_partitions",
-    "hook_partition",
     "lambda_partition_even",
     "lambda_partition_odd",
     "min_n_for_prefix",

@@ -12,6 +12,7 @@ numpy is imported inside the functions that use it, so importing this module
 from __future__ import annotations
 
 import itertools
+import math
 from typing import NamedTuple
 
 from .spectrum import Spectrum
@@ -75,7 +76,8 @@ def compare(
     Size mismatch (different n) is a usage error and raises; multiplicity
     mismatches are collected into the report instead of thrown. Any value
     farther than ``tolerance`` from an integer raises ArithmeticError, which
-    names the farthest. The tolerance must satisfy 0 < tolerance < 0.5.
+    names the farthest; a non-finite value counts as infinitely far. The
+    tolerance must satisfy 0 < tolerance < 0.5.
     """
     check_tolerance(tolerance)
     if exact.order != len(numeric):
@@ -83,7 +85,7 @@ def compare(
             f"size mismatch: exact spectrum carries {exact.order} eigenvalues, "
             f"numeric carries {len(numeric)}"
         )
-    deviations = [abs(value - round(value)) for value in numeric]
+    deviations = [abs(v - round(v)) if math.isfinite(v) else math.inf for v in numeric]
     max_deviation = max(deviations, default=0.0)
     if max_deviation > tolerance:
         culprit = numeric[deviations.index(max_deviation)]

@@ -1,10 +1,12 @@
 """Closed-form witness partitions for small eigenvalues of the transposition graph.
 
-Each constructor returns a partition of n whose eigenvalue is the stated
-target. The validity regions are sharp: outside them the formulas stop being
-nonincreasing sequences, so the constructors refuse rather than emit junk.
-A repetition count of zero simply contributes no parts, which is what makes
-the boundary cases of every construction come out right.
+Every witness is a balanced hook around an inner partition nu: a first row
+and a first column of the same length a = (n - |nu| + 1)/2, with row i + 1 of
+length nu_i + 1. Its eigenvalue is the content sum of nu whatever n is,
+because the first row's contents 0..a-1 cancel the first column's
+-1..-(a-1) and the inner boxes keep theirs. It exists exactly when n - |nu|
+is odd and n >= |nu| + 2 max(nu_1, len(nu)) + 1; ``_balanced_hook`` holds
+that check, and each constructor is one choice of nu.
 """
 
 from __future__ import annotations
@@ -31,51 +33,37 @@ class WitnessReport(NamedTuple):
     verified: bool
 
 
+def _balanced_hook(n: int, inner: tuple[int, ...]) -> Partition:
+    """The balanced hook of size ``n`` around ``inner``, whose eigenvalue is c(``inner``)."""
+    size = sum(inner)
+    least = size + 2 * max(len(inner), inner[0] if inner else 0) + 1
+    if (n - size) % 2 == 0 or n < least:
+        raise ValueError(f"need n - {size} odd and n >= {least}, got n = {n}")
+    arm = (n - size + 1) // 2
+    return Partition((arm,) + tuple(part + 1 for part in inner) + (1,) * (arm - 1 - len(inner)))
+
+
 def zero_partition(n: int) -> Partition:
     """Partition of ``n`` with eigenvalue zero; exists for every n >= 1 except 2."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     if n == 2:
         raise NoWitnessError("zero is not an eigenvalue of the transposition graph for n = 2")
-    if n % 2:
-        return Partition(((n + 1) // 2,) + (1,) * ((n - 1) // 2))
-    return Partition((n // 2, 2) + (1,) * ((n - 4) // 2))
+    return _balanced_hook(n, () if n % 2 else (1,))
 
 
 def lambda_partition_odd(n: int, lam: int) -> Partition:
-    """Partition of odd ``n`` with eigenvalue ``lam``, for 1 <= lam <= (n - 3)/4."""
-    if n % 2 == 0 or n < 7:
-        raise ValueError(f"n must be odd and >= 7, got {n}")
-    if lam < 1 or 4 * lam > n - 3:
-        raise ValueError(f"need 1 <= lam <= (n - 3)/4 = {(n - 3) // 4}, got lam = {lam}")
-    return Partition(
-        ((n - 2 * lam + 1) // 2, lam + 2)
-        + (2,) * (lam - 1)
-        + (1,) * ((n - 4 * lam - 1) // 2)
-    )
+    """Partition of odd ``n`` with eigenvalue ``lam``; exists for lam >= 1 and n >= 4 lam + 3."""
+    if not 1 <= lam <= n:
+        raise ValueError(f"need 1 <= lam <= n = {n}, got lam = {lam}")
+    return _balanced_hook(n, (lam + 1,) + (1,) * (lam - 1))
 
 
 def lambda_partition_even(n: int, lam: int) -> Partition:
-    """Partition of even ``n`` with eigenvalue ``lam``, for 1 <= lam <= (n - 4)/10."""
-    if n % 2 or n < 14:
-        raise ValueError(f"n must be even and >= 14, got {n}")
-    if lam < 1 or 10 * lam > n - 4:
-        raise ValueError(f"need 1 <= lam <= (n - 4)/10 = {(n - 4) // 10}, got lam = {lam}")
-    return Partition(
-        ((n - 6 * lam) // 2, 2 * lam + 2, lam + 3)
-        + (3,) * (lam - 1)
-        + (2,) * lam
-        + (1,) * ((n - 10 * lam - 4) // 2)
-    )
-
-
-def hook_partition(n: int, k: int) -> Partition:
-    """Hook shape (n - k + 1, 1, ..., 1) with k rows; eigenvalue n(n - 2k + 1)/2."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    if k < 1 or k > n:
-        raise ValueError(f"need 1 <= k <= n = {n}, got k = {k}")
-    return Partition((n - k + 1,) + (1,) * (k - 1))
+    """Partition of even ``n`` with eigenvalue ``lam``; exists for lam >= 1 and n >= 10 lam + 4."""
+    if not 1 <= lam <= n:
+        raise ValueError(f"need 1 <= lam <= n = {n}, got lam = {lam}")
+    return _balanced_hook(n, (2 * lam + 1, lam + 2) + (2,) * (lam - 1) + (1,) * lam)
 
 
 def min_n_for_prefix(k: int) -> int:
@@ -102,7 +90,7 @@ def verify_witness(n: int, target: int) -> WitnessReport:
     else:
         construct = lambda_partition_odd if n % 2 else lambda_partition_even
         try:
-            part = construct(n, target)  # each constructor enforces its own region
+            part = construct(n, target)  # _balanced_hook enforces the region
         except ValueError:
             raise NoWitnessError(
                 f"no construction known for eigenvalue {target} at n = {n}"

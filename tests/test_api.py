@@ -42,7 +42,6 @@ PUBLIC_SIGNATURES = {
     "eigenvalue": ("p",),
     "eigenvalue_upper_bound": ("p",),
     "enumerate_partitions": ("n", "max_n"),
-    "hook_partition": ("n", "k"),
     "lambda_partition_even": ("n", "lam"),
     "lambda_partition_odd": ("n", "lam"),
     "min_n_for_prefix": ("k",),

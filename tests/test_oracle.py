@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from tnspectrum import (
     numeric_spectrum,
     spectrum,
 )
+from tnspectrum.cli import main
 
 
 class TestBuildGraph:
@@ -124,6 +126,28 @@ class TestCompare:
         message = r"^eigenvalue -3\.4 is 4\.000e-01 away from an integer \(tolerance 1e-06\)$"
         with pytest.raises(ArithmeticError, match=message):
             compare(spectrum(3), drifted, 1e-6)
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")], ids=repr)
+    def test_non_finite_value_is_the_farthest(self, bad):
+        numeric = (3.0, 0.1, bad, 0.0, 0.0, -3.0)
+        message = rf"^eigenvalue {bad!r} is inf away from an integer"
+        with pytest.raises(ArithmeticError, match=message):
+            compare(spectrum(3), numeric, 1e-6)
+
+    def test_nan_from_the_eigensolver_is_an_error_record(self, monkeypatch, capsys):
+        eigvalsh = np.linalg.eigvalsh
+
+        def one_nan(a):
+            values = eigvalsh(a)
+            values[2] = np.nan
+            return values
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", one_nan)
+        code = main(["oracle", "3", "--format", "json"])
+        record = json.loads(capsys.readouterr().out)
+        assert code == 2
+        assert record["status"] == "error"
+        assert "away from an integer" in record["payload"]["message"]
 
 
 OUTSIDE_OPEN_INTERVAL = [float("nan"), float("inf"), float("-inf"), 0.0, -1e-6, 0.5, 2.0]

@@ -13,14 +13,15 @@ from tnspectrum import (
     degree,
     eigenvalue,
     enumerate_partitions,
-    hook_partition,
     lambda_partition_even,
     lambda_partition_odd,
     min_n_for_prefix,
     multiplicity,
     verify_witness,
+    spectrum,
     zero_partition,
 )
+from tnspectrum.witnesses import _balanced_hook
 
 ROOT = pathlib.Path(__file__).parents[1]
 
@@ -161,27 +162,79 @@ class TestConstructorsPinned:
                 self.check(construct, reference, n, lam)
 
 
-class TestHookPartition:
-    def test_examples(self):
-        p = hook_partition(6, 3)
-        assert p == (4, 1, 1)
-        assert eigenvalue(p) == 3
-        assert hook_partition(5, 1) == (5,)
-        assert eigenvalue(hook_partition(5, 1)) == 10
-        assert eigenvalue(hook_partition(4, 4)) == -6
+def _content_sum(parts):
+    # sum of (column - row) over the boxes, computed apart from ``eigenvalue``
+    return sum(j - i for i, part in enumerate(parts) for j in range(part))
 
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            hook_partition(4, 5)
-        with pytest.raises(ValueError):
-            hook_partition(4, 0)
-        with pytest.raises(ValueError):
-            hook_partition(0, 1)
+
+def _inner_partitions(max_size):
+    """Every partition of size at most ``max_size``, the empty one first."""
+    yield Partition()
+    for size in range(1, max_size + 1):
+        yield from enumerate_partitions(size)
+
+
+def _succeeds(n, inner):
+    try:
+        _balanced_hook(n, inner)
+    except ValueError:
+        return False
+    return True
+
+
+class TestBalancedHook:
+    def test_identity_and_region(self):
+        for inner in _inner_partitions(12):
+            size = inner.n
+            threshold = size + 2 * max(len(inner), inner[0] if inner else 0) + 1
+            for n in range(threshold - 12, threshold + 13):
+                if (n - size) % 2 and n >= threshold:
+                    hook = _balanced_hook(n, inner)
+                    assert hook.n == n
+                    assert eigenvalue(hook) == _content_sum(inner)
+                else:
+                    with pytest.raises(ValueError):
+                        _balanced_hook(n, inner)
+
+    def test_exact_thresholds_up_to_ten(self):
+        # lowest[m, parity]: the smallest n of that parity at which a balanced hook
+        # around some inner partition of size <= 19 has eigenvalue m; the same
+        # inner partition then covers every larger n of that parity
+        lowest = {}
+        for inner in _inner_partitions(19):
+            m = _content_sum(inner)
+            if not 0 <= m <= 10:
+                continue
+            n = next(n for n in range(inner.n, 3 * inner.n + 2) if _succeeds(n, inner))
+            if (m, n % 2) not in lowest or n < lowest[m, n % 2]:
+                lowest[m, n % 2] = n
+                assert eigenvalue(_balanced_hook(n, inner)) == m
+        # N(k) is one below the largest lowest: the first n of each parity from
+        # N(k) on is then at or above every lowest for 0..k
+        covered_from = {
+            k: max(lowest[m, parity] for m in range(k + 1) for parity in (0, 1)) - 1
+            for k in range(11)
+        }
+        assert covered_from == {0: 3, 1: 13, 2: 13, 3: 13, **{k: 19 for k in range(4, 11)}}
+        # one step below each N(k) a target is missing from the spectrum, so no
+        # construction can do better
+        assert 0 not in spectrum(2)
+        assert 1 not in spectrum(12)
+        assert 4 not in spectrum(18)
+
+
+class TestHookPartition:
+    """The hook (n - k + 1, 1^(k - 1)) with k rows has eigenvalue n(n - 2k + 1)/2."""
+
+    def test_examples(self):
+        for n, k, value in [(6, 3, 3), (5, 1, 10), (4, 4, -6)]:
+            assert eigenvalue(Partition((n - k + 1,) + (1,) * (k - 1))) == value
 
     @pytest.mark.parametrize("n", range(2, 31))
     def test_value_formula(self, n):
         for k in range(3, n + 1):
-            assert eigenvalue(hook_partition(n, k)) == n * (n - 2 * k + 1) // 2
+            hook = Partition((n - k + 1,) + (1,) * (k - 1))
+            assert eigenvalue(hook) == n * (n - 2 * k + 1) // 2
 
     @pytest.mark.parametrize("n", range(3, 13))
     def test_multiplicity_lower_bounds(self, n):
@@ -192,7 +245,7 @@ class TestHookPartition:
         for k in range(3, n + 1):
             value = n * (n - 2 * k + 1) // 2
             mult = multiplicity(n, value)
-            hook_degree = degree(hook_partition(n, k))
+            hook_degree = degree(Partition((n - k + 1,) + (1,) * (k - 1)))
             assert mult >= hook_degree ** 2
             assert mult >= math.factorial(n) // (
                 n * math.factorial(n - k) * math.factorial(k - 1)
