@@ -17,8 +17,8 @@ from tnspectrum import (
     lambda_partition_odd,
     min_n_for_prefix,
     multiplicity,
-    verify_witness,
     spectrum,
+    verify_witness,
     zero_partition,
 )
 from tnspectrum.witnesses import _balanced_hook
@@ -110,7 +110,7 @@ class TestLambdaPartitions:
 
 
 def _reference_zero(n):
-    # the closed forms the constructors had before they shared one helper
+    # reference closed forms, written out apart from the balanced-hook helper
     if n < 1 or n == 2:
         return None
     if n % 2:
