@@ -31,6 +31,7 @@ from .oracle import (
 )
 from .partitions import DEFAULT_MAX_N, Partition, degree, enumerate_partitions
 from .spectrum import (
+    FOLD_MAX_N,
     PARALLEL_MIN_N,
     character_ratio,
     eigenvalue,
@@ -110,27 +111,19 @@ class CommandError(Exception):
     """A documented failure, raised as ``CommandError(n, message, exit_status)``."""
 
 
-def _check_max_n(args, n: int, name: str | None = None) -> None:
-    """The resource guard of every command that enumerates partitions of ``n``."""
+def _check_max_n(args, n: int, name: str | None = None, fold: bool = False) -> None:
+    """The resource guard of every command that enumerates partitions of ``n``, or folds them."""
+    name = name or f"n = {n}"
     if n > args.max_n:
-        name = name or f"n = {n}"
         raise CommandError(n, f"{name} exceeds --max-n {args.max_n}", 2)
+    if fold and n > FOLD_MAX_N:
+        raise CommandError(n, f"{name} exceeds the fold ceiling {FOLD_MAX_N}", 2)
 
 
 def _run_fold(args, query, n: int, *rest):
-    """``query(n, *rest)`` behind the resource guard: every fold a command asks for.
-
-    From about n = 3000 on the fold outgrows Python's recursion limit, and its
-    table of k! for every k <= n (324 MB at n = 20 000) can exhaust memory.
-    """
-    _check_max_n(args, n)
-    try:
-        return query(n, *rest, max_n=args.max_n, threads=args.threads)
-    except RecursionError as exc:
-        message = f"n = {n} exceeds the spectrum fold's recursion depth"
-        raise CommandError(n, message, 2) from exc
-    except MemoryError as exc:
-        raise CommandError(n, f"out of memory at n = {n}", 2) from exc
+    """``query(n, *rest)`` behind the resource guards: every fold a command asks for."""
+    _check_max_n(args, n, fold=True)
+    return query(n, *rest, max_n=args.max_n, threads=args.threads)
 
 
 def _pass(ok: bool) -> str:
@@ -304,7 +297,7 @@ def _verify_row(args, n: int) -> dict[str, str]:
 def cmd_verify(args) -> Output:
     if args.n_max < 4:
         raise CommandError(args.n_max, "n_max must be at least 4", 2)
-    _check_max_n(args, args.n_max, "n_max")
+    _check_max_n(args, args.n_max, "n_max", fold=True)
     rows = {n: _verify_row(args, n) for n in range(4, args.n_max + 1)}
     all_pass = all(status != "FAIL" for row in rows.values() for status in row.values())
     verdict = "all checks passed" if all_pass else "FAILURES found"

@@ -94,6 +94,11 @@ class Spectrum(NamedTuple):
 #: workers were faster in every reading from n = 49 on (BENCH_tail_kernel.json).
 PARALLEL_MIN_N = 50
 
+#: The largest n ``spectrum`` folds, whatever ``max_n`` allows. At n = 300 the walk
+#: needs about 100 stack frames, and the n(n - 1) + 1 buckets of at most n! each
+#: hold about 33 MB; the fold itself cannot finish there, as p(300) is about 9e15.
+FOLD_MAX_N = 300
+
 
 def spectrum(n: int, max_n: int = DEFAULT_MAX_N, threads: int = 1) -> Spectrum:
     """Exact spectrum of the transposition graph on ``n`` symbols.
@@ -122,15 +127,14 @@ def spectrum(n: int, max_n: int = DEFAULT_MAX_N, threads: int = 1) -> Spectrum:
     is commutative and associative, so the result is identical to the
     serial one.
 
-    The walk recurses once per row above the bottom run, which is about n/3
-    levels, so from about n = 3000 (reachable only with a raised ``max_n``)
-    this, ``multiplicity`` and ``top_eigenvalues`` raise RecursionError.
-    Before it walks, the fold tabulates k! for every k <= n, which is 324 MB
-    at n = 20 000, so a raised ``max_n`` can also end in MemoryError.
+    Any n above ``FOLD_MAX_N`` raises ValueError, whatever ``max_n`` is, and so
+    do ``multiplicity`` and ``top_eigenvalues``.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     check_size(n, max_n)
+    if n > FOLD_MAX_N:
+        raise ValueError(f"n = {n} exceeds the fold ceiling FOLD_MAX_N = {FOLD_MAX_N}")
     shards = _shards(n)
     workers = min(threads, os.cpu_count() or 1, len(shards)) if n >= PARALLEL_MIN_N else 1
     if workers == 1:

@@ -12,6 +12,7 @@ import pytest
 
 from tnspectrum import Partition, WitnessReport, spectrum
 from tnspectrum.cli import ONE_MULTIPLICITIES, ZERO_MULTIPLICITIES, build_parser, main
+from tnspectrum.spectrum import FOLD_MAX_N
 
 #: stdout, stderr, exit status and edge-file digest of every case, captured
 #: once from the CLI before its renderer was unified; never regenerate it
@@ -196,57 +197,63 @@ class TestWitnessCommand:
             assert "out of memory at n = 20" in out + err
 
 
-class TestFoldTooDeep:
-    @pytest.mark.parametrize(
-        "argv, folder",
-        [
-            (["spectrum", "2990"], "spectrum"),
-            (["mult", "3000", "0"], "multiplicity"),
-            (["top", "3000", "2"], "top_eigenvalues"),
-        ],
-    )
-    def test_recursion_error_is_error_record(self, capsys, monkeypatch, argv, folder):
-        def too_deep(n, *rest, max_n, threads):
-            raise RecursionError("maximum recursion depth exceeded")
+E19, E19X4 = 10**19, 4 * 10**19  # past sys.maxsize, so no list of that length can be asked for
+NINES = "9" * 4300  # the longest integer argv may spell under the default int-to-str limit
+SQUARE = ["63"] * 63  # its degree has 5616 digits
 
-        monkeypatch.setattr(f"tnspectrum.cli.{folder}", too_deep)
-        code, out, _ = run(capsys, *argv, "--max-n", "3000", "--format", "json")
-        assert code == 2
+
+class TestFoldCeiling:
+    """Above ``FOLD_MAX_N`` every folding command ends in its status-2 record, unfolded."""
+
+    @pytest.fixture
+    def unfolded(self, monkeypatch):
+        """Make every query ``_run_fold`` can make fail the test if it runs."""
+
+        def never(n, *rest, max_n, threads):
+            raise AssertionError(f"folded n = {n} above the ceiling")
+
+        for query in ("spectrum", "multiplicity", "top_eigenvalues"):
+            monkeypatch.setattr(f"tnspectrum.cli.{query}", never)
+
+    @pytest.mark.parametrize("n", [FOLD_MAX_N + 1, E19])
+    @pytest.mark.parametrize(
+        "command, rest",
+        [("spectrum", []), ("mult", ["0"]), ("top", ["2"])],
+        ids=["spectrum", "mult", "top"],
+    )
+    def test_ceiling_record(self, capsys, unfolded, command, rest, n):
+        argv = [command, str(n), *rest, "--max-n", str(max(n, 3000)), "--format", "json"]
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (2, "")
         assert json.loads(out) == {
-            "command": argv[0],
-            "n": int(argv[1]),
-            "payload": {"message": f"n = {argv[1]} exceeds the spectrum fold's recursion depth"},
+            "command": command,
+            "n": n,
+            "payload": {"message": f"n = {n} exceeds the fold ceiling {FOLD_MAX_N}"},
             "status": "error",
         }
+
+    def test_verify_checks_n_max_before_the_first_row(self, capsys, unfolded):
+        n_max = FOLD_MAX_N + 1
+        argv = ["verify", str(n_max), "--max-n", str(n_max), "--format", "json"]
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (2, "")
+        assert json.loads(out) == {
+            "command": "verify",
+            "n": n_max,
+            "payload": {"message": f"n_max exceeds the fold ceiling {FOLD_MAX_N}"},
+            "status": "error",
+        }
+
+    def test_ceiling_itself_is_folded(self, capsys, monkeypatch):
+        monkeypatch.setattr("tnspectrum.cli.multiplicity", lambda n, value, max_n, threads: 7)
+        code, out, _ = run(capsys, "mult", str(FOLD_MAX_N), "0", "--max-n", str(FOLD_MAX_N))
+        assert (code, out) == (0, f"mul(0) = 7 for n = {FOLD_MAX_N}\n")
 
 
 class TestFoldOutOfMemory:
-    @pytest.mark.parametrize(
-        "argv, query, n",
-        [
-            (["spectrum", "2990"], "spectrum", 2990),
-            (["mult", "3000", "0"], "multiplicity", 3000),
-            (["top", "3000", "2"], "top_eigenvalues", 3000),
-            (["tables"], "spectrum", 1),  # the first n either table folds
-            (["verify", "12"], "spectrum", 4),
-        ],
-    )
-    def test_memory_error_is_error_record(self, capsys, monkeypatch, argv, query, n):
-        def too_large(n, *rest, max_n, threads):
-            raise MemoryError
-
-        monkeypatch.setattr(f"tnspectrum.cli.{query}", too_large)
-        code, out, _ = run(capsys, *argv, "--max-n", "3000", "--format", "json")
-        assert code == 2
-        assert json.loads(out) == {
-            "command": argv[0],
-            "n": n,
-            "payload": {"message": f"out of memory at n = {n}"},
-            "status": "error",
-        }
-
     def test_factorial_table_out_of_memory(self, child_env):
-        # the fold's table of k! for k <= 100000 far outgrows a 512 MiB address space
+        # the fold's table of k! for k <= 100000 would far outgrow a 512 MiB address
+        # space; the ceiling refuses the fold before the table is built
         resource = pytest.importorskip("resource")
         cap = 512 * 2**20
         argv = ["mult", "100000", "0", "--max-n", "100000", "--format", "json"]
@@ -262,14 +269,9 @@ class TestFoldOutOfMemory:
         assert json.loads(result.stdout) == {
             "command": "mult",
             "n": 100000,
-            "payload": {"message": "out of memory at n = 100000"},
+            "payload": {"message": f"n = 100000 exceeds the fold ceiling {FOLD_MAX_N}"},
             "status": "error",
         }
-
-
-E19, E19X4 = 10**19, 4 * 10**19  # past sys.maxsize, so no list of that length can be asked for
-NINES = "9" * 4300  # the longest integer argv may spell under the default int-to-str limit
-SQUARE = ["63"] * 63  # its degree has 5616 digits
 
 
 class TestHugeIntegers:

@@ -1,5 +1,7 @@
 import importlib
 import math
+import signal
+import sys
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -25,6 +27,7 @@ partitions_st = st.builds(
 )
 
 spectrum_module = importlib.import_module("tnspectrum.spectrum")
+FOLD_MAX_N = spectrum_module.FOLD_MAX_N
 
 
 def plain_fold(n):
@@ -61,6 +64,16 @@ def pools(monkeypatch):
     return sizes
 
 
+def domino_removals(p):
+    """(sign, p less the domino) for each domino on the rim of ``p``: +1 horizontal, -1 vertical."""
+    rows = [*p, 0, 0]
+    for i in range(len(p)):
+        if rows[i] - 2 >= rows[i + 1]:  # the last two boxes of row i
+            yield 1, Partition(filter(None, [*rows[:i], rows[i] - 2, *rows[i + 1:]]))
+        if rows[i] == rows[i + 1] > rows[i + 2]:  # the last boxes of rows i and i + 1
+            yield -1, Partition(filter(None, [*rows[:i], rows[i] - 1, rows[i] - 1, *rows[i + 2:]]))
+
+
 class TestEigenvalue:
     def test_examples(self):
         assert eigenvalue(Partition((2,))) == 1
@@ -81,6 +94,14 @@ class TestEigenvalue:
     @given(partitions_st)
     def test_magnitude_capped_by_transposition_count(self, p):
         assert abs(eigenvalue(p)) <= p.n * (p.n - 1) // 2
+
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_murnaghan_nakayama_at_a_transposition(self, n):
+        # the character at a transposition is the signed sum of the degrees left by
+        # removing one rim domino, and the eigenvalue is C(n, 2) times it over the degree
+        for p in enumerate_partitions(n):
+            character = sum(sign * degree(rest) for sign, rest in domino_removals(p))
+            assert eigenvalue(p) * degree(p) == n * (n - 1) // 2 * character, p
 
 
 class TestCharacterRatio:
@@ -213,6 +234,58 @@ class TestSpectrum:
     def test_rejects_bad_thread_count(self):
         with pytest.raises(ValueError):
             spectrum(6, threads=0)
+
+
+class Folding(Exception):
+    """Raised in place of ``_shards``: the fold was about to start."""
+
+
+class TestFoldCeiling:
+    @pytest.fixture
+    def unfolded(self, monkeypatch):
+        def shards(n):
+            raise Folding(n)
+
+        monkeypatch.setattr(spectrum_module, "_shards", shards)
+
+    @pytest.mark.parametrize("n", [FOLD_MAX_N + 1, 10**19])
+    @pytest.mark.parametrize(
+        "query, rest",
+        [(spectrum, ()), (multiplicity, (0,)), (top_eigenvalues, (2,))],
+        ids=["spectrum", "multiplicity", "top_eigenvalues"],
+    )
+    def test_refused_before_the_fold(self, unfolded, query, rest, n):
+        message = f"^n = {n} exceeds the fold ceiling FOLD_MAX_N = {FOLD_MAX_N}$"
+        with pytest.raises(ValueError, match=message):
+            query(n, *rest, max_n=n)
+
+    def test_ceiling_itself_is_folded(self, unfolded):
+        with pytest.raises(Folding):
+            spectrum(FOLD_MAX_N, max_n=FOLD_MAX_N)
+
+    def test_recursion_margin(self):
+        # the walk at the ceiling is about 100 frames deep, so a limit 200 frames
+        # above this one leaves the deadline, not a RecursionError, to stop the fold
+        class Deadline(Exception):
+            pass
+
+        def expire(signum, frame):
+            raise Deadline
+
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        handler = signal.signal(signal.SIGALRM, expire)
+        sys.setrecursionlimit(depth + 200)
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 0.5)
+            with pytest.raises(Deadline):
+                spectrum(FOLD_MAX_N, max_n=FOLD_MAX_N)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            sys.setrecursionlimit(limit)
+            signal.signal(signal.SIGALRM, handler)
 
 
 def transposition_walks(n, steps):
