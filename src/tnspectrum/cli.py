@@ -316,6 +316,7 @@ def cmd_verify(args) -> Output:
 
 
 def cmd_oracle(args) -> Output:
+    exact = _run_fold(args, spectrum, args.n)  # before the graph, so a refusal builds nothing
     graph = build_graph(args.n)
     try:
         if args.dump_edges:
@@ -323,7 +324,7 @@ def cmd_oracle(args) -> Output:
                 for u, v in edge_list(graph):
                     handle.write(f"{u} {v}\n")
         numeric = numeric_spectrum(graph)
-        report = compare(spectrum(args.n), numeric, tolerance=args.tolerance)
+        report = compare(exact, numeric, tolerance=args.tolerance)
     except (OSError, ArithmeticError) as exc:
         raise CommandError(args.n, str(exc), 2) from exc
     edges = int(graph.sum()) // 2

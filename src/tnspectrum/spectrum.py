@@ -17,19 +17,17 @@ from .partitions import DEFAULT_MAX_N, Partition, check_size, conjugate
 
 
 def eigenvalue(p: Partition) -> int:
-    """Adjacency eigenvalue attached to ``p``: half of sum_j n_j (n_j - 2j + 1).
+    """Adjacency eigenvalue attached to ``p``: the content sum of its Young diagram.
 
-    The doubled sum equals twice the content sum of the Young diagram (column
-    index minus row index over all boxes), hence is always even; an odd value
-    indicates a bug and raises. Conjugation negates the content sum, which is
-    why the spectrum is symmetric about zero.
+    The content of a box is its column index minus its row index; row j
+    (from 0) contributes C(n_j, 2) - j * n_j. Conjugation swaps rows and
+    columns and so negates the content sum, which is why the spectrum is
+    symmetric about zero.
     """
-    doubled = 0
-    for j, part in enumerate(p, start=1):
-        doubled += part * (part - 2 * j + 1)
-    if doubled % 2:
-        raise ArithmeticError(f"doubled eigenvalue sum {doubled} is odd for {p}")
-    return doubled // 2
+    content = 0
+    for j, part in enumerate(p):
+        content += part * (part - 1) // 2 - j * part
+    return content
 
 
 def character_ratio(p: Partition) -> Fraction:
@@ -45,14 +43,11 @@ def character_ratio(p: Partition) -> Fraction:
 def eigenvalue_upper_bound(p: Partition) -> int:
     """Closed-form bound >= eigenvalue(p) from the smallest part and the length.
 
-    Half of (n - n_k)(n - n_k + 1) + n_k (n_k - 2k + 1) for a partition with
-    k parts and smallest part n_k.
+    C(n - n_k + 1, 2) + C(n_k, 2) - (k - 1) n_k for a partition with k parts
+    and smallest part n_k.
     """
     n, k, last = p.n, len(p), p[-1] if p else 0
-    doubled = (n - last) * (n - last + 1) + last * (last - 2 * k + 1)
-    if doubled % 2:
-        raise ArithmeticError(f"doubled bound {doubled} is odd for {p}")
-    return doubled // 2
+    return (n - last + 1) * (n - last) // 2 + last * (last - 1) // 2 - (k - 1) * last
 
 
 class Spectrum(NamedTuple):
@@ -178,7 +173,9 @@ def _fold(n: int, shards) -> dict[int, int]:
     j, counted from 0). A row r put on top of it has the hook r + L + cols[j]
     in column j < mu_1 and r - j beyond, and every hook of mu stays as it
     was. Putting r on top keeps every offset and appends -j - L for
-    mu_1 <= j < r; the doubled content sum D(mu) becomes D(mu) - 2S + r(r-1).
+    mu_1 <= j < r. It also moves every box of mu one row down, so the content
+    sum c(mu) becomes c(mu) - S + C(r, 2); the partition visited at mu, with
+    first row n - S, has the eigenvalue c(mu) - S + C(n - S, 2).
     """
     fact = [1]
     for k in range(1, n + 1):
@@ -186,7 +183,7 @@ def _fold(n: int, shards) -> dict[int, int]:
     factorial = fact[n]
     buckets: dict[int, int] = {}
 
-    def visit(size, length, hooks, doubled, low, cols):
+    def visit(size, length, hooks, content, low, cols):
         top = n - size
         first = len(cols)
         product = hooks * math.prod(map((top + length).__add__, cols)) * fact[top - first]
@@ -195,12 +192,8 @@ def _fold(n: int, shards) -> dict[int, int]:
             raise ArithmeticError(
                 f"hook product {product} does not divide {n}! for {_completed(top, length, cols)}"
             )
-        total = doubled - 2 * size + top * (top - 1)
-        if total % 2:
-            raise ArithmeticError(
-                f"doubled eigenvalue sum {total} is odd for {_completed(top, length, cols)}"
-            )
-        value = total // 2
+        content -= size  # every box of the tail sits one row below the first
+        value = content + top * (top - 1) // 2
         square = deg * deg
         buckets[value] = buckets.get(value, 0) + square
         if top > length + 1:  # first part longer than the length: also the conjugate
@@ -209,18 +202,18 @@ def _fold(n: int, shards) -> dict[int, int]:
         high = min(top // 2, top - length - 2)
         if low > high:
             return
-        doubled -= 2 * size
         cols.extend(range(-first - length, -low - length, -1))
         for row in range(low, high + 1):
             child_hooks = hooks * math.prod(map((row + length).__add__, cols))
-            visit(size + row, length + 1, child_hooks, doubled + row * (row - 1), row, cols)
+            visit(size + row, length + 1, child_hooks, content + row * (row - 1) // 2, row, cols)
             cols.append(-row - length)
         del cols[first:]
 
     for s, m in shards:
-        # the rectangle s^m: offsets 0, -1, ..., 1 - s; hook product prod_i (i + s)! / i!
+        # the rectangle s^m: offsets 0, -1, ..., 1 - s; hook product prod_i (i + s)! / i!;
+        # content sum m C(s, 2) - s C(m, 2)
         rectangle = math.prod(fact[i + s] // fact[i] for i in range(m))
-        visit(s * m, m, rectangle, s * m * (s - m), s + 1, list(range(0, -s, -1)) if m else [])
+        visit(s * m, m, rectangle, s * m * (s - m) // 2, s + 1, list(range(0, -s, -1)) if m else [])
     return buckets
 
 

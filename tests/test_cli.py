@@ -462,6 +462,20 @@ class TestOracleCommand:
             record["payload"]["message"],
         )
 
+    def test_max_n_guard_comes_before_the_graph(self, capsys, tmp_path):
+        path = tmp_path / "edges.txt"
+        code, out, _ = run(
+            capsys, "oracle", "4", "--max-n", "3", "--dump-edges", str(path), "--format", "json"
+        )
+        assert code == 2
+        assert json.loads(out) == {
+            "command": "oracle",
+            "n": 4,
+            "payload": {"message": "n = 4 exceeds --max-n 3"},
+            "status": "error",
+        }
+        assert not path.exists()
+
     def test_edge_dump(self, capsys, tmp_path):
         path = tmp_path / "edges.txt"
         code, _, _ = run(capsys, "oracle", "3", "--dump-edges", str(path))

@@ -1,0 +1,26 @@
+"""The README's Library example runs, and every value it shows is what the code returns."""
+
+import pathlib
+import re
+
+README = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+
+
+def test_library_block_is_true():
+    block = re.search(r"^## Library\n\n```python\n(.*?)^```$", README, re.S | re.M).group(1)
+    lines = block.splitlines()
+    namespace = {}
+    shown = 0
+    for i, line in enumerate(lines):
+        code, _, comment = (part.strip() for part in line.partition("#"))
+        if not code:
+            continue
+        # a value is shown after the code on its line, or alone on the next line
+        if not comment and i + 1 < len(lines) and lines[i + 1].startswith("# "):
+            comment = lines[i + 1][2:]
+        if comment:
+            assert repr(eval(code, namespace)) == comment
+            shown += 1
+        else:
+            exec(code, namespace)
+    assert shown == 4

@@ -128,6 +128,15 @@ class TestUpperBound:
         assert eigenvalue_upper_bound(Partition((2, 1, 1))) == 4
         assert eigenvalue_upper_bound(Partition()) == 0 == eigenvalue(Partition())
 
+    @pytest.mark.parametrize("n", range(21))
+    def test_values_are_the_closed_form(self, n):
+        # twice the bound is (n - n_k)(n - n_k + 1) + n_k (n_k - 2k + 1) for k parts,
+        # the smallest n_k; the empty partition has k = n_k = 0
+        for p in enumerate_partitions(n) if n else [Partition()]:
+            k, last = len(p), p[-1] if p else 0
+            twice = (n - last) * (n - last + 1) + last * (last - 2 * k + 1)
+            assert 2 * eigenvalue_upper_bound(p) == twice
+
     @pytest.mark.parametrize("n", range(1, 13))
     def test_bounds_every_eigenvalue(self, n):
         for p in enumerate_partitions(n):

@@ -310,13 +310,6 @@ class TestVerifyWitness:
         assert report.partition == (4, 4, 4, 2)
         assert report.verified
 
-    def test_report_repr_is_the_readme_example(self):
-        text = repr(verify_witness(14, 1))
-        assert text == (
-            "WitnessReport(n=14, target=1, partition=Partition(4, 4, 4, 2), verified=True)"
-        )
-        assert text in (ROOT / "README.md").read_text()
-
     def test_report_fields_are_read_only(self):
         report = verify_witness(14, 1)
         with pytest.raises(AttributeError):
