@@ -2,10 +2,11 @@
 """Scan which small eigenvalues 0..K occur in the transposition-graph spectrum.
 
 For each n the scan walks the partition stream, records which targets in 0..K
-show up as eigenvalues, and stops early once all are found. The closed-form
-witness threshold for target m is n = 10m + 4; the printed matrix makes the
-thresholds visible empirically (and shows how much earlier the values tend to
-appear in practice).
+show up as eigenvalues, and stops early once all are found. The marked rows are
+``min_n_for_prefix``'s bound n = 10m + 4, the even-n region of
+``lambda_partition_even``; odd n need only 4m + 3. The test suite proves the
+exact threshold N(k) for k <= 10, and the printed matrix shows how much earlier
+the values tend to appear in practice.
 
 Usage: python scripts/eigenvalue_prefix_scan.py --max-target 3 --max-n 40
 """

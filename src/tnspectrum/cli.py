@@ -233,15 +233,12 @@ def cmd_tables(args) -> Output:
     top_n = max(max(ZERO_MULTIPLICITIES), max(ONE_MULTIPLICITIES))
     _check_max_n(args, top_n)
     rows = []
-    spectra = {}  # both tables have rows at n = 7, 9 and 11
     for label, golden, target in (
         ("zero", ZERO_MULTIPLICITIES, 0),
         ("one", ONE_MULTIPLICITIES, 1),
     ):
         for n in sorted(golden):
-            if n not in spectra:
-                spectra[n] = _run_fold(args, spectrum, n)
-            computed = spectra[n].multiplicity(target)
+            computed = _run_fold(args, multiplicity, n, target)
             rows.append((label, n, golden[n], computed, _pass(computed == golden[n])))
     all_pass = all(row[4] == "PASS" for row in rows)
     return Output(

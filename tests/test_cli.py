@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from tnspectrum import Partition, WitnessReport, spectrum
+from tnspectrum import Partition, WitnessReport, multiplicity
 from tnspectrum.cli import ONE_MULTIPLICITIES, ZERO_MULTIPLICITIES, build_parser, main
 from tnspectrum.spectrum import FOLD_MAX_N
 
@@ -24,6 +24,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def forbidden(name):
+    """A stand-in for the query ``name`` that fails any command calling it."""
+
+    def query(*args, **kwargs):
+        raise AssertionError(f"{name} was called")
+
+    return query
 
 
 class TestSpectrumCommand:
@@ -367,18 +376,43 @@ class TestTablesCommand:
         code, _, _ = run(capsys, "tables", "--max-n", "20")
         assert code == 0
 
-    def test_each_spectrum_folded_once(self, capsys, monkeypatch):
-        folded = []
+    def test_one_multiplicity_query_per_cell(self, capsys, monkeypatch):
+        asked = []
 
-        def counting_spectrum(n, **kwargs):
-            folded.append(n)
-            return spectrum(n, **kwargs)
+        def counting_multiplicity(n, value, **kwargs):
+            asked.append((n, value))
+            return multiplicity(n, value, **kwargs)
 
-        monkeypatch.setattr("tnspectrum.cli.spectrum", counting_spectrum)
+        monkeypatch.setattr("tnspectrum.cli.multiplicity", counting_multiplicity)
+        monkeypatch.setattr("tnspectrum.cli.spectrum", forbidden("spectrum"))
         code, _, _ = run(capsys, "tables")
         assert code == 0
-        # 20 rows, 17 distinct n: both tables have n = 7, 9 and 11
-        assert sorted(folded) == sorted(set(ZERO_MULTIPLICITIES) | set(ONE_MULTIPLICITIES))
+        cells = [(n, 0) for n in ZERO_MULTIPLICITIES] + [(n, 1) for n in ONE_MULTIPLICITIES]
+        assert len(cells) == 20
+        assert sorted(asked) == sorted(cells)
+
+
+class TestOneQueryPerCommand:
+    """Every eigenvalue list or multiplicity a command prints comes from the query it names."""
+
+    @pytest.mark.parametrize(
+        "query, argv",
+        [
+            ("spectrum", ["spectrum", "6"]),
+            ("spectrum", ["verify", "6"]),
+            ("spectrum", ["oracle", "3"]),
+            ("multiplicity", ["mult", "8", "0"]),
+            ("multiplicity", ["tables"]),
+            ("top_eigenvalues", ["top", "8", "3"]),
+        ],
+        ids=lambda case: " ".join(case) if isinstance(case, list) else case,
+    )
+    def test_other_queries_unused(self, query, argv, capsys, monkeypatch):
+        expected = run(capsys, *argv)
+        for other in ("spectrum", "multiplicity", "top_eigenvalues"):
+            if other != query:
+                monkeypatch.setattr(f"tnspectrum.cli.{other}", forbidden(other))
+        assert run(capsys, *argv) == expected
 
 
 class TestVerifyCommand:

@@ -1,7 +1,9 @@
-"""The README's Library example runs, and every value it shows is what the code returns."""
+"""The README's examples run, and every value the Library block shows is what the code returns."""
 
 import pathlib
 import re
+
+from tnspectrum.cli import main
 
 README = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
 
@@ -24,3 +26,16 @@ def test_library_block_is_true():
         else:
             exec(code, namespace)
     assert shown == 4
+
+
+def test_cli_examples_run(tmp_path):
+    block = re.search(r"^Examples:\n\n```sh\n(.*?)^```$", README, re.S | re.M).group(1)
+    edges = tmp_path / "t5-edges.txt"
+    lines = block.splitlines()
+    for line in lines:
+        program, *argv = line.split()
+        assert program == "tnspec"
+        argv = [str(edges) if word == "/tmp/t5-edges.txt" else word for word in argv]
+        assert main(argv) == 0, line
+    assert len(lines) == 7
+    assert len(edges.read_text().splitlines()) == 600  # 5! vertices of degree 10
