@@ -17,16 +17,12 @@ from tnspectrum import enumerate_partitions, eigenvalue, min_n_for_prefix
 
 
 def present_targets(n, targets, max_n):
-    remaining = set(targets)
-    found = set()
+    missing = set(targets)
     for p in enumerate_partitions(n, max_n=max_n):
-        value = eigenvalue(p)
-        if value in remaining:
-            remaining.remove(value)
-            found.add(value)
-            if not remaining:
-                break
-    return found
+        missing.discard(eigenvalue(p))
+        if not missing:
+            break
+    return set(targets) - missing
 
 
 def main():

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from typing import NamedTuple
 
 from .spectrum import Spectrum
@@ -93,14 +94,11 @@ def compare(
             f"eigenvalue {culprit!r} is {max_deviation:.3e} away from an integer "
             f"(tolerance {tolerance:g})"
         )
-    counts: dict[int, int] = {}
-    for value in numeric:
-        rounded = round(value)
-        counts[rounded] = counts.get(rounded, 0) + 1
+    counts = Counter(map(round, numeric))
     discrepancies = []
     for value in sorted(set(counts) | {v for v, _ in exact.entries}, reverse=True):
         exact_mult = exact.multiplicity(value)
-        numeric_mult = counts.get(value, 0)
+        numeric_mult = counts[value]
         if exact_mult != numeric_mult:
             discrepancies.append((value, exact_mult, numeric_mult))
     return ComparisonReport(

@@ -143,7 +143,7 @@ def spectrum(n: int, max_n: int = DEFAULT_MAX_N, threads: int = 1) -> Spectrum:
             for partial in pool.map(_fold, [n] * workers, dealt):
                 for value, mult in partial.items():
                     buckets[value] = buckets.get(value, 0) + mult
-    entries = tuple(sorted(buckets.items(), key=lambda item: -item[0]))
+    entries = tuple(sorted(buckets.items(), reverse=True))
     return Spectrum(n=n, entries=entries)
 
 
@@ -175,7 +175,8 @@ def _fold(n: int, shards) -> dict[int, int]:
     was. Putting r on top keeps every offset and appends -j - L for
     mu_1 <= j < r. It also moves every box of mu one row down, so the content
     sum c(mu) becomes c(mu) - S + C(r, 2); the partition visited at mu, with
-    first row n - S, has the eigenvalue c(mu) - S + C(n - S, 2).
+    first row n - S, has the eigenvalue c(mu) - S + C(n - S, 2). A shard (s, m)
+    is rooted at the rectangle s^m; the shard (n, 0) at the empty rectangle n^0.
     """
     fact = [1]
     for k in range(1, n + 1):
@@ -213,7 +214,7 @@ def _fold(n: int, shards) -> dict[int, int]:
         # the rectangle s^m: offsets 0, -1, ..., 1 - s; hook product prod_i (i + s)! / i!;
         # content sum m C(s, 2) - s C(m, 2)
         rectangle = math.prod(fact[i + s] // fact[i] for i in range(m))
-        visit(s * m, m, rectangle, s * m * (s - m) // 2, s + 1, list(range(0, -s, -1)) if m else [])
+        visit(s * m, m, rectangle, s * m * (s - m) // 2, s + 1, list(range(0, -s, -1)))
     return buckets
 
 

@@ -17,7 +17,10 @@ from tnspectrum.spectrum import FOLD_MAX_N
 #: stdout, stderr, exit status and edge-file digest of every case, captured
 #: once from the CLI before its renderer was unified; never regenerate it
 #: from the code under test.
-GOLDEN = json.loads((pathlib.Path(__file__).with_name("cli_golden.json")).read_text())
+GOLDEN_PATH = pathlib.Path(__file__).with_name("cli_golden.json")
+GOLDEN = json.loads(GOLDEN_PATH.read_text())
+#: the digest of the file as it was first captured
+GOLDEN_SHA256 = "33a8086b7574ddf638ef86a84e39c2710c20ea604c1102a8e6e1bf8685fb5a5c"
 
 
 def run(capsys, *argv):
@@ -534,6 +537,13 @@ class TestGoldenReplay:
         edges = tmp_path / "edges.txt"
         digest = hashlib.sha256(edges.read_bytes()).hexdigest() if edges.exists() else None
         assert digest == case["edges_sha256"]
+
+    def test_golden_file_is_pinned(self):
+        digest = hashlib.sha256(GOLDEN_PATH.read_bytes()).hexdigest()
+        assert digest == GOLDEN_SHA256, (
+            f"{GOLDEN_PATH.name} differs from its first capture; it is never regenerated, "
+            "so restore it and change the code instead"
+        )
 
     def test_every_command_has_a_case_in_every_format(self):
         (commands,) = (

@@ -244,6 +244,19 @@ class TestSpectrum:
         with pytest.raises(ValueError):
             spectrum(6, threads=0)
 
+    @pytest.mark.parametrize("n", range(1, 31))
+    def test_shards_cover_the_walk_once(self, n):
+        # (0, 0) is the empty rectangle: its children start at row 1, so it
+        # roots the whole walk from the empty tail
+        fold = spectrum_module._fold
+        assert fold(n, [(0, 0)]) == fold(n, spectrum_module._shards(n))
+
+    @pytest.mark.parametrize("n", range(1, 31))
+    def test_one_row_shard(self, n):
+        # the empty rectangle n^0 is the partition (n) alone; at n = 1 both keys are 0
+        top = n * (n - 1) // 2
+        assert spectrum_module._fold(n, [(n, 0)]) == {top: 1, -top: 1}
+
 
 class Folding(Exception):
     """Raised in place of ``_shards``: the fold was about to start."""
@@ -335,13 +348,64 @@ class TestWalkCountMoments:
     multiplicity; one more moment is checked on top.
     """
 
-    @pytest.mark.parametrize("n", [8, 12])
+    @pytest.mark.parametrize("n", range(1, 13))
     def test_every_moment(self, n):
         steps = n * (n - 1) + 1
         walks = transposition_walks(n, steps)
         entries = spectrum(n).entries
         for k in range(steps + 1):
             assert sum(m * v**k for v, m in entries) == math.factorial(n) * walks[k], k
+
+
+def content_sums(n):
+    """The distinct content sums of the partitions of n, with no hook lengths or degrees.
+
+    ``below[size][t]`` is a bitset of the content sums of the partitions of
+    ``size`` whose top row is at most t, bit c + C(n, 2) standing for the sum
+    c. Putting a row r on top of a partition of S whose top row is at most r
+    moves its boxes one row down and adds the contents 0..r - 1, so it shifts
+    every sum by C(r, 2) - S.
+    """
+    offset = n * (n - 1) // 2
+    below = [[1 << offset] * (n + 1)]  # the empty partition, sum 0
+    for size in range(1, n + 1):
+        sums = [0]
+        for top in range(1, n + 1):
+            bits = sums[-1]
+            if top <= size:
+                shift = top * (top - 1) // 2 - (size - top)
+                tails = below[size - top][top]
+                bits |= tails << shift if shift >= 0 else tails >> -shift
+            sums.append(bits)
+        below.append(sums)
+    bits = below[n][n]
+    return {c - offset for c in range(bits.bit_length()) if bits >> c & 1}
+
+
+class TestContentSumSupport:
+    """The distinct eigenvalues are the content sums, found here by a DP of their own."""
+
+    @pytest.fixture(scope="class")
+    def supports(self):
+        return {n: content_sums(n) for n in range(1, 61)}
+
+    @pytest.mark.parametrize("n", range(1, 31))
+    def test_support_of_every_spectrum(self, n, supports, spectra_up_to_30):
+        spec = spectra_up_to_30[n] if n > 1 else spectrum(1)
+        assert supports[n] == {v for v, _ in spec.entries}
+
+    def test_zero_is_absent_only_at_n2(self, supports):
+        assert [n for n, values in supports.items() if 0 not in values] == [2]
+
+    def test_one_is_absent_exactly_where_the_paper_says(self, supports):
+        # present at every odd n >= 7 and every even n >= 14
+        absent = [n for n, values in supports.items() if 1 not in values]
+        assert absent == [1, 3, 4, 5, 6, 8, 10, 12]
+
+    def test_small_values_present_from_n19(self, supports):
+        for n in range(19, 61):
+            assert set(range(31)) <= supports[n], n
+        assert 4 not in supports[18]
 
 
 class TestMultiplicity:
