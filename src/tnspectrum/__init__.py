@@ -6,19 +6,18 @@ eigenvalues are integers, one per partition of n; this package computes the
 full spectrum exactly with arbitrary-precision multiplicities, emits
 closed-form witness partitions for small eigenvalues, and cross-checks the
 whole pipeline against a brute-force graph build at small n.
+
+The partition and spectrum names are imported with the package. The oracle
+and witness names load their modules on first use, so importing the package
+(or the CLI) loads neither.
 """
 
-from .oracle import (
-    ComparisonReport,
-    ORACLE_MAX_N,
-    ORACLE_MIN_N,
-    build_graph,
-    compare,
-    edge_list,
-    numeric_spectrum,
-)
+import importlib
+
 from .partitions import (
     DEFAULT_MAX_N,
+    ORACLE_MAX_N,
+    ORACLE_MIN_N,
     Partition,
     conjugate,
     degree,
@@ -34,15 +33,39 @@ from .spectrum import (
     spectrum,
     top_eigenvalues,
 )
-from .witnesses import (
-    NoWitnessError,
-    WitnessReport,
-    lambda_partition_even,
-    lambda_partition_odd,
-    min_n_for_prefix,
-    verify_witness,
-    zero_partition,
-)
+
+#: The public names resolved on first access, and the module that defines each.
+_LAZY = {
+    **dict.fromkeys(
+        ("ComparisonReport", "build_graph", "compare", "edge_list", "numeric_spectrum"),
+        "oracle",
+    ),
+    **dict.fromkeys(
+        (
+            "NoWitnessError",
+            "WitnessReport",
+            "lambda_partition_even",
+            "lambda_partition_odd",
+            "min_n_for_prefix",
+            "verify_witness",
+            "zero_partition",
+        ),
+        "witnesses",
+    ),
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))
+
 
 __version__ = "0.1.0"
 

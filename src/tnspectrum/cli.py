@@ -10,26 +10,27 @@ Each ``cmd_*`` returns an ``Output`` holding its JSON payload, CSV rows and
 text lines, or raises ``CommandError`` for a documented failure. ``main`` is
 the one place that picks the format, builds the JSON record and prints, so
 every command's result and error take the same path.
+
+Start-up imports only what every command needs. ``json``, the oracle and the
+witness constructions are imported by the code that uses them, so a command
+loads no module it does not run.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import NamedTuple
 
 from . import __version__
-from .oracle import (
+from .partitions import (
+    DEFAULT_MAX_N,
     ORACLE_MAX_N,
     ORACLE_MIN_N,
-    build_graph,
-    check_tolerance,
-    compare,
-    edge_list,
-    numeric_spectrum,
+    Partition,
+    degree,
+    enumerate_partitions,
 )
-from .partitions import DEFAULT_MAX_N, Partition, degree, enumerate_partitions
 from .spectrum import (
     FOLD_MAX_N,
     PARALLEL_MIN_N,
@@ -40,7 +41,6 @@ from .spectrum import (
     spectrum,
     top_eigenvalues,
 )
-from .witnesses import NoWitnessError, verify_witness
 
 #: Known multiplicities of the eigenvalue zero, keyed by n (n = 2 has none).
 ZERO_MULTIPLICITIES = {
@@ -88,6 +88,8 @@ def _oracle_n(text: str) -> int:
 
 
 def _tolerance(text: str) -> float:
+    from .oracle import check_tolerance
+
     value = float(text)
     try:
         check_tolerance(value)
@@ -207,6 +209,8 @@ def cmd_top(args) -> Output:
 
 
 def cmd_witness(args) -> Output:
+    from .witnesses import NoWitnessError, verify_witness
+
     _check_max_n(args, args.n)
     try:
         report = verify_witness(args.n, args.target)
@@ -267,6 +271,8 @@ def cmd_tables(args) -> Output:
 
 def _verify_row(args, n: int) -> dict[str, str]:
     """PASS, FAIL or SKIP for each check at ``n``, in column order."""
+    from .witnesses import NoWitnessError, verify_witness
+
     spec = _run_fold(args, spectrum, n)
     top = spec.entries
     checks = spec.invariant_checks()
@@ -313,6 +319,8 @@ def cmd_verify(args) -> Output:
 
 
 def cmd_oracle(args) -> Output:
+    from .oracle import build_graph, compare, edge_list, numeric_spectrum
+
     exact = _run_fold(args, spectrum, args.n)  # before the graph, so a refusal builds nothing
     graph = build_graph(args.n)
     try:
@@ -453,6 +461,8 @@ def main(argv=None) -> int:
             if args.format == "csv":
                 lines = [out.header, *(",".join(str(cell) for cell in row) for row in out.rows)]
         if args.format == "json":
+            import json
+
             record = {"command": args.command, "n": n, "payload": payload, "status": status}
             print(json.dumps(record, sort_keys=True))
         else:

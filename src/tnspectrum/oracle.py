@@ -6,7 +6,8 @@ one transposition, and the spectrum comes out of a dense symmetric
 eigensolver. Agreement with the exact route is the end-to-end test.
 
 numpy is imported inside the functions that use it, so importing this module
-(and the package, and the CLI) stays cheap for every command but ``oracle``.
+loads no numpy. The package and the CLI import this module only on first use:
+``tnspec oracle`` loads it, and no other command does.
 """
 
 from __future__ import annotations
@@ -16,10 +17,8 @@ import math
 from collections import Counter
 from typing import NamedTuple
 
+from .partitions import ORACLE_MAX_N, ORACLE_MIN_N
 from .spectrum import Spectrum
-
-ORACLE_MIN_N = 2
-ORACLE_MAX_N = 6  # 720 vertices; dense diagonalization beyond this is a time sink
 
 
 class ComparisonReport(NamedTuple):

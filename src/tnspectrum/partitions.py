@@ -13,6 +13,11 @@ from typing import Iterator
 #: Enumeration resource guard; p(80) is already ~1.6e7 partitions.
 DEFAULT_MAX_N = 80
 
+#: The range of n the brute-force oracle builds the n! x n! graph for; 720
+#: vertices at n = 6, and dense diagonalization beyond that is a time sink.
+ORACLE_MIN_N = 2
+ORACLE_MAX_N = 6
+
 
 class Partition(tuple):
     """Nonincreasing positive integer parts; ``n`` is their sum.

@@ -9,8 +9,8 @@ spectrum is a bucket sum over all p(n) partitions.
 from __future__ import annotations
 
 import math
+import numbers
 import os
-from fractions import Fraction
 from typing import NamedTuple
 
 from .partitions import DEFAULT_MAX_N, Partition, check_size, conjugate
@@ -30,11 +30,15 @@ def eigenvalue(p: Partition) -> int:
     return content
 
 
-def character_ratio(p: Partition) -> Fraction:
+def character_ratio(p: Partition) -> numbers.Rational:
     """Character value at a transposition over the degree, in lowest terms.
 
-    Equals eigenvalue(p) divided by the number n(n-1)/2 of transpositions.
+    Equals eigenvalue(p) divided by the number n(n-1)/2 of transpositions, as a
+    ``fractions.Fraction``; ``fractions`` (which loads ``decimal``) is imported
+    here, since no other path needs it.
     """
+    from fractions import Fraction
+
     if p.n < 2:
         raise ValueError("character ratio requires n >= 2 (no transpositions exist below)")
     return Fraction(eigenvalue(p), p.n * (p.n - 1) // 2)

@@ -15,10 +15,12 @@ def test_all_is_sorted():
 
 
 def test_all_lists_exactly_the_public_names():
+    # dir() also lists the names the package resolves on first access
     public = sorted(
         name
-        for name, value in vars(tnspectrum).items()
-        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+        for name in dir(tnspectrum)
+        if not name.startswith("_")
+        and not isinstance(getattr(tnspectrum, name), types.ModuleType)
     )
     assert tnspectrum.__all__ == public
 

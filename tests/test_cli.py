@@ -1,8 +1,10 @@
 import argparse
+import ast
 import hashlib
 import json
 import math
 import pathlib
+import random
 import re
 import subprocess
 import sys
@@ -10,7 +12,7 @@ import sys
 import numpy as np
 import pytest
 
-from tnspectrum import Partition, WitnessReport, multiplicity
+from tnspectrum import DEFAULT_MAX_N, Partition, WitnessReport, multiplicity
 from tnspectrum.cli import ONE_MULTIPLICITIES, ZERO_MULTIPLICITIES, build_parser, main
 from tnspectrum.spectrum import FOLD_MAX_N
 
@@ -185,7 +187,7 @@ class TestWitnessCommand:
         def too_large(n, target):
             raise MemoryError
 
-        monkeypatch.setattr("tnspectrum.cli.verify_witness", too_large)
+        monkeypatch.setattr("tnspectrum.witnesses.verify_witness", too_large)
         code, out, _ = run(
             capsys, "witness", "1000000000000", "1", "--max-n", "2000000000000", "--format", "json"
         )
@@ -202,7 +204,7 @@ class TestWitnessCommand:
         def huge_witness(n, target):
             return WitnessReport(n, target, Partition([Unprintable(n)]), True)
 
-        monkeypatch.setattr("tnspectrum.cli.verify_witness", huge_witness)
+        monkeypatch.setattr("tnspectrum.witnesses.verify_witness", huge_witness)
         for fmt in ("json", "csv", "text"):
             code, out, err = run(capsys, "witness", "20", "1", "--format", fmt)
             assert code == 2
@@ -574,29 +576,145 @@ class TestDeterminism:
 
 
 class TestLazyImports:
-    """Only ``oracle`` needs numpy, only a multi-worker fold needs the process pool,
-    and the package itself imports neither ``dataclasses`` nor ``inspect``."""
+    """Start-up loads only what every command runs: ``oracle`` alone loads numpy and the
+    oracle, ``witness`` and ``verify`` the witness constructions, ``eig`` ``fractions``,
+    ``--format json`` ``json``, a multi-worker fold the process pool, and nothing loads
+    ``dataclasses`` or ``inspect``."""
 
-    @staticmethod
-    def loaded_after(argv, env):
+    WATCHED = (
+        "numpy",
+        "concurrent.futures",
+        "dataclasses",
+        "inspect",
+        "json",
+        "fractions",
+        "decimal",
+        "tnspectrum.oracle",
+        "tnspectrum.witnesses",
+    )
+
+    @classmethod
+    def loaded_after(cls, argv, env):
+        """The watched modules loaded after ``import tnspectrum.cli`` and ``main(argv)``."""
         script = (
             "import sys\n"
             "from tnspectrum.cli import main\n"
-            f"main({argv!r})\n"
-            "watched = ('numpy', 'concurrent.futures', 'dataclasses', 'inspect')\n"
-            "print(sorted(m for m in watched if m in sys.modules))\n"
+            + ("" if argv is None else f"main({argv!r})\n")
+            + f"print(sorted(m for m in {cls.WATCHED!r} if m in sys.modules))\n"
         )
         result = subprocess.run(
             [sys.executable, "-c", script], capture_output=True, text=True, env=env
         )
         assert result.returncode == 0, result.stderr
-        return result.stdout.splitlines()[-1]
+        return set(ast.literal_eval(result.stdout.splitlines()[-1]))
+
+    def test_import_loads_none_of_the_watched_modules(self, child_env):
+        assert self.loaded_after(None, child_env) == set()
 
     def test_mult_loads_neither_numpy_nor_the_pool(self, child_env):
-        assert self.loaded_after(["mult", "8", "0"], child_env) == "[]"
+        assert self.loaded_after(["mult", "8", "0"], child_env) == set()
+
+    @pytest.mark.parametrize(
+        "argv", [["spectrum", "6"], ["top", "8", "3"], ["tables"]], ids=" ".join
+    )
+    def test_other_folds_load_none_of_the_watched_modules(self, argv, child_env):
+        assert self.loaded_after(argv, child_env) == set()
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["eig", "4", "2", "1"], {"fractions", "decimal"}),
+            (["mult", "8", "0", "--format", "json"], {"json"}),
+            (["witness", "14", "1"], {"tnspectrum.witnesses"}),
+            (["verify", "6"], {"tnspectrum.witnesses"}),
+        ],
+        ids=["eig", "json", "witness", "verify"],
+    )
+    def test_loads_only_what_the_command_runs(self, argv, expected, child_env):
+        assert self.loaded_after(argv, child_env) == expected
 
     def test_oracle_loads_numpy(self, child_env):
-        assert "'numpy'" in self.loaded_after(["oracle", "4"], child_env)
+        assert {"numpy", "tnspectrum.oracle"} <= self.loaded_after(["oracle", "4"], child_env)
+
+
+BIG = 10**30
+COMMANDS = ("spectrum", "mult", "eig", "top", "witness", "tables", "verify", "oracle")
+
+
+class TestInputContract:
+    """Seeded random argv over the eight commands and the three formats: every one ends in
+    a result or an error record with status 0, 1 or 2, and nothing but argparse's
+    ``SystemExit`` escapes ``main``."""
+
+    CASES = 600
+    JUNK = ("x", "", "1.5", "nan", "-", "--", "1e3", "0x10", "--bogus", "--help", "--version")
+
+    @staticmethod
+    def draw(rng):
+        """One argv. Every n is at most 25 or above the guard, so no case folds n = 26..80."""
+
+        def integer():
+            return rng.choice((rng.randint(-3, 30), rng.randint(-BIG, BIG)))
+
+        max_n = rng.choice((None, integer()))
+        guard = max_n if max_n is not None and max_n > 0 else DEFAULT_MAX_N
+
+        def size():
+            return rng.choice(
+                (rng.randint(-1, 7), rng.randint(-3, 25), rng.randint(-BIG, 0),
+                 rng.randint(guard + 1, guard + BIG))
+            )
+
+        def parts():
+            while True:
+                drawn = [rng.choice((size(), integer())) for _ in range(rng.randint(1, 4))]
+                if not 25 < sum(drawn) <= guard:
+                    return sorted(drawn, reverse=True) if rng.random() < 0.8 else drawn
+
+        command = rng.choice(COMMANDS)
+        positional = {
+            "spectrum": lambda: [size()],
+            "mult": lambda: [size(), integer()],
+            "eig": parts,
+            "top": lambda: [size(), integer()],
+            "witness": lambda: [size(), rng.choice((rng.randint(-1, 3), integer()))],
+            "tables": lambda: [],
+            "verify": lambda: [size()],
+            "oracle": lambda: [size()],
+        }[command]()
+        options = ["--format", rng.choice(("text", "json", "csv"))]
+        if max_n is not None:
+            options += ["--max-n", str(max_n)]
+        if rng.random() < 0.3:
+            options += ["--threads", str(integer())]
+        if rng.random() < 0.3:
+            options += ["--tolerance", rng.choice((str(rng.uniform(-1, 1)), "nan", "inf", "0.1"))]
+        if rng.random() < 0.2:
+            options += ["--dump-edges", rng.choice(("edges.txt", ".", "missing/edges.txt"))]
+        argv = [command, *map(str, positional)]
+        argv = argv + options if rng.random() < 0.7 else argv[:1] + options + argv[1:]
+        if rng.random() < 0.15:
+            argv[rng.randrange(len(argv))] = rng.choice(TestInputContract.JUNK)
+        return argv
+
+    def test_every_argv_ends_in_status_0_1_or_2(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)  # --dump-edges writes its relative paths here
+        rng = random.Random(2204_03153)
+        succeeded = set()
+        for _ in range(self.CASES):
+            argv = self.draw(rng)
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            except Exception as exc:  # noqa: BLE001 - the contract is that nothing else escapes
+                pytest.fail(f"main({argv!r}) raised {exc!r}")
+            capsys.readouterr()
+            assert code in (0, 1, 2), argv
+            if code == 0:
+                succeeded.add(argv[0])
+        # every command body, and so every import it makes, ran at least once
+        assert succeeded >= set(COMMANDS)
 
 
 class TestEntryPoint:

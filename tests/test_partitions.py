@@ -1,4 +1,5 @@
 import copy
+import functools
 import math
 import pickle
 import subprocess
@@ -192,6 +193,22 @@ class TestConjugate:
         assert conjugate(p).n == p.n
 
 
+@functools.cache
+def branching_degree(parts: tuple[int, ...]) -> int:
+    """Standard Young tableaux of shape ``parts``, by the branching rule.
+
+    The box holding n is a corner, so d(λ) is the sum of d over λ with one
+    corner removed; no hook length is formed.
+    """
+    if sum(parts) <= 1:
+        return 1
+    return sum(
+        branching_degree(tuple(p for p in (*parts[:i], row - 1, *parts[i + 1:]) if p))
+        for i, row in enumerate(parts)
+        if i + 1 == len(parts) or parts[i + 1] < row
+    )
+
+
 class TestDegree:
     @pytest.mark.parametrize("n", range(1, 10))
     def test_single_row_is_trivial_representation(self, n):
@@ -216,6 +233,11 @@ class TestDegree:
         monkeypatch.setattr(math, "factorial", lambda n: 7)
         with pytest.raises(ArithmeticError, match="does not divide"):
             degree(Partition((2, 1)))
+
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_branching_rule(self, n):
+        for p in enumerate_partitions(n):
+            assert degree(p) == branching_degree(tuple(p)), p
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_squared_degrees_sum_to_factorial(self, n):
