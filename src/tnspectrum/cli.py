@@ -324,11 +324,11 @@ def cmd_oracle(args) -> Output:
     exact = _run_fold(args, spectrum, args.n)  # before the graph, so a refusal builds nothing
     graph = build_graph(args.n)
     try:
-        if args.dump_edges:
+        numeric = numeric_spectrum(graph)
+        if args.dump_edges:  # after the eigensolve, so its pairs never sit under its peak
             with open(args.dump_edges, "w", encoding="ascii") as handle:
                 for u, v in edge_list(graph):
                     handle.write(f"{u} {v}\n")
-        numeric = numeric_spectrum(graph)
         report = compare(exact, numeric, tolerance=args.tolerance)
     except (OSError, ArithmeticError) as exc:
         raise CommandError(args.n, str(exc), 2) from exc

@@ -28,7 +28,11 @@ class ComparisonReport(NamedTuple):
 
 
 def build_graph(n: int):
-    """The n! x n! symmetric 0/1 adjacency matrix, vertices in lexicographic rank order."""
+    """The n! x n! symmetric 0/1 adjacency matrix, vertices in lexicographic rank order.
+
+    The matrix is float64, the dtype ``numeric_spectrum``'s eigensolver reads,
+    so it reaches the eigensolver without a converted copy.
+    """
     import numpy as np
 
     if not ORACLE_MIN_N <= n <= ORACLE_MAX_N:
@@ -37,7 +41,7 @@ def build_graph(n: int):
         )
     perms = list(itertools.permutations(range(n)))
     rank = {perm: i for i, perm in enumerate(perms)}
-    adjacency = np.zeros((len(perms), len(perms)), dtype=np.uint8)
+    adjacency = np.zeros((len(perms), len(perms)), dtype=np.float64)
     for u, perm in enumerate(perms):
         for i, j in itertools.combinations(range(n), 2):
             swapped = list(perm)
@@ -53,7 +57,7 @@ def numeric_spectrum(adjacency) -> tuple[float, ...]:
     """
     import numpy as np
 
-    values = np.linalg.eigvalsh(adjacency.astype(np.float64))[::-1]
+    values = np.linalg.eigvalsh(adjacency)[::-1]
     return tuple(float(v) for v in values)
 
 
@@ -111,5 +115,5 @@ def edge_list(adjacency) -> list[tuple[int, int]]:
     """Edges as (u, v) rank pairs with u < v, sorted; for external verification."""
     import numpy as np
 
-    rows, cols = np.nonzero(np.triu(adjacency, k=1))
-    return [(int(u), int(v)) for u, v in zip(rows, cols)]
+    rows, cols = np.nonzero(adjacency)
+    return [(int(u), int(v)) for u, v in zip(rows, cols) if u < v]

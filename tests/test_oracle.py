@@ -1,6 +1,8 @@
+import hashlib
 import itertools
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -13,6 +15,8 @@ from tnspectrum import (
     spectrum,
 )
 from tnspectrum.cli import main
+
+GOLDEN_PATH = pathlib.Path(__file__).with_name("cli_golden.json")
 
 
 class TestBuildGraph:
@@ -134,7 +138,7 @@ class TestCompare:
         with pytest.raises(ArithmeticError, match=message):
             compare(spectrum(3), numeric, 1e-6)
 
-    def test_nan_from_the_eigensolver_is_an_error_record(self, monkeypatch, capsys):
+    def test_nan_from_the_eigensolver_is_an_error_record(self, monkeypatch, capsys, tmp_path):
         eigvalsh = np.linalg.eigvalsh
 
         def one_nan(a):
@@ -143,11 +147,20 @@ class TestCompare:
             return values
 
         monkeypatch.setattr(np.linalg, "eigvalsh", one_nan)
-        code = main(["oracle", "3", "--format", "json"])
+        path = tmp_path / "edges.txt"
+        code = main(["oracle", "3", "--dump-edges", str(path), "--format", "json"])
         record = json.loads(capsys.readouterr().out)
         assert code == 2
         assert record["status"] == "error"
         assert "away from an integer" in record["payload"]["message"]
+        # the edge file is written after the eigensolve but before compare judges it
+        golden = json.loads(GOLDEN_PATH.read_text())
+        (digest,) = {
+            case["edges_sha256"]
+            for case in golden
+            if case["argv"][:3] == ["oracle", "3", "--dump-edges"] and case["exit"] == 0
+        }
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 OUTSIDE_OPEN_INTERVAL = [float("nan"), float("inf"), float("-inf"), 0.0, -1e-6, 0.5, 2.0]
@@ -164,11 +177,26 @@ class TestRecords:
         with pytest.raises(AttributeError):
             setattr(record, field, getattr(record, field))
 
+    def test_eigensolver_gets_the_graph_itself(self, monkeypatch):
+        eigvalsh = np.linalg.eigvalsh
+        seen = []
+
+        def record(a):
+            seen.append(a)
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", record)
+        g = build_graph(4)
+        numeric_spectrum(g)
+        assert len(seen) == 1
+        assert seen[0] is g
+
     @pytest.mark.parametrize("n", range(2, 5))
     def test_graph_and_spectrum_are_plain_values(self, n):
         g = build_graph(n)
         assert isinstance(g, np.ndarray)
         assert g.shape == (math.factorial(n), math.factorial(n))
+        assert g.dtype == np.float64  # the dtype the eigensolver reads, so it needs no copy
         assert isinstance(numeric_spectrum(g), tuple)
 
 
@@ -188,10 +216,22 @@ class TestToleranceValidation:
 
 
 class TestEdgeList:
-    @pytest.mark.parametrize("n", range(2, 5))
+    @pytest.mark.parametrize("n", range(2, 7))
     def test_format_and_count(self, n):
         g = build_graph(n)
         edges = edge_list(g)
         assert len(edges) == math.factorial(n) * n * (n - 1) // 4
         assert all(0 <= u < v < len(g) for u, v in edges)
         assert edges == sorted(edges)
+        # the same pairs straight from the permutations, without the matrix
+        perms = list(itertools.permutations(range(n)))
+        rank = {perm: r for r, perm in enumerate(perms)}
+        expected = []
+        for u, perm in enumerate(perms):
+            for i, j in itertools.combinations(range(n), 2):
+                swapped = list(perm)
+                swapped[i], swapped[j] = swapped[j], swapped[i]
+                v = rank[tuple(swapped)]
+                if u < v:
+                    expected.append((u, v))
+        assert edges == sorted(expected)
