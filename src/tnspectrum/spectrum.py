@@ -94,8 +94,8 @@ class Spectrum(NamedTuple):
 PARALLEL_MIN_N = 50
 
 #: The largest n ``spectrum`` folds, whatever ``max_n`` allows. At n = 300 the walk
-#: needs about 100 stack frames, and the n(n - 1) + 1 buckets of at most n! each
-#: hold about 33 MB; the fold itself cannot finish there, as p(300) is about 9e15.
+#: is 150 frames deep, down the tail 1^149, and the n(n - 1) + 1 buckets of at most
+#: n! each hold about 33 MB; the fold cannot finish there, as p(300) is about 9e15.
 FOLD_MAX_N = 300
 
 
@@ -117,14 +117,14 @@ def spectrum(n: int, max_n: int = DEFAULT_MAX_N, threads: int = 1) -> Spectrum:
     a row on top changes no hook below it, so a node's hook product is its
     parent's times the hooks of the new row alone.
 
-    The walk is sharded by the tail's bottom run (s, m): exactly m rows of
-    length s at the bottom, with only longer rows above them. The shard
-    (n, 0) is the one-row partition (n). With ``threads`` > 1 and n at least
-    ``PARALLEL_MIN_N``, the shards are dealt round-robin, smallest tails
-    (largest subtrees) first, to min(threads, CPU count, shard count) worker
-    processes, and none is started when that minimum is 1. Bucket addition
-    is commutative and associative, so the result is identical to the
-    serial one.
+    In-process the walk is one tree, rooted at the empty tail. With
+    ``threads`` > 1 and n at least ``PARALLEL_MIN_N`` it is cut into shards by
+    the tail's bottom run (s, m), exactly m rows of length s with only longer
+    rows above them, and each shard is one task for min(threads, CPU count,
+    shard count) worker processes, none started when that is 1; an idle
+    worker takes the next shard from the pool's queue, largest subtrees
+    first. Bucket addition is commutative and associative, so the result is
+    identical to the serial one.
 
     Any n above ``FOLD_MAX_N`` raises ValueError, whatever ``max_n`` is, and so
     do ``multiplicity`` and ``top_eigenvalues``.
@@ -137,14 +137,13 @@ def spectrum(n: int, max_n: int = DEFAULT_MAX_N, threads: int = 1) -> Spectrum:
     shards = _shards(n)
     workers = min(threads, os.cpu_count() or 1, len(shards)) if n >= PARALLEL_MIN_N else 1
     if workers == 1:
-        buckets = _fold(n, shards)
+        buckets = _fold(n, (0, 0))
     else:
         from concurrent.futures import ProcessPoolExecutor
 
         buckets = {}
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            dealt = [shards[k::workers] for k in range(workers)]
-            for partial in pool.map(_fold, [n] * workers, dealt):
+            for partial in pool.map(_fold, [n] * len(shards), shards):
                 for value, mult in partial.items():
                     buckets[value] = buckets.get(value, 0) + mult
     entries = tuple(sorted(buckets.items(), reverse=True))
@@ -155,8 +154,8 @@ def _shards(n: int) -> list[tuple[int, int]]:
     """The bottom runs (s, m) of the tails ``_fold`` visits, smallest tail s*m first.
 
     A smaller tail leaves more of n to the rows above it and so roots a
-    larger subtree; dealing the shards round-robin in this order keeps the
-    workers' loads close.
+    larger subtree; taking the shards from the pool's queue in this order
+    leaves the small ones to even out the workers' loads at the end.
     """
     keys = [(n, 0)]
     for s in range(1, n):
@@ -169,8 +168,8 @@ def _shards(n: int) -> list[tuple[int, int]]:
     return keys
 
 
-def _fold(n: int, shards) -> dict[int, int]:
-    """The buckets ``spectrum`` folds from the partitions of n in the given shards.
+def _fold(n: int, root: tuple[int, int]) -> dict[int, int]:
+    """The buckets ``spectrum`` folds from the partitions of n in the subtree at ``root``.
 
     A tail mu of size S and length L is described by its column offsets
     ``cols[j] = mu'_j - j - L`` for j < mu_1 (mu'_j is the length of column
@@ -179,8 +178,8 @@ def _fold(n: int, shards) -> dict[int, int]:
     was. Putting r on top keeps every offset and appends -j - L for
     mu_1 <= j < r. It also moves every box of mu one row down, so the content
     sum c(mu) becomes c(mu) - S + C(r, 2); the partition visited at mu, with
-    first row n - S, has the eigenvalue c(mu) - S + C(n - S, 2). A shard (s, m)
-    is rooted at the rectangle s^m; the shard (n, 0) at the empty rectangle n^0.
+    first row n - S, has the eigenvalue c(mu) - S + C(n - S, 2). The root (s, m) is
+    the rectangle s^m, its children rows longer than s; (0, 0) roots the whole walk.
     """
     fact = [1]
     for k in range(1, n + 1):
@@ -214,11 +213,11 @@ def _fold(n: int, shards) -> dict[int, int]:
             cols.append(-row - length)
         del cols[first:]
 
-    for s, m in shards:
-        # the rectangle s^m: offsets 0, -1, ..., 1 - s; hook product prod_i (i + s)! / i!;
-        # content sum m C(s, 2) - s C(m, 2)
-        rectangle = math.prod(fact[i + s] // fact[i] for i in range(m))
-        visit(s * m, m, rectangle, s * m * (s - m) // 2, s + 1, list(range(0, -s, -1)))
+    # the rectangle s^m: offsets 0, -1, ..., 1 - s; hook product prod_i (i + s)! / i!;
+    # content sum m C(s, 2) - s C(m, 2)
+    s, m = root
+    rectangle = math.prod(fact[i + s] // fact[i] for i in range(m))
+    visit(s * m, m, rectangle, s * m * (s - m) // 2, s + 1, list(range(0, -s, -1)))
     return buckets
 
 

@@ -1,6 +1,7 @@
 import argparse
 import ast
 import hashlib
+import importlib
 import json
 import math
 import pathlib
@@ -80,6 +81,27 @@ class TestSpectrumCommand:
         _, serial, _ = run(capsys, "spectrum", "12", "--format", "json")
         _, parallel, _ = run(capsys, "spectrum", "12", "--format", "json", "--threads", "3")
         assert serial == parallel
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_threads_flag_with_real_workers(self, capsys, monkeypatch, fmt):
+        # the size floor would fold n = 20 in-process; at 1, main starts worker processes
+        from concurrent.futures import ProcessPoolExecutor
+
+        started = []
+
+        class RecordedPool(ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                started.append(max_workers)
+                super().__init__(max_workers)
+
+        spectrum_module = importlib.import_module("tnspectrum.spectrum")
+        serial = run(capsys, "spectrum", "20", "--format", fmt)
+        monkeypatch.setattr(spectrum_module, "PARALLEL_MIN_N", 1)
+        monkeypatch.setattr(spectrum_module.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordedPool)
+        assert run(capsys, "spectrum", "20", "--format", fmt, "--threads", "2") == serial
+        assert serial[0] == 0
+        assert started == [2]
 
 
 class TestMultCommand:

@@ -3,6 +3,7 @@ import math
 import signal
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 import hypothesis.strategies as st
 import pytest
@@ -41,14 +42,18 @@ def plain_fold(n):
 
 @pytest.fixture
 def pools(monkeypatch):
-    """Swap the process pool for an in-process one on a 4-CPU machine; lists the pools built."""
-    sizes = []
+    """Swap the process pool for an in-process one on a 4-CPU machine.
+
+    ``sizes`` lists the worker count of each pool built, ``maps`` the function
+    and argument lists of each ``map`` call.
+    """
+    built = SimpleNamespace(sizes=[], maps=[])
 
     class InlinePool:
-        """Stands in for the process pool: records its size, maps in this process."""
+        """Stands in for the process pool: records its size and tasks, maps in this process."""
 
         def __init__(self, max_workers):
-            sizes.append(max_workers)
+            built.sizes.append(max_workers)
 
         def __enter__(self):
             return self
@@ -57,11 +62,13 @@ def pools(monkeypatch):
             return False
 
         def map(self, fn, *iterables):
-            return map(fn, *iterables)
+            arguments = [list(iterable) for iterable in iterables]
+            built.maps.append((fn, arguments))
+            return map(fn, *arguments)
 
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(spectrum_module.os, "cpu_count", lambda: 4)
-    return sizes
+    return built
 
 
 def domino_removals(p):
@@ -221,24 +228,55 @@ class TestSpectrum:
         for n in range(1, 31):
             assert spectrum(n, threads=threads).entries == plain_fold(n), n
         # n = 1 and n = 2 are a single shard each and fold in-process
-        assert len(pools) == 28
+        assert len(pools.sizes) == 28
+
+    def test_pool_takes_one_shard_per_task(self, pools, monkeypatch):
+        # every shard is its own task, in _shards' order, so an idle worker
+        # takes the next one from the pool's queue
+        monkeypatch.setattr(spectrum_module, "PARALLEL_MIN_N", 1)
+        for n in (3, 12, 30):
+            pools.maps.clear()
+            spectrum(n, threads=2)
+            shards = spectrum_module._shards(n)
+            assert pools.maps == [(spectrum_module._fold, [[n] * len(shards), shards])], n
+
+    def test_serial_fold_is_one_walk(self, pools, monkeypatch):
+        # in-process, one fold from the empty tail, whatever threads asks for
+        roots = []
+        fold = spectrum_module._fold
+
+        def recording(n, root):
+            roots.append((n, root))
+            return fold(n, root)
+
+        monkeypatch.setattr(spectrum_module, "_fold", recording)
+        for n in range(1, 31):
+            spectrum(n)
+        assert roots == [(n, (0, 0)) for n in range(1, 31)]
+        roots.clear()
+        spectrum(30, threads=2)  # below PARALLEL_MIN_N
+        monkeypatch.setattr(spectrum_module, "PARALLEL_MIN_N", 1)
+        monkeypatch.setattr(spectrum_module.os, "cpu_count", lambda: 1)
+        spectrum(30, threads=2)  # one CPU
+        assert roots == [(30, (0, 0))] * 2
+        assert pools.sizes == []
 
     def test_worker_count_is_capped(self, pools, monkeypatch):
         monkeypatch.setattr(spectrum_module, "PARALLEL_MIN_N", 1)
         serial = spectrum(30)
         assert spectrum(30, threads=10**6) == serial
-        assert pools == [4]  # min(threads, CPU count 4, 58 shards)
+        assert pools.sizes == [4]  # min(threads, CPU count 4, 58 shards)
         assert spectrum(2, threads=3) == spectrum(2)
-        assert pools == [4]  # one shard: no pool at all
+        assert pools.sizes == [4]  # one shard: no pool at all
         monkeypatch.setattr(spectrum_module.os, "cpu_count", lambda: None)
         assert spectrum(30, threads=8) == serial
-        assert pools == [4]  # CPU count unknown: one worker, no pool
+        assert pools.sizes == [4]  # CPU count unknown: one worker, no pool
 
     def test_small_spectra_start_no_pool(self, pools):
         assert spectrum(20, threads=2) == spectrum(20)
-        assert pools == []
+        assert pools.sizes == []
         spectrum(spectrum_module.PARALLEL_MIN_N, threads=2)
-        assert pools == [2]
+        assert pools.sizes == [2]
 
     def test_rejects_bad_thread_count(self):
         with pytest.raises(ValueError):
@@ -249,13 +287,17 @@ class TestSpectrum:
         # (0, 0) is the empty rectangle: its children start at row 1, so it
         # roots the whole walk from the empty tail
         fold = spectrum_module._fold
-        assert fold(n, [(0, 0)]) == fold(n, spectrum_module._shards(n))
+        merged = {}
+        for shard in spectrum_module._shards(n):
+            for value, mult in fold(n, shard).items():
+                merged[value] = merged.get(value, 0) + mult
+        assert fold(n, (0, 0)) == merged
 
     @pytest.mark.parametrize("n", range(1, 31))
     def test_one_row_shard(self, n):
         # the empty rectangle n^0 is the partition (n) alone; at n = 1 both keys are 0
         top = n * (n - 1) // 2
-        assert spectrum_module._fold(n, [(n, 0)]) == {top: 1, -top: 1}
+        assert spectrum_module._fold(n, (n, 0)) == {top: 1, -top: 1}
 
 
 class Folding(Exception):
@@ -265,6 +307,7 @@ class Folding(Exception):
 class TestFoldCeiling:
     @pytest.fixture
     def unfolded(self, monkeypatch):
+        # spectrum asks _shards for the worker cap before it folds, even in-process
         def shards(n):
             raise Folding(n)
 
@@ -286,8 +329,9 @@ class TestFoldCeiling:
             spectrum(FOLD_MAX_N, max_n=FOLD_MAX_N)
 
     def test_recursion_margin(self):
-        # the walk at the ceiling is about 100 frames deep, so a limit 200 frames
-        # above this one leaves the deadline, not a RecursionError, to stop the fold
+        # the walk at the ceiling is 150 visit frames deep, down the tail 1^149 it
+        # takes first, and needs 154 frames above this one; a limit 200 frames
+        # above it leaves the deadline, not a RecursionError, to stop the fold
         class Deadline(Exception):
             pass
 

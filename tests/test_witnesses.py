@@ -262,6 +262,17 @@ class TestMinNForPrefix:
         with pytest.raises(ValueError):
             min_n_for_prefix(-1)
 
+    @pytest.mark.parametrize("k", range(41))
+    def test_threshold_is_covered_and_tight(self, k):
+        # every target 0..k has a verified witness on 41 sizes from the threshold on,
+        # and k has none two below it, an even n under lambda_partition_even's region
+        least = min_n_for_prefix(k)
+        for n in range(least, least + 41):
+            for target in range(k + 1):
+                assert verify_witness(n, target).verified, (n, target)
+        with pytest.raises(NoWitnessError):
+            verify_witness(least - 2, k)
+
     def test_prefix_scan_script(self, spectra_up_to_30, child_env):
         script = ROOT / "scripts" / "eigenvalue_prefix_scan.py"
         result = subprocess.run(
