@@ -13,7 +13,8 @@ Usage: python scripts/eigenvalue_prefix_scan.py --max-target 3 --max-n 40
 
 import argparse
 
-from tnspectrum import enumerate_partitions, eigenvalue, min_n_for_prefix
+from tnspectrum import enumerate_partitions, eigenvalue
+from tnspectrum.witnesses import min_n_for_prefix
 
 
 def present_targets(n, targets, max_n):

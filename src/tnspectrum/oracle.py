@@ -6,8 +6,8 @@ one transposition, and the spectrum comes out of a dense symmetric
 eigensolver. Agreement with the exact route is the end-to-end test.
 
 numpy is imported inside the functions that use it, so importing this module
-loads no numpy. The package and the CLI import this module only on first use:
-``tnspec oracle`` loads it, and no other command does.
+loads no numpy. The package does not import this module, and the CLI imports it
+only on first use: ``tnspec oracle`` loads it, and no other command does.
 """
 
 from __future__ import annotations
@@ -19,6 +19,8 @@ from typing import NamedTuple
 
 from .partitions import ORACLE_MAX_N, ORACLE_MIN_N
 from .spectrum import Spectrum
+
+__all__ = ["ComparisonReport", "build_graph", "compare", "edge_list", "numeric_spectrum"]
 
 
 class ComparisonReport(NamedTuple):

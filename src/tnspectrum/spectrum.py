@@ -88,9 +88,10 @@ class Spectrum(NamedTuple):
 
 
 #: Below this n a spectrum is folded in-process whatever ``threads`` asks for.
-#: In a fresh interpreter on a 2-core box, importing and starting the pool
-#: outweighed what two workers saved in 4 of 5 readings at n = 48, and two
-#: workers were faster in every reading from n = 49 on (BENCH_tail_kernel.json).
+#: Whole-process wall time in fresh interpreters on a 2-core box, 12 alternating
+#: pairs per n, ``threads=2`` against serial: median speedup 0.97x at n = 48
+#: (two workers faster in 4 of 12), 1.14x at n = 50 (7 of 12), 1.50x at n = 52
+#: and 1.58x at n = 56 (12 of 12 each). At n = 50 the gain is a median, not a rule.
 PARALLEL_MIN_N = 50
 
 #: The largest n ``spectrum`` folds, whatever ``max_n`` allows. At n = 300 the walk

@@ -16,6 +16,16 @@ from typing import NamedTuple
 from .partitions import Partition
 from .spectrum import eigenvalue
 
+__all__ = [
+    "NoWitnessError",
+    "WitnessReport",
+    "lambda_partition_even",
+    "lambda_partition_odd",
+    "min_n_for_prefix",
+    "verify_witness",
+    "zero_partition",
+]
+
 
 class NoWitnessError(ValueError):
     """No closed-form witness covers the requested (n, eigenvalue) pair.

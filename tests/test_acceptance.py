@@ -13,19 +13,19 @@ import time
 import pytest
 
 from tnspectrum import (
-    NoWitnessError,
-    build_graph,
-    compare,
     conjugate,
     degree,
     eigenvalue,
     eigenvalue_upper_bound,
     enumerate_partitions,
+    multiplicity,
+    spectrum,
+)
+from tnspectrum.oracle import build_graph, compare, numeric_spectrum
+from tnspectrum.witnesses import (
+    NoWitnessError,
     lambda_partition_even,
     lambda_partition_odd,
-    multiplicity,
-    numeric_spectrum,
-    spectrum,
     verify_witness,
     zero_partition,
 )

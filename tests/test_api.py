@@ -1,5 +1,5 @@
-"""The public surface: ``__all__`` is exactly the public names, their annotations resolve,
-and every public function's parameter names are pinned below."""
+"""The public surface: each public module's ``__all__`` is exactly its public names, their
+annotations resolve, and every public function's parameter names are pinned below."""
 
 import inspect
 import types
@@ -8,14 +8,24 @@ import typing
 import pytest
 
 import tnspectrum
+from tnspectrum import oracle, witnesses
+
+#: The package root and the two modules whose names it does not export.
+MODULES = (tnspectrum, oracle, witnesses)
+
+#: Functions a module defines without a leading underscore that are still not public:
+#: ``compare`` and the CLI's ``--tolerance`` parser share this range check.
+INTERNAL = {oracle: {"check_tolerance"}, witnesses: set()}
+
+PUBLIC = {name: getattr(module, name) for module in MODULES for name in module.__all__}
 
 
 def test_all_is_sorted():
-    assert tnspectrum.__all__ == sorted(tnspectrum.__all__)
+    for module in MODULES:
+        assert module.__all__ == sorted(module.__all__), module.__name__
 
 
 def test_all_lists_exactly_the_public_names():
-    # dir() also lists the names the package resolves on first access
     public = sorted(
         name
         for name in dir(tnspectrum)
@@ -25,12 +35,21 @@ def test_all_lists_exactly_the_public_names():
     assert tnspectrum.__all__ == public
 
 
-@pytest.mark.parametrize(
-    "name", [name for name in tnspectrum.__all__ if callable(getattr(tnspectrum, name))]
-)
+@pytest.mark.parametrize("module", INTERNAL, ids=lambda module: module.__name__)
+def test_all_lists_exactly_what_the_module_defines(module):
+    defined = {
+        name
+        for name, value in vars(module).items()
+        if not name.startswith("_") and getattr(value, "__module__", None) == module.__name__
+    }
+    assert INTERNAL[module] <= defined
+    assert module.__all__ == sorted(defined - INTERNAL[module])
+
+
+@pytest.mark.parametrize("name", [name for name, value in PUBLIC.items() if callable(value)])
 def test_annotations_resolve(name):
     # numpy is imported inside the oracle functions, so no annotation may name it
-    typing.get_type_hints(getattr(tnspectrum, name))
+    typing.get_type_hints(PUBLIC[name])
 
 
 # A change to a public signature must edit this table, and CHANGES.md says why.
@@ -58,10 +77,9 @@ PUBLIC_SIGNATURES = {
 
 
 def test_public_signatures_are_pinned():
-    public = {name: getattr(tnspectrum, name) for name in tnspectrum.__all__}
     actual = {
         name: tuple(inspect.signature(value).parameters)
-        for name, value in public.items()
+        for name, value in PUBLIC.items()
         if inspect.isfunction(value)
     }
     assert actual == PUBLIC_SIGNATURES

@@ -13,9 +13,10 @@ import sys
 import numpy as np
 import pytest
 
-from tnspectrum import DEFAULT_MAX_N, Partition, WitnessReport, multiplicity
+from tnspectrum import DEFAULT_MAX_N, Partition, multiplicity
 from tnspectrum.cli import ONE_MULTIPLICITIES, ZERO_MULTIPLICITIES, build_parser, main
 from tnspectrum.spectrum import FOLD_MAX_N
+from tnspectrum.witnesses import WitnessReport
 
 #: stdout, stderr, exit status and edge-file digest of every case, captured
 #: once from the CLI before its renderer was unified; never regenerate it
@@ -601,7 +602,8 @@ class TestLazyImports:
     """Start-up loads only what every command runs: ``oracle`` alone loads numpy and the
     oracle, ``witness`` and ``verify`` the witness constructions, ``eig`` ``fractions``,
     ``--format json`` ``json``, a multi-worker fold the process pool, and nothing loads
-    ``dataclasses`` or ``inspect``."""
+    ``dataclasses`` or ``inspect``. Importing the package, bare or by ``*``, loads none of
+    the watched modules."""
 
     WATCHED = (
         "numpy",
@@ -616,22 +618,30 @@ class TestLazyImports:
     )
 
     @classmethod
-    def loaded_after(cls, argv, env):
-        """The watched modules loaded after ``import tnspectrum.cli`` and ``main(argv)``."""
-        script = (
-            "import sys\n"
-            "from tnspectrum.cli import main\n"
-            + ("" if argv is None else f"main({argv!r})\n")
-            + f"print(sorted(m for m in {cls.WATCHED!r} if m in sys.modules))\n"
-        )
+    def loaded_by(cls, code, env):
+        """The watched modules loaded after running ``code`` in a fresh interpreter."""
+        watched = f"sorted(m for m in {cls.WATCHED!r} if m in sys.modules)"
+        script = f"import sys\n{code}print({watched})\n"
         result = subprocess.run(
             [sys.executable, "-c", script], capture_output=True, text=True, env=env
         )
         assert result.returncode == 0, result.stderr
         return set(ast.literal_eval(result.stdout.splitlines()[-1]))
 
+    @classmethod
+    def loaded_after(cls, argv, env):
+        """The watched modules loaded after ``import tnspectrum.cli`` and ``main(argv)``."""
+        call = "" if argv is None else f"main({argv!r})\n"
+        return cls.loaded_by(f"from tnspectrum.cli import main\n{call}", env)
+
     def test_import_loads_none_of_the_watched_modules(self, child_env):
         assert self.loaded_after(None, child_env) == set()
+
+    @pytest.mark.parametrize(
+        "code", ["import tnspectrum\n", "from tnspectrum import *\n"], ids=["bare", "star"]
+    )
+    def test_package_import_loads_none_of_the_watched_modules(self, code, child_env):
+        assert self.loaded_by(code, child_env) == set()
 
     def test_mult_loads_neither_numpy_nor_the_pool(self, child_env):
         assert self.loaded_after(["mult", "8", "0"], child_env) == set()

@@ -7,14 +7,9 @@ import pathlib
 import numpy as np
 import pytest
 
-from tnspectrum import (
-    build_graph,
-    compare,
-    edge_list,
-    numeric_spectrum,
-    spectrum,
-)
+from tnspectrum import spectrum
 from tnspectrum.cli import main
+from tnspectrum.oracle import build_graph, compare, edge_list, numeric_spectrum
 
 GOLDEN_PATH = pathlib.Path(__file__).with_name("cli_golden.json")
 

@@ -223,7 +223,7 @@ class TestSpectrum:
         assert spectrum(18, threads=3) == spectrum(18)
 
     @pytest.mark.parametrize("threads", [2, 3])
-    def test_dealt_shards_match_plain_fold(self, pools, monkeypatch, threads):
+    def test_pooled_shards_match_plain_fold(self, pools, monkeypatch, threads):
         monkeypatch.setattr(spectrum_module, "PARALLEL_MIN_N", 1)
         for n in range(1, 31):
             assert spectrum(n, threads=threads).entries == plain_fold(n), n

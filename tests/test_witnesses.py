@@ -8,20 +8,22 @@ import pytest
 from hypothesis import given
 
 from tnspectrum import (
-    NoWitnessError,
     Partition,
     degree,
     eigenvalue,
     enumerate_partitions,
+    multiplicity,
+    spectrum,
+)
+from tnspectrum.witnesses import (
+    NoWitnessError,
+    _balanced_hook,
     lambda_partition_even,
     lambda_partition_odd,
     min_n_for_prefix,
-    multiplicity,
-    spectrum,
     verify_witness,
     zero_partition,
 )
-from tnspectrum.witnesses import _balanced_hook
 
 ROOT = pathlib.Path(__file__).parents[1]
 
