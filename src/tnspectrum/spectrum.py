@@ -13,7 +13,7 @@ import numbers
 import os
 from typing import NamedTuple
 
-from .partitions import DEFAULT_MAX_N, Partition, check_size, conjugate
+from .partitions import Partition, conjugate
 
 
 def eigenvalue(p: Partition) -> int:
@@ -94,13 +94,13 @@ class Spectrum(NamedTuple):
 #: and 1.58x at n = 56 (12 of 12 each). At n = 50 the gain is a median, not a rule.
 PARALLEL_MIN_N = 50
 
-#: The largest n ``spectrum`` folds, whatever ``max_n`` allows. At n = 300 the walk
-#: is 150 frames deep, down the tail 1^149, and the n(n - 1) + 1 buckets of at most
-#: n! each hold about 33 MB; the fold cannot finish there, as p(300) is about 9e15.
+#: The largest n ``spectrum`` folds. At n = 300 the walk is 150 frames deep, down
+#: the tail 1^149, and the n(n - 1) + 1 buckets of at most n! each hold about
+#: 33 MB; the fold cannot finish there, as p(300) is about 9e15.
 FOLD_MAX_N = 300
 
 
-def spectrum(n: int, max_n: int = DEFAULT_MAX_N, threads: int = 1) -> Spectrum:
+def spectrum(n: int, *, threads: int = 1) -> Spectrum:
     """Exact spectrum of the transposition graph on ``n`` symbols.
 
     Folds degree(p)^2 into one bucket per eigenvalue over all partitions of n.
@@ -127,12 +127,13 @@ def spectrum(n: int, max_n: int = DEFAULT_MAX_N, threads: int = 1) -> Spectrum:
     first. Bucket addition is commutative and associative, so the result is
     identical to the serial one.
 
-    Any n above ``FOLD_MAX_N`` raises ValueError, whatever ``max_n`` is, and so
-    do ``multiplicity`` and ``top_eigenvalues``.
+    An n below 1 or above ``FOLD_MAX_N`` raises ValueError before any fold, and
+    so do ``multiplicity`` and ``top_eigenvalues``.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    check_size(n, max_n)
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
     if n > FOLD_MAX_N:
         raise ValueError(f"n = {n} exceeds the fold ceiling FOLD_MAX_N = {FOLD_MAX_N}")
     shards = _shards(n)
@@ -227,18 +228,16 @@ def _completed(top: int, length: int, cols: list[int]) -> Partition:
     return Partition([top, *conjugate([offset + j + length for j, offset in enumerate(cols)])])
 
 
-def multiplicity(n: int, value: int, max_n: int = DEFAULT_MAX_N, threads: int = 1) -> int:
+def multiplicity(n: int, value: int, *, threads: int = 1) -> int:
     """Multiplicity of ``value`` in the spectrum for ``n``; 0 when absent."""
-    return spectrum(n, max_n=max_n, threads=threads).multiplicity(value)
+    return spectrum(n, threads=threads).multiplicity(value)
 
 
-def top_eigenvalues(
-    n: int, count: int, max_n: int = DEFAULT_MAX_N, threads: int = 1
-) -> list[tuple[int, int]]:
+def top_eigenvalues(n: int, count: int, *, threads: int = 1) -> list[tuple[int, int]]:
     """The ``count`` largest distinct eigenvalues with multiplicities, descending."""
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
-    spec = spectrum(n, max_n=max_n, threads=threads)
+    spec = spectrum(n, threads=threads)
     if count > len(spec.entries):
         raise ValueError(
             f"only {len(spec.entries)} distinct eigenvalues exist for n = {n}, requested {count}"

@@ -62,15 +62,15 @@ PUBLIC_SIGNATURES = {
     "edge_list": ("adjacency",),
     "eigenvalue": ("p",),
     "eigenvalue_upper_bound": ("p",),
-    "enumerate_partitions": ("n", "max_n"),
+    "enumerate_partitions": ("n",),
     "lambda_partition_even": ("n", "lam"),
     "lambda_partition_odd": ("n", "lam"),
     "min_n_for_prefix": ("k",),
-    "multiplicity": ("n", "value", "max_n", "threads"),
+    "multiplicity": ("n", "value", "threads"),
     "numeric_spectrum": ("adjacency",),
     "partition_count": ("n",),
-    "spectrum": ("n", "max_n", "threads"),
-    "top_eigenvalues": ("n", "count", "max_n", "threads"),
+    "spectrum": ("n", "threads"),
+    "top_eigenvalues": ("n", "count", "threads"),
     "verify_witness": ("n", "target"),
     "zero_partition": ("n",),
 }
@@ -83,3 +83,21 @@ def test_public_signatures_are_pinned():
         if inspect.isfunction(value)
     }
     assert actual == PUBLIC_SIGNATURES
+
+
+#: The parameters a caller must pass by keyword; every other one may also be positional.
+KEYWORD_ONLY = {
+    "multiplicity": {"threads"},
+    "spectrum": {"threads"},
+    "top_eigenvalues": {"threads"},
+}
+
+
+def test_parameter_kinds_are_pinned():
+    for name, value in PUBLIC.items():
+        if not inspect.isfunction(value):
+            continue
+        for parameter in inspect.signature(value).parameters.values():
+            keyword_only = parameter.name in KEYWORD_ONLY.get(name, ())
+            expected = parameter.KEYWORD_ONLY if keyword_only else parameter.POSITIONAL_OR_KEYWORD
+            assert parameter.kind == expected, (name, parameter.name)

@@ -246,7 +246,7 @@ class TestFoldCeiling:
     def unfolded(self, monkeypatch):
         """Make every query ``_run_fold`` can make fail the test if it runs."""
 
-        def never(n, *rest, max_n, threads):
+        def never(n, *rest, threads):
             raise AssertionError(f"folded n = {n} above the ceiling")
 
         for query in ("spectrum", "multiplicity", "top_eigenvalues"):
@@ -282,7 +282,7 @@ class TestFoldCeiling:
         }
 
     def test_ceiling_itself_is_folded(self, capsys, monkeypatch):
-        monkeypatch.setattr("tnspectrum.cli.multiplicity", lambda n, value, max_n, threads: 7)
+        monkeypatch.setattr("tnspectrum.cli.multiplicity", lambda n, value, *, threads: 7)
         code, out, _ = run(capsys, "mult", str(FOLD_MAX_N), "0", "--max-n", str(FOLD_MAX_N))
         assert (code, out) == (0, f"mul(0) = 7 for n = {FOLD_MAX_N}\n")
 
@@ -578,6 +578,97 @@ class TestGoldenReplay:
         )
         covered = {(c["argv"][0], c["argv"][c["argv"].index("--format") + 1]) for c in GOLDEN}
         assert covered == {(name, fmt) for name in commands for fmt in ("text", "json", "csv")}
+
+
+HELP = (("-h", "--help"), 0, None, None, "==SUPPRESS==", None, "show this help message and exit")
+POSITIVE = (None, "_positive_int", None, None, None, None)  # a positive-integer positional
+INTEGER = (None, "int", None, None, None, None)  # an integer positional
+#: the options every subcommand shares, after its own -h
+SHARED = [
+    HELP,
+    (("--format",), None, None, ("text", "json", "csv"), "text", None, "output format"),
+    (
+        ("--threads",), None, "_positive_int", None, 1, None,
+        "worker processes for spectrum assembly, capped at the CPU count and the shard count "
+        "and used from n = 50 on (output is unchanged)",
+    ),
+    (("--max-n",), None, "_positive_int", None, 80, None, "partition-enumeration resource guard"),
+]
+
+
+class TestParserSurface:
+    """Every action of the root parser and of each subparser, as ``--help`` shows it.
+
+    An action is (option strings, or dest for a positional; nargs; type name;
+    choices; default; metavar; help), so the check reads argparse's actions, not
+    its help layout, which differs between Python versions.
+    """
+
+    SURFACE = {
+        "tnspec": [
+            HELP,
+            (("--version",), 0, None, None, "==SUPPRESS==", None,
+             "show program's version number and exit"),
+            (
+                "command", "A...", None,
+                [
+                    ("spectrum", "full spectrum with exact multiplicities"),
+                    ("mult", "multiplicity of one eigenvalue"),
+                    ("eig", "eigenvalue data for one partition"),
+                    ("top", "largest distinct eigenvalues"),
+                    ("witness", "closed-form witness partition for a small eigenvalue"),
+                    ("tables", "recompute the golden zero/one multiplicity tables"),
+                    ("verify", "per-n verification matrix up to n_max"),
+                    ("oracle", "brute-force graph cross-check (2 <= n <= 6)"),
+                ],
+                None, None, None,
+            ),
+        ],
+        "spectrum": [*SHARED, ("n", *POSITIVE)],
+        "mult": [*SHARED, ("n", *POSITIVE), ("value", *INTEGER)],
+        "eig": [*SHARED, ("parts", "+", "int", None, None, "part", None)],
+        "top": [*SHARED, ("n", *POSITIVE), ("count", *POSITIVE)],
+        "witness": [*SHARED, ("n", *POSITIVE), ("target", *INTEGER)],
+        "tables": SHARED,
+        "verify": [*SHARED, ("n_max", *POSITIVE)],
+        "oracle": [
+            *SHARED,
+            ("n", None, "_oracle_n", None, None, None, None),
+            (("--tolerance",), None, "_tolerance", None, 1e-6, None,
+             "integer-proximity tolerance, 0 < X < 0.5"),
+            (("--dump-edges",), None, None, None, None, "PATH",
+             "write the edge list to PATH (zero-based ranks, one 'u v' pair per line, u < v)"),
+        ],
+    }
+
+    @staticmethod
+    def actions(parser):
+        for action in parser._actions:
+            choices = action.choices
+            if isinstance(action, argparse._SubParsersAction):
+                choices = [(choice.dest, choice.help) for choice in action._choices_actions]
+            yield (
+                tuple(action.option_strings) or action.dest,
+                action.nargs,
+                getattr(action.type, "__name__", None),
+                choices,
+                action.default,
+                action.metavar,
+                action.help,
+            )
+
+    def test_every_action_is_pinned(self):
+        root = build_parser()
+        (sub,) = (a for a in root._actions if isinstance(a, argparse._SubParsersAction))
+        parsers = {"tnspec": root, **sub.choices}
+        assert (root.prog, root.description) == ("tnspec", "Exact spectra of transposition graphs.")
+        assert {name: list(self.actions(p)) for name, p in parsers.items()} == self.SURFACE
+
+    def test_version(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--version"])
+        assert exit_info.value.code == 0
+        assert capsys.readouterr() == ("tnspec 0.1.0\n", "")
 
 
 class TestDeterminism:

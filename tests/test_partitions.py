@@ -108,13 +108,12 @@ class TestEnumeration:
             enumerate_partitions(0)
 
     def test_resource_guard(self):
-        with pytest.raises(ValueError):
-            enumerate_partitions(81)
-        with pytest.raises(ValueError):
-            enumerate_partitions(6, max_n=5)
-        # a raised guard is adjustable; validation happens before streaming
-        first = next(enumerate_partitions(81, max_n=100))
+        # no soft size limit: a stream past the CLI's default --max-n of 80 starts
+        first = next(enumerate_partitions(81))
         assert first == (81,)
+        # validation happens at call time, before streaming
+        with pytest.raises(ValueError, match="^n must be positive, got 0$"):
+            enumerate_partitions(0)
 
     @pytest.mark.parametrize("n", range(1, 31))
     def test_strictly_decreasing_order_and_distinct(self, n):

@@ -173,10 +173,14 @@ class TestSpectrum:
         )
 
     def test_resource_guard(self):
-        with pytest.raises(ValueError):
-            spectrum(81)
-        with pytest.raises(ValueError):
-            spectrum(10, max_n=9)
+        # the hard limits alone, with no other argument; neither one folds
+        with pytest.raises(ValueError, match="^n must be positive, got 0$"):
+            spectrum(0)
+        with pytest.raises(ValueError, match="exceeds the fold ceiling"):
+            spectrum(FOLD_MAX_N + 1)
+        # threads is keyword-only, so an old positional max_n is no worker count
+        with pytest.raises(TypeError):
+            spectrum(10, 9)
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_invariants(self, n):
@@ -322,11 +326,11 @@ class TestFoldCeiling:
     def test_refused_before_the_fold(self, unfolded, query, rest, n):
         message = f"^n = {n} exceeds the fold ceiling FOLD_MAX_N = {FOLD_MAX_N}$"
         with pytest.raises(ValueError, match=message):
-            query(n, *rest, max_n=n)
+            query(n, *rest)
 
     def test_ceiling_itself_is_folded(self, unfolded):
         with pytest.raises(Folding):
-            spectrum(FOLD_MAX_N, max_n=FOLD_MAX_N)
+            spectrum(FOLD_MAX_N)
 
     def test_recursion_margin(self):
         # the walk at the ceiling is 150 visit frames deep, down the tail 1^149 it
@@ -347,7 +351,7 @@ class TestFoldCeiling:
         try:
             signal.setitimer(signal.ITIMER_REAL, 0.5)
             with pytest.raises(Deadline):
-                spectrum(FOLD_MAX_N, max_n=FOLD_MAX_N)
+                spectrum(FOLD_MAX_N)
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0)
             sys.setrecursionlimit(limit)
@@ -358,29 +362,40 @@ def transposition_walks(n, steps):
     """Closed walks of each length 0..steps at one vertex, with no hook lengths or contents.
 
     Tracks, per cycle type, the number of walks from the identity that end at a
-    permutation of that type. A transposition splits a cycle of length L into
-    lengths a and L - a in L ways (L / 2 when a = L - a), and merges cycles of
-    lengths a and b in a * b ways. The identity is the only permutation of
-    type 1^n, so its count is the closed-walk count at every vertex.
+    permutation of that type, the type being its number of fixed points and its
+    sorted nontrivial cycle lengths. A transposition joins two fixed points in
+    one way per pair, a fixed point and an L-cycle in L ways, and cycles of
+    lengths a and b in a * b ways; it splits an L-cycle into lengths a and L - a
+    in L ways (L / 2 when a = L - a), a part of length 1 being a fixed point.
+    A permutation with c cycles is n - c transpositions from the identity, so a
+    type with n - c above the steps left can no longer close a walk and is
+    dropped. The identity is the only permutation of its type, so its count is
+    the closed-walk count at every vertex.
     """
-    identity = (1,) * n
-    counts = {identity: 1}
+    counts = {(n, ()): 1}
     closed = [1]
-    for _ in range(steps):
+    for left in range(steps - 1, -1, -1):
         following = {}
-        for cycles, walks in counts.items():
+
+        def add(fixed, cycles, walks):
+            if walks and n - fixed - len(cycles) <= left:
+                key = (fixed, tuple(sorted(cycles)))
+                following[key] = following.get(key, 0) + walks
+
+        for (fixed, cycles), walks in counts.items():
+            add(fixed - 2, cycles + (2,), walks * fixed * (fixed - 1) // 2)
             for i, length in enumerate(cycles):
                 rest = cycles[:i] + cycles[i + 1:]
-                for a in range(1, length // 2 + 1):
-                    ways = length if 2 * a < length else length // 2
-                    split = tuple(sorted(rest + (a, length - a), reverse=True))
-                    following[split] = following.get(split, 0) + walks * ways
+                add(fixed - 1, rest + (length + 1,), walks * fixed * length)
                 for j in range(i + 1, len(cycles)):
-                    merged = rest[:j - 1] + rest[j:] + (length + cycles[j],)
-                    merged = tuple(sorted(merged, reverse=True))
-                    following[merged] = following.get(merged, 0) + walks * length * cycles[j]
+                    add(fixed, rest[:j - 1] + rest[j:] + (length + cycles[j],),
+                        walks * length * cycles[j])
+                for a in range(1, length // 2 + 1):
+                    pieces = tuple(k for k in (a, length - a) if k > 1)
+                    ways = length if 2 * a < length else length // 2
+                    add(fixed + 2 - len(pieces), rest + pieces, walks * ways)
         counts = following
-        closed.append(counts.get(identity, 0))
+        closed.append(counts.get((n, ()), 0))
     return closed
 
 
@@ -398,6 +413,15 @@ class TestWalkCountMoments:
         walks = transposition_walks(n, steps)
         entries = spectrum(n).entries
         for k in range(steps + 1):
+            assert sum(m * v**k for v, m in entries) == math.factorial(n) * walks[k], k
+
+    @pytest.mark.parametrize("n", [*range(13, 31), 40])
+    def test_low_moments(self, n, spectra_up_to_30):
+        # past n = 12 the moments 0..24 only: too few to fix every multiplicity,
+        # but each one is still an exact check of the whole spectrum
+        walks = transposition_walks(n, 24)
+        entries = (spectra_up_to_30.get(n) or spectrum(n)).entries
+        for k in range(25):
             assert sum(m * v**k for v, m in entries) == math.factorial(n) * walks[k], k
 
 

@@ -25,6 +25,8 @@ from tnspectrum.witnesses import (
     zero_partition,
 )
 
+from test_spectrum import content_sums
+
 ROOT = pathlib.Path(__file__).parents[1]
 
 
@@ -224,6 +226,40 @@ class TestBalancedHook:
         assert 1 not in spectrum(12)
         assert 4 not in spectrum(18)
 
+    def test_absence_sets_up_to_forty(self):
+        # W(v, parity): the least n of that parity at which a balanced hook around
+        # some inner partition of size <= 20 has eigenvalue v. The same inner
+        # partition covers every larger n of that parity, and the content-sum DP
+        # decides every n below W, so together they give each exact absence set.
+        lowest = {}
+        for inner in _inner_partitions(20):
+            v = _content_sum(inner)
+            if not 0 <= v <= 40:
+                continue
+            n = inner.n + 2 * max(len(inner), inner[0] if inner else 0) + 1
+            if (v, n % 2) not in lowest or n < lowest[v, n % 2][0]:
+                lowest[v, n % 2] = n, inner
+        assert sorted(lowest) == [(v, parity) for v in range(41) for parity in (0, 1)]
+        for (v, _), (n, inner) in lowest.items():
+            assert eigenvalue(_balanced_hook(n, inner)) == v
+            assert n <= 60, v  # the DP below reaches every n under W
+        supports = {n: content_sums(n) for n in range(1, 61)}
+        absent = {v: {n for n, values in supports.items() if v not in values} for v in range(41)}
+        for v, ns in absent.items():
+            assert all(n < lowest[v, n % 2][0] for n in ns), v
+        assert absent[0] == {2}
+        assert absent[1] == {1, 3, 4, 5, 6, 8, 10, 12}
+        assert absent[2] == {1, 2, 3, 6, 7, 9, 10}
+        assert (max(absent[4]), max(absent[31])) == (18, 21)
+        # N(k): the least n from which every one of 0..k is an eigenvalue
+        thresholds = {k: 1 + max(max(absent[v]) for v in range(k + 1)) for k in range(41)}
+        assert thresholds == {
+            0: 3,
+            **dict.fromkeys(range(1, 4), 13),
+            **dict.fromkeys(range(4, 31), 19),
+            **dict.fromkeys(range(31, 41), 22),
+        }
+
 
 class TestHookPartition:
     """The hook (n - k + 1, 1^(k - 1)) with k rows has eigenvalue n(n - 2k + 1)/2."""
@@ -296,16 +332,12 @@ class TestMinNForPrefix:
         assert [int(row.split()[0]) for row in rows] == list(range(2, 17))
         assert marks == {4: "0..0 guaranteed from here on", 14: "0..1 guaranteed from here on"}
 
-    def test_prefix_scan_passes_max_n_as_the_guard(self, monkeypatch, capsys):
-        # a guard of 3 stands in for the default 80, which a subprocess run
-        # past n = 80 would take seconds to reach
+    def test_prefix_scan_stops_at_max_n(self, monkeypatch, capsys):
+        # --max-n is the scan's last row, not a guard passed to the library
         script = ROOT / "scripts" / "eigenvalue_prefix_scan.py"
         spec = importlib.util.spec_from_file_location("eigenvalue_prefix_scan", script)
         scan = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(scan)
-        monkeypatch.setattr(
-            scan, "enumerate_partitions", lambda n, max_n=3: enumerate_partitions(n, max_n)
-        )
         monkeypatch.setattr(sys, "argv", [str(script), "--max-target", "0", "--max-n", "4"])
         scan.main()
         _, *rows = capsys.readouterr().out.splitlines()
