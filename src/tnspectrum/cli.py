@@ -11,6 +11,10 @@ text lines, or raises ``CommandError`` for a documented failure. ``main`` is
 the one place that picks the format, builds the JSON record and prints, so
 every command's result and error take the same path.
 
+``run`` is the process entry of ``tnspec`` and ``python -m tnspectrum``: it calls
+``main`` and ends the process once the output is flushed. Library and test
+callers use ``main(argv)``, which returns the exit status.
+
 Start-up imports only what every command needs. ``json``, the oracle and the
 witness constructions are imported by the code that uses them, so a command
 loads no module it does not run.
@@ -19,8 +23,9 @@ loads no module it does not run.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 from . import __version__
 from .partitions import (
@@ -472,5 +477,29 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(limit)
 
 
+def run() -> NoReturn:
+    """The process entry of ``tnspec``: run ``main`` and end once its output is flushed.
+
+    ``os._exit`` skips the interpreter's teardown, which frees every module and object
+    that the OS reclaims anyway. A closed pipe on stdout or stderr ends the process with
+    status 2 and no traceback. An exception from ``main``, argparse's ``SystemExit``
+    among them, and any other flush failure take the ordinary exit, so the interpreter
+    reports them as it always did.
+    """
+    try:
+        code = main()
+    except BrokenPipeError:
+        os._exit(2)
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
+    except BrokenPipeError:
+        os._exit(2)
+    except OSError:
+        sys.exit(code)  # the teardown flushes again and reports the failure
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

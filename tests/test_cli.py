@@ -2,11 +2,14 @@ import argparse
 import ast
 import hashlib
 import importlib
+import importlib.metadata
 import json
 import math
+import os
 import pathlib
 import random
 import re
+import signal
 import subprocess
 import sys
 
@@ -14,6 +17,7 @@ import numpy as np
 import pytest
 
 from tnspectrum import DEFAULT_MAX_N, Partition, multiplicity
+from tnspectrum import cli
 from tnspectrum.cli import ONE_MULTIPLICITIES, ZERO_MULTIPLICITIES, build_parser, main
 from tnspectrum.spectrum import FOLD_MAX_N
 from tnspectrum.witnesses import WitnessReport
@@ -580,6 +584,44 @@ class TestGoldenReplay:
         assert covered == {(name, fmt) for name in commands for fmt in ("text", "json", "csv")}
 
 
+def first_of_each_group(cases):
+    """The first case, in file order, of each (command, exit status, stderr empty or not,
+    edge file written or not) group."""
+    firsts = {}
+    for case in cases:
+        key = (case["argv"][0], case["exit"], bool(case["stderr"]), bool(case["edges_sha256"]))
+        firsts.setdefault(key, case)
+    return list(firsts.values())
+
+
+class TestGoldenProcessReplay:
+    """The golden cases through a real ``python -m tnspectrum`` process, so the bytes that
+    ``cli.run`` flushes on its way out are checked too; one case of each group."""
+
+    CASES = first_of_each_group(GOLDEN)
+
+    @pytest.mark.parametrize("case", CASES, ids=[" ".join(c["argv"]) for c in CASES])
+    def test_output_unchanged(self, case, child_env, tmp_path):
+        result = subprocess.run(
+            [sys.executable, "-m", "tnspectrum", *case["argv"]],
+            capture_output=True,
+            cwd=tmp_path,  # --dump-edges paths in the cases are relative
+            env=child_env,
+        )
+        edges = tmp_path / "edges.txt"
+        digest = hashlib.sha256(edges.read_bytes()).hexdigest() if edges.exists() else None
+        assert (result.returncode, result.stdout.decode(), result.stderr.decode(), digest) == (
+            case["exit"],
+            case["stdout"],
+            case["stderr"],
+            case["edges_sha256"],
+        )
+
+    def test_every_group_is_replayed(self):
+        assert len(self.CASES) == 27
+        assert sum(bool(case["edges_sha256"]) for case in self.CASES) == 1
+
+
 HELP = (("-h", "--help"), 0, None, None, "==SUPPRESS==", None, "show this help message and exit")
 POSITIVE = (None, "_positive_int", None, None, None, None)  # a positive-integer positional
 INTEGER = (None, "int", None, None, None, None)  # an integer positional
@@ -687,6 +729,94 @@ class TestDeterminism:
         assert first.returncode == second.returncode == 0
         assert first.stdout == second.stdout
         assert first.stdout
+
+
+def tnspec_env(child_env, unbuffered):
+    """``child_env`` with ``PYTHONUNBUFFERED`` set to 1 or unset."""
+    env = {key: value for key, value in child_env.items() if key != "PYTHONUNBUFFERED"}
+    return {**env, "PYTHONUNBUFFERED": "1"} if unbuffered else env
+
+
+def tnspec(argv, env, **kwargs):
+    return subprocess.run([sys.executable, "-m", "tnspectrum", *argv], env=env, **kwargs)
+
+
+class TestProcessExit:
+    """How a ``tnspec`` process ends when its output cannot be written, and that it leaves no
+    worker behind. Buffering decides whether ``print`` in ``main`` or the last flush meets a
+    write error, so each test sets ``PYTHONUNBUFFERED`` itself."""
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_closed_stdout(self, child_env, unbuffered):
+        # with fd 1 closed at start-up sys.stdout is None, and print writes nothing
+        result = subprocess.run(
+            ["sh", "-c", 'exec "$0" -m tnspectrum spectrum 6 >&-', sys.executable],
+            stderr=subprocess.PIPE,
+            env=tnspec_env(child_env, unbuffered),
+        )
+        assert (result.returncode, result.stderr) == (0, b"")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_full_device(self, child_env, unbuffered):
+        with open("/dev/full", "wb") as full:
+            result = tnspec(
+                ["spectrum", "6"],
+                tnspec_env(child_env, unbuffered),
+                stdout=full,
+                stderr=subprocess.PIPE,
+            )
+        err = result.stderr.decode()
+        if unbuffered:  # print in main raises: the interpreter's traceback
+            assert result.returncode == 1
+            assert err.startswith("Traceback (most recent call last):\n")
+            assert err.endswith("\nOSError: [Errno 28] No space left on device\n")
+            assert "Exception ignored" not in err
+        else:  # the flush fails: the interpreter's teardown reports it
+            assert result.returncode == 120
+            assert re.fullmatch(
+                r"Exception ignored in: <_io.TextIOWrapper name='<stdout>'[^\n]*>\n"
+                r"OSError: \[Errno 28\] No space left on device\n",
+                err,
+            ), err
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("n", [6, 30], ids=["small", "large"])
+    def test_closed_pipe(self, child_env, n, unbuffered):
+        # spectrum 30 prints 18788 bytes, more than the 8 KiB buffer, so print in main
+        # meets the closed pipe; spectrum 6 fits, so buffered, only the flush meets it
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = tnspec(
+                ["spectrum", str(n)],
+                tnspec_env(child_env, unbuffered),
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+            )
+        finally:
+            os.close(write_end)
+        assert (result.returncode, result.stderr) == (2, b"")
+
+    def test_workers_end_with_the_process(self, capsys, child_env):
+        _, serial, _ = run(capsys, "spectrum", "50")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "tnspectrum", "spectrum", "50", "--threads", "2"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=tnspec_env(child_env, False),
+            start_new_session=True,
+        )
+        try:
+            out, err = proc.communicate(timeout=120)
+        finally:
+            try:  # the probe also kills whatever the process left in its group
+                os.killpg(proc.pid, signal.SIGKILL)
+                left_behind = True
+            except ProcessLookupError:
+                left_behind = False
+        assert (proc.returncode, out.decode(), err) == (0, serial, b"")
+        assert not left_behind
 
 
 class TestLazyImports:
@@ -851,3 +981,10 @@ class TestEntryPoint:
         assert result.returncode == 0
         for name in ("spectrum", "mult", "eig", "witness", "tables", "verify", "oracle", "top"):
             assert name in result.stdout
+
+    def test_console_script_is_run(self):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = pathlib.Path(__file__).parents[1] / "pyproject.toml"
+        value = tomllib.loads(pyproject.read_text())["project"]["scripts"]["tnspec"]
+        entry = importlib.metadata.EntryPoint("tnspec", value, "console_scripts")
+        assert entry.load() is cli.run
