@@ -92,17 +92,6 @@ def _oracle_n(text: str) -> int:
     return value
 
 
-def _tolerance(text: str) -> float:
-    from .oracle import check_tolerance
-
-    value = float(text)
-    try:
-        check_tolerance(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError("tolerance must satisfy 0 < tolerance < 0.5") from None
-    return value
-
-
 class Output(NamedTuple):
     """What one command produced; ``main`` renders it in the requested format."""
 
@@ -334,7 +323,7 @@ def cmd_oracle(args) -> Output:
             with open(args.dump_edges, "w", encoding="ascii") as handle:
                 for u, v in edge_list(graph):
                     handle.write(f"{u} {v}\n")
-        report = compare(exact, numeric, tolerance=args.tolerance)
+        report = compare(exact, numeric)
     except (OSError, ArithmeticError) as exc:
         raise CommandError(args.n, str(exc), 2) from exc
     edges = int(graph.sum()) // 2
@@ -432,12 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("n", type=_oracle_n)
     p.add_argument(
-        "--tolerance",
-        type=_tolerance,
-        default=1e-6,
-        help="integer-proximity tolerance, 0 < X < 0.5",
-    )
-    p.add_argument(
         "--dump-edges",
         metavar="PATH",
         help="write the edge list to PATH (zero-based ranks, one 'u v' pair per line, u < v)",
@@ -469,9 +452,11 @@ def main(argv=None) -> int:
             import json
 
             record = {"command": args.command, "n": n, "payload": payload, "status": status}
-            print(json.dumps(record, sort_keys=True))
+            text, stream = json.dumps(record, sort_keys=True), sys.stdout
         else:
-            print(*lines, sep="\n", file=stream)
+            text = "\n".join(lines)
+        if stream is not None:  # None when the process started with the descriptor closed
+            stream.write(text + "\n")  # one write, however many lines
         return code
     finally:
         sys.set_int_max_str_digits(limit)
@@ -481,23 +466,24 @@ def run() -> NoReturn:
     """The process entry of ``tnspec``: run ``main`` and end once its output is flushed.
 
     ``os._exit`` skips the interpreter's teardown, which frees every module and object
-    that the OS reclaims anyway. A closed pipe on stdout or stderr ends the process with
-    status 2 and no traceback. An exception from ``main``, argparse's ``SystemExit``
-    among them, and any other flush failure take the ordinary exit, so the interpreter
-    reports them as it always did.
+    that the OS reclaims anyway. A failed write, whether ``main``'s or the last flush's,
+    ends the process with status 2: a closed pipe on stdout or stderr silently, any other
+    failure after one ``error:`` line on stderr if that can still be written. Any other
+    exception from ``main``, argparse's ``SystemExit`` among them, takes the ordinary exit.
     """
     try:
         code = main()
-    except BrokenPipeError:
-        os._exit(2)
-    try:
         for stream in (sys.stdout, sys.stderr):
             if stream is not None:
                 stream.flush()
-    except BrokenPipeError:
+    except OSError as exc:
+        if not isinstance(exc, BrokenPipeError) and sys.stderr is not None:
+            try:
+                sys.stderr.write(f"error: {exc.strerror or exc}\n")
+                sys.stderr.flush()
+            except OSError:
+                pass
         os._exit(2)
-    except OSError:
-        sys.exit(code)  # the teardown flushes again and reports the failure
     os._exit(code)
 
 

@@ -5,6 +5,10 @@ permutations ranked lexicographically, edges join permutations differing by
 one transposition, and the spectrum comes out of a dense symmetric
 eigensolver. Agreement with the exact route is the end-to-end test.
 
+Every eigenvalue of the graph is an integer, so ``compare`` rounds the
+numeric ones and refuses any that lies farther than a fixed 1e-6 from an
+integer.
+
 numpy is imported inside the functions that use it, so importing this module
 loads no numpy. The package does not import this module, and the CLI imports it
 only on first use: ``tnspec oracle`` loads it, and no other command does.
@@ -21,6 +25,10 @@ from .partitions import ORACLE_MAX_N, ORACLE_MIN_N
 from .spectrum import Spectrum
 
 __all__ = ["ComparisonReport", "build_graph", "compare", "edge_list", "numeric_spectrum"]
+
+#: How far ``compare`` lets an eigenvalue lie from an integer. The eigensolver's
+#: deviations at n <= 6 are about 1e-14, and rounding decides nothing at 0.5.
+_TOLERANCE = 1e-6
 
 
 class ComparisonReport(NamedTuple):
@@ -63,29 +71,14 @@ def numeric_spectrum(adjacency) -> tuple[float, ...]:
     return tuple(float(v) for v in values)
 
 
-def check_tolerance(tolerance: float) -> None:
-    """Raise ValueError unless 0 < tolerance < 0.5.
-
-    Rounding to the nearest integer decides nothing at 0.5 or beyond, and
-    every comparison with nan is false, so such a tolerance would silently
-    turn ``compare``'s integrality check off.
-    """
-    if not 0 < tolerance < 0.5:
-        raise ValueError(f"tolerance must satisfy 0 < tolerance < 0.5, got {tolerance!r}")
-
-
-def compare(
-    exact: Spectrum, numeric: tuple[float, ...], tolerance: float = 1e-6
-) -> ComparisonReport:
+def compare(exact: Spectrum, numeric: tuple[float, ...]) -> ComparisonReport:
     """Round the numeric eigenvalues and compare multiset-for-multiset with the exact ones.
 
     Size mismatch (different n) is a usage error and raises; multiplicity
     mismatches are collected into the report instead of thrown. Any value
-    farther than ``tolerance`` from an integer raises ArithmeticError, which
-    names the farthest; a non-finite value counts as infinitely far. The
-    tolerance must satisfy 0 < tolerance < 0.5.
+    farther than 1e-6 from an integer raises ArithmeticError, which names the
+    farthest; a non-finite value counts as infinitely far.
     """
-    check_tolerance(tolerance)
     if exact.order != len(numeric):
         raise ValueError(
             f"size mismatch: exact spectrum carries {exact.order} eigenvalues, "
@@ -93,11 +86,11 @@ def compare(
         )
     deviations = [abs(v - round(v)) if math.isfinite(v) else math.inf for v in numeric]
     max_deviation = max(deviations, default=0.0)
-    if max_deviation > tolerance:
+    if max_deviation > _TOLERANCE:
         culprit = numeric[deviations.index(max_deviation)]
         raise ArithmeticError(
             f"eigenvalue {culprit!r} is {max_deviation:.3e} away from an integer "
-            f"(tolerance {tolerance:g})"
+            f"(tolerance {_TOLERANCE:g})"
         )
     counts = Counter(map(round, numeric))
     discrepancies = []

@@ -13,9 +13,8 @@ from tnspectrum import oracle, witnesses
 #: The package root and the two modules whose names it does not export.
 MODULES = (tnspectrum, oracle, witnesses)
 
-#: Functions a module defines without a leading underscore that are still not public:
-#: ``compare`` and the CLI's ``--tolerance`` parser share this range check.
-INTERNAL = {oracle: {"check_tolerance"}, witnesses: set()}
+#: Functions a module defines without a leading underscore that are still not public.
+INTERNAL = {oracle: set(), witnesses: set()}
 
 PUBLIC = {name: getattr(module, name) for module in MODULES for name in module.__all__}
 
@@ -56,7 +55,7 @@ def test_annotations_resolve(name):
 PUBLIC_SIGNATURES = {
     "build_graph": ("n",),
     "character_ratio": ("p",),
-    "compare": ("exact", "numeric", "tolerance"),
+    "compare": ("exact", "numeric"),
     "conjugate": ("p",),
     "degree": ("p",),
     "edge_list": ("adjacency",),

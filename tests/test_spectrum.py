@@ -415,7 +415,7 @@ class TestWalkCountMoments:
         for k in range(steps + 1):
             assert sum(m * v**k for v, m in entries) == math.factorial(n) * walks[k], k
 
-    @pytest.mark.parametrize("n", [*range(13, 31), 40])
+    @pytest.mark.parametrize("n", [*range(13, 31), 40, 50, 60])
     def test_low_moments(self, n, spectra_up_to_30):
         # past n = 12 the moments 0..24 only: too few to fix every multiplicity,
         # but each one is still an exact check of the whole spectrum
