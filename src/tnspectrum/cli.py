@@ -117,7 +117,7 @@ def _check_max_n(args, n: int, name: str | None = None, fold: bool = False) -> N
 
 
 def _run_fold(args, query, n: int, *rest):
-    """``query(n, *rest)`` behind the resource guards: every fold a command asks for."""
+    """``query(n, *rest)`` behind the resource guards, on ``--threads`` workers."""
     _check_max_n(args, n, fold=True)
     return query(n, *rest, threads=args.threads)
 
@@ -236,7 +236,7 @@ def cmd_tables(args) -> Output:
         ("one", ONE_MULTIPLICITIES, 1),
     ):
         for n in sorted(golden):
-            computed = _run_fold(args, multiplicity, n, target)
+            computed = multiplicity(n, target)
             rows.append((label, n, golden[n], computed, _pass(computed == golden[n])))
     all_pass = all(row[4] == "PASS" for row in rows)
     return Output(
@@ -315,14 +315,14 @@ def cmd_verify(args) -> Output:
 def cmd_oracle(args) -> Output:
     from .oracle import build_graph, compare, edge_list, numeric_spectrum
 
-    exact = _run_fold(args, spectrum, args.n)  # before the graph, so a refusal builds nothing
+    _check_max_n(args, args.n)  # before the graph, so a refusal builds nothing
+    exact = spectrum(args.n)
     graph = build_graph(args.n)
     try:
         numeric = numeric_spectrum(graph)
         if args.dump_edges:  # after the eigensolve, so its pairs never sit under its peak
             with open(args.dump_edges, "w", encoding="ascii") as handle:
-                for u, v in edge_list(graph):
-                    handle.write(f"{u} {v}\n")
+                handle.write("".join(f"{u} {v}\n" for u, v in edge_list(graph)))
         report = compare(exact, numeric)
     except (OSError, ArithmeticError) as exc:
         raise CommandError(args.n, str(exc), 2) from exc
@@ -353,38 +353,57 @@ def cmd_oracle(args) -> Output:
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument(
+def _options(threads: bool) -> argparse.ArgumentParser:
+    """``--format``, then ``--threads`` on the subcommands that fold, then ``--max-n``."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(
         "--format", choices=("text", "json", "csv"), default="text", help="output format"
     )
-    shared.add_argument(
-        "--threads",
-        type=_positive_int,
-        default=1,
-        help="worker processes for spectrum assembly, capped at the CPU count and the "
-        f"shard count and used from n = {PARALLEL_MIN_N} on (output is unchanged)",
-    )
-    shared.add_argument(
+    if threads:
+        parent.add_argument(
+            "--threads",
+            type=_positive_int,
+            default=1,
+            help="worker processes for spectrum assembly, capped at the CPU count and the "
+            f"shard count and used from n = {PARALLEL_MIN_N} on (output is unchanged)",
+        )
+    parent.add_argument(
         "--max-n",
         dest="max_n",
         type=_positive_int,
         default=DEFAULT_MAX_N,
         help="partition-enumeration resource guard",
     )
+    return parent
 
+
+class _Subcommand(argparse.ArgumentParser):
+    """A subcommand's parser: an argument it does not know ends in its own usage error.
+
+    The root parser would report it, with the root's usage, after the subcommand returns.
+    """
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
+def build_parser() -> argparse.ArgumentParser:
+    shared, folds = _options(threads=False), _options(threads=True)
     parser = argparse.ArgumentParser(
         prog="tnspec",
         description="Exact spectra of transposition graphs.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
 
-    p = sub.add_parser("spectrum", parents=[shared], help="full spectrum with exact multiplicities")
+    p = sub.add_parser("spectrum", parents=[folds], help="full spectrum with exact multiplicities")
     p.add_argument("n", type=_positive_int)
     p.set_defaults(func=cmd_spectrum)
 
-    p = sub.add_parser("mult", parents=[shared], help="multiplicity of one eigenvalue")
+    p = sub.add_parser("mult", parents=[folds], help="multiplicity of one eigenvalue")
     p.add_argument("n", type=_positive_int)
     p.add_argument("value", type=int)
     p.set_defaults(func=cmd_mult)
@@ -393,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("parts", type=int, nargs="+", metavar="part")
     p.set_defaults(func=cmd_eig)
 
-    p = sub.add_parser("top", parents=[shared], help="largest distinct eigenvalues")
+    p = sub.add_parser("top", parents=[folds], help="largest distinct eigenvalues")
     p.add_argument("n", type=_positive_int)
     p.add_argument("count", type=_positive_int)
     p.set_defaults(func=cmd_top)
@@ -410,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_tables)
 
-    p = sub.add_parser("verify", parents=[shared], help="per-n verification matrix up to n_max")
+    p = sub.add_parser("verify", parents=[folds], help="per-n verification matrix up to n_max")
     p.add_argument("n_max", type=_positive_int)
     p.set_defaults(func=cmd_verify)
 

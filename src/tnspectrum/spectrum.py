@@ -136,8 +136,9 @@ def spectrum(n: int, *, threads: int = 1) -> Spectrum:
         raise ValueError(f"n must be positive, got {n}")
     if n > FOLD_MAX_N:
         raise ValueError(f"n = {n} exceeds the fold ceiling FOLD_MAX_N = {FOLD_MAX_N}")
-    shards = _shards(n)
-    workers = min(threads, os.cpu_count() or 1, len(shards)) if n >= PARALLEL_MIN_N else 1
+    # a fold that starts no pool is one shard, the whole walk from the empty tail
+    shards = _shards(n) if threads > 1 and n >= PARALLEL_MIN_N else [(0, 0)]
+    workers = min(threads, os.cpu_count() or 1, len(shards))
     if workers == 1:
         buckets = _fold(n, (0, 0))
     else:

@@ -90,7 +90,17 @@ class TestSpectrumCommand:
         assert serial == parallel
 
     @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
-    def test_threads_flag_with_real_workers(self, capsys, monkeypatch, fmt):
+    @pytest.mark.parametrize(
+        "argv, pools",
+        [
+            (["spectrum", "20"], [2]),
+            (["mult", "20", "0"], [2]),
+            (["top", "20", "3"], [2]),
+            (["verify", "5"], [2, 2]),  # one pool per folded row, n = 4 and 5
+        ],
+        ids=["spectrum", "mult", "top", "verify"],
+    )
+    def test_threads_flag_with_real_workers(self, capsys, monkeypatch, argv, pools, fmt):
         # the size floor would fold n = 20 in-process; at 1, main starts worker processes
         from concurrent.futures import ProcessPoolExecutor
 
@@ -102,13 +112,13 @@ class TestSpectrumCommand:
                 super().__init__(max_workers)
 
         spectrum_module = importlib.import_module("tnspectrum.spectrum")
-        serial = run(capsys, "spectrum", "20", "--format", fmt)
+        serial = run(capsys, *argv, "--format", fmt)
         monkeypatch.setattr(spectrum_module, "PARALLEL_MIN_N", 1)
         monkeypatch.setattr(spectrum_module.os, "cpu_count", lambda: 2)
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordedPool)
-        assert run(capsys, "spectrum", "20", "--format", fmt, "--threads", "2") == serial
+        assert run(capsys, *argv, "--format", fmt, "--threads", "2") == serial
         assert serial[0] == 0
-        assert started == [2]
+        assert started == pools
 
 
 class TestMultCommand:
@@ -546,6 +556,22 @@ class TestOracleCommand:
         }
         assert not path.exists()
 
+    def test_edge_dump_is_one_write(self, capsys, monkeypatch, tmp_path):
+        writes = []
+
+        def recording_open(*args, **kwargs):
+            handle = open(*args, **kwargs)
+            write = handle.write
+            handle.write = lambda text: writes.append(text) or write(text)
+            return handle
+
+        monkeypatch.setattr(cli, "open", recording_open, raising=False)
+        path = tmp_path / "edges.txt"
+        assert run(capsys, "oracle", "5", "--dump-edges", str(path))[0] == 0
+        assert len(writes) == 1
+        assert path.read_text() == writes[0]
+        assert len(writes[0].splitlines()) == 600  # 5! vertices of degree 10
+
     def test_edge_dump(self, capsys, tmp_path):
         path = tmp_path / "edges.txt"
         code, _, _ = run(capsys, "oracle", "3", "--dump-edges", str(path))
@@ -629,16 +655,22 @@ class TestGoldenProcessReplay:
 HELP = (("-h", "--help"), 0, None, None, "==SUPPRESS==", None, "show this help message and exit")
 POSITIVE = (None, "_positive_int", None, None, None, None)  # a positive-integer positional
 INTEGER = (None, "int", None, None, None, None)  # an integer positional
+FORMAT = (("--format",), None, None, ("text", "json", "csv"), "text", None, "output format")
+MAX_N = (
+    ("--max-n",), None, "_positive_int", None, 80, None, "partition-enumeration resource guard"
+)
 #: the options every subcommand shares, after its own -h
-SHARED = [
+SHARED = [HELP, FORMAT, MAX_N]
+#: the options of the four subcommands that fold, where --threads sits between the shared two
+FOLDS = [
     HELP,
-    (("--format",), None, None, ("text", "json", "csv"), "text", None, "output format"),
+    FORMAT,
     (
         ("--threads",), None, "_positive_int", None, 1, None,
         "worker processes for spectrum assembly, capped at the CPU count and the shard count "
         "and used from n = 50 on (output is unchanged)",
     ),
-    (("--max-n",), None, "_positive_int", None, 80, None, "partition-enumeration resource guard"),
+    MAX_N,
 ]
 
 
@@ -670,13 +702,13 @@ class TestParserSurface:
                 None, None, None,
             ),
         ],
-        "spectrum": [*SHARED, ("n", *POSITIVE)],
-        "mult": [*SHARED, ("n", *POSITIVE), ("value", *INTEGER)],
+        "spectrum": [*FOLDS, ("n", *POSITIVE)],
+        "mult": [*FOLDS, ("n", *POSITIVE), ("value", *INTEGER)],
         "eig": [*SHARED, ("parts", "+", "int", None, None, "part", None)],
-        "top": [*SHARED, ("n", *POSITIVE), ("count", *POSITIVE)],
+        "top": [*FOLDS, ("n", *POSITIVE), ("count", *POSITIVE)],
         "witness": [*SHARED, ("n", *POSITIVE), ("target", *INTEGER)],
         "tables": SHARED,
-        "verify": [*SHARED, ("n_max", *POSITIVE)],
+        "verify": [*FOLDS, ("n_max", *POSITIVE)],
         "oracle": [
             *SHARED,
             ("n", None, "_oracle_n", None, None, None, None),
@@ -713,6 +745,30 @@ class TestParserSurface:
             main(["--version"])
         assert exit_info.value.code == 0
         assert capsys.readouterr() == ("tnspec 0.1.0\n", "")
+
+
+class TestOptionErrors:
+    """An argument a parser does not know ends in that parser's usage error, status 2."""
+
+    CASES = [
+        (["spectrum", "6", "--bogus"], "tnspec spectrum", "--bogus"),
+        (["spectrum", "6", "7"], "tnspec spectrum", "7"),
+        (["--bogus", "spectrum", "6"], "tnspec", "--bogus"),
+        # --threads is offered only where a fold can use it
+        (["eig", "3", "1", "--threads", "2"], "tnspec eig", "--threads 2"),
+        (["witness", "9", "0", "--threads", "2"], "tnspec witness", "--threads 2"),
+        (["tables", "--threads", "2"], "tnspec tables", "--threads 2"),
+        (["oracle", "4", "--threads", "2"], "tnspec oracle", "--threads 2"),
+    ]
+
+    @pytest.mark.parametrize("argv, prog, unknown", CASES, ids=[" ".join(c[0]) for c in CASES])
+    def test_usage_of_the_parser_that_reads_it(self, capsys, argv, prog, unknown):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        out, stderr = capsys.readouterr()
+        assert (err.value.code, out) == (2, "")
+        assert stderr.startswith(f"usage: {prog} [-h] ")
+        assert stderr.endswith(f"\n{prog}: error: unrecognized arguments: {unknown}\n")
 
 
 class TestDeterminism:

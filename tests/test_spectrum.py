@@ -265,6 +265,17 @@ class TestSpectrum:
         assert roots == [(30, (0, 0))] * 2
         assert pools.sizes == []
 
+    def test_serial_fold_builds_no_shards(self, pools, monkeypatch):
+        def shards(n):
+            raise AssertionError(f"built the shards of n = {n} for an in-process fold")
+
+        serial = spectrum(30)
+        monkeypatch.setattr(spectrum_module, "_shards", shards)
+        assert spectrum(30) == serial
+        monkeypatch.setattr(spectrum_module, "PARALLEL_MIN_N", 1)
+        assert spectrum(30, threads=1) == serial
+        assert pools.sizes == []
+
     def test_worker_count_is_capped(self, pools, monkeypatch):
         monkeypatch.setattr(spectrum_module, "PARALLEL_MIN_N", 1)
         serial = spectrum(30)
@@ -305,17 +316,16 @@ class TestSpectrum:
 
 
 class Folding(Exception):
-    """Raised in place of ``_shards``: the fold was about to start."""
+    """Raised in place of ``_fold``: the fold was about to start."""
 
 
 class TestFoldCeiling:
     @pytest.fixture
     def unfolded(self, monkeypatch):
-        # spectrum asks _shards for the worker cap before it folds, even in-process
-        def shards(n):
+        def fold(n, root):
             raise Folding(n)
 
-        monkeypatch.setattr(spectrum_module, "_shards", shards)
+        monkeypatch.setattr(spectrum_module, "_fold", fold)
 
     @pytest.mark.parametrize("n", [FOLD_MAX_N + 1, 10**19])
     @pytest.mark.parametrize(
@@ -415,10 +425,11 @@ class TestWalkCountMoments:
         for k in range(steps + 1):
             assert sum(m * v**k for v, m in entries) == math.factorial(n) * walks[k], k
 
-    @pytest.mark.parametrize("n", [*range(13, 31), 40, 50, 60])
+    @pytest.mark.parametrize("n", [*range(13, 31), *range(38, 45), 50, 60])
     def test_low_moments(self, n, spectra_up_to_30):
         # past n = 12 the moments 0..24 only: too few to fix every multiplicity,
-        # but each one is still an exact check of the whole spectrum
+        # but each one is still an exact check of the whole spectrum; n = 38..44
+        # are the sizes the spectrum-serial benchmark folds
         walks = transposition_walks(n, 24)
         entries = (spectra_up_to_30.get(n) or spectrum(n)).entries
         for k in range(25):
