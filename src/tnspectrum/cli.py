@@ -263,12 +263,11 @@ def cmd_tables(args) -> Output:
     )
 
 
-def _verify_row(args, n: int) -> dict[str, str]:
+def _verify_row(n: int) -> dict[str, str]:
     """PASS, FAIL or SKIP for each check at ``n``, in column order."""
     from .witnesses import NoWitnessError, verify_witness
 
-    spec = _run_fold(args, spectrum, n)
-    top = spec.entries
+    spec = spectrum(n)
     checks = spec.invariant_checks()
     try:
         witness_one = _pass(verify_witness(n, 1).verified)
@@ -277,13 +276,13 @@ def _verify_row(args, n: int) -> dict[str, str]:
     partitions = enumerate_partitions(n)
     return {
         "largest": _pass(checks["largest_eigenvalue_is_simple"]),
-        "second": _pass(top[1] == (n * (n - 3) // 2, (n - 1) ** 2)),
-        "third": _pass(top[2] == ((n - 1) * (n - 4) // 2, (n * (n - 3) // 2) ** 2)),
+        "second": _pass(spec.entries[1] == (n * (n - 3) // 2, (n - 1) ** 2)),
+        "third": _pass(spec.entries[2] == ((n - 1) * (n - 4) // 2, (n * (n - 3) // 2) ** 2)),
         # the fourth-largest formula needs n > 6: at n = 6 a second partition
         # shares the value and inflates the multiplicity
         "fourth": "SKIP"
         if n <= 6
-        else _pass(top[3] == (n * (n - 5) // 2, ((n - 1) * (n - 2) // 2) ** 2)),
+        else _pass(spec.entries[3] == (n * (n - 5) // 2, ((n - 1) * (n - 2) // 2) ** 2)),
         "invariants": _pass(all(checks.values())),
         "bound": _pass(all(eigenvalue(p) <= eigenvalue_upper_bound(p) for p in partitions)),
         "witness_zero": _pass(verify_witness(n, 0).verified),
@@ -295,7 +294,7 @@ def cmd_verify(args) -> Output:
     if args.n_max < 4:
         raise CommandError(args.n_max, "n_max must be at least 4", 2)
     _check_max_n(args, args.n_max, "n_max", fold=True)
-    rows = {n: _verify_row(args, n) for n in range(4, args.n_max + 1)}
+    rows = {n: _verify_row(n) for n in range(4, args.n_max + 1)}
     all_pass = all(status != "FAIL" for row in rows.values() for status in row.values())
     verdict = "all checks passed" if all_pass else "FAILURES found"
     return Output(
@@ -354,7 +353,7 @@ def cmd_oracle(args) -> Output:
 
 
 def _options(threads: bool) -> argparse.ArgumentParser:
-    """``--format``, then ``--threads`` on the subcommands that fold, then ``--max-n``."""
+    """``--format``, then ``--threads`` where a fold runs on workers, then ``--max-n``."""
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument(
         "--format", choices=("text", "json", "csv"), default="text", help="output format"
@@ -429,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_tables)
 
-    p = sub.add_parser("verify", parents=[folds], help="per-n verification matrix up to n_max")
+    p = sub.add_parser("verify", parents=[shared], help="per-n verification matrix up to n_max")
     p.add_argument("n_max", type=_positive_int)
     p.set_defaults(func=cmd_verify)
 

@@ -1,3 +1,4 @@
+import functools
 import os
 import pathlib
 
@@ -12,6 +13,13 @@ SRC = pathlib.Path(__file__).parents[1] / "src"
 def spectra_up_to_30():
     """Exact spectra for n = 2..30, shared across the closed-form checks."""
     return {n: spectrum(n) for n in range(2, 31)}
+
+
+@pytest.fixture(scope="session")
+def large_spectra():
+    """``spectrum`` with each n folded once for the session, for the sizes past 30 that
+    several tests check: n = 38..44, which the spectrum-serial benchmark folds, 50 and 60."""
+    return functools.cache(spectrum)
 
 
 @pytest.fixture(scope="session")

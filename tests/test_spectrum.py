@@ -29,6 +29,8 @@ partitions_st = st.builds(
 
 spectrum_module = importlib.import_module("tnspectrum.spectrum")
 FOLD_MAX_N = spectrum_module.FOLD_MAX_N
+#: the sizes past n = 30 that the closed forms and the walk moments are checked at
+LARGE_NS = [*range(38, 45), 50, 60]
 
 
 def plain_fold(n):
@@ -308,6 +310,14 @@ class TestSpectrum:
                 merged[value] = merged.get(value, 0) + mult
         assert fold(n, (0, 0)) == merged
 
+    def test_smallest_tail_first(self):
+        # the pool's queue hands out the shards in this order, largest subtrees first;
+        # of two equal tails s*m the one with the shorter rows comes first
+        assert spectrum_module._shards(6) == [(6, 0), (1, 1), (1, 2), (2, 1), (3, 1)]
+        for n in range(1, 61):
+            keys = [(s * m, s) for s, m in spectrum_module._shards(n)]
+            assert keys == sorted(keys), n
+
     @pytest.mark.parametrize("n", range(1, 31))
     def test_one_row_shard(self, n):
         # the empty rectangle n^0 is the partition (n) alone; at n = 1 both keys are 0
@@ -425,13 +435,12 @@ class TestWalkCountMoments:
         for k in range(steps + 1):
             assert sum(m * v**k for v, m in entries) == math.factorial(n) * walks[k], k
 
-    @pytest.mark.parametrize("n", [*range(13, 31), *range(38, 45), 50, 60])
-    def test_low_moments(self, n, spectra_up_to_30):
+    @pytest.mark.parametrize("n", [*range(13, 31), *LARGE_NS])
+    def test_low_moments(self, n, spectra_up_to_30, large_spectra):
         # past n = 12 the moments 0..24 only: too few to fix every multiplicity,
-        # but each one is still an exact check of the whole spectrum; n = 38..44
-        # are the sizes the spectrum-serial benchmark folds
+        # but each one is still an exact check of the whole spectrum
         walks = transposition_walks(n, 24)
-        entries = (spectra_up_to_30.get(n) or spectrum(n)).entries
+        entries = (spectra_up_to_30.get(n) or large_spectra(n)).entries
         for k in range(25):
             assert sum(m * v**k for v, m in entries) == math.factorial(n) * walks[k], k
 
@@ -534,3 +543,16 @@ class TestClosedFormsSmallRange:
         spec = spectra_up_to_30[6]
         assert spec.entries[3][0] == 3
         assert spec.entries[3][1] == 125 != 100
+
+
+class TestClosedFormsPast30:
+    """Acceptance criteria 3 and 4's second, third and fourth largest eigenvalues and
+    their multiplicities, at the sizes past 30 whose spectra the walk moments check."""
+
+    @pytest.mark.parametrize("n", LARGE_NS)
+    def test_second_to_fourth_largest(self, n, large_spectra):
+        assert large_spectra(n).entries[1:4] == (
+            (n * (n - 3) // 2, (n - 1) ** 2),
+            ((n - 1) * (n - 4) // 2, (n * (n - 3) // 2) ** 2),
+            (n * (n - 5) // 2, ((n - 1) * (n - 2) // 2) ** 2),
+        )
