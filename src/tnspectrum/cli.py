@@ -38,7 +38,6 @@ from .partitions import (
 )
 from .spectrum import (
     FOLD_MAX_N,
-    PARALLEL_MIN_N,
     character_ratio,
     eigenvalue,
     eigenvalue_upper_bound,
@@ -117,9 +116,9 @@ def _check_max_n(args, n: int, name: str | None = None, fold: bool = False) -> N
 
 
 def _run_fold(args, query, n: int, *rest):
-    """``query(n, *rest)`` behind the resource guards, on ``--threads`` workers."""
+    """``query(n, *rest)`` behind the resource guards, on every worker ``spectrum`` allows."""
     _check_max_n(args, n, fold=True)
-    return query(n, *rest, threads=args.threads)
+    return query(n, *rest, threads=os.cpu_count() or 1)
 
 
 def _pass(ok: bool) -> str:
@@ -352,30 +351,6 @@ def cmd_oracle(args) -> Output:
     )
 
 
-def _options(threads: bool) -> argparse.ArgumentParser:
-    """``--format``, then ``--threads`` where a fold runs on workers, then ``--max-n``."""
-    parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument(
-        "--format", choices=("text", "json", "csv"), default="text", help="output format"
-    )
-    if threads:
-        parent.add_argument(
-            "--threads",
-            type=_positive_int,
-            default=1,
-            help="worker processes for spectrum assembly, capped at the CPU count and the "
-            f"shard count and used from n = {PARALLEL_MIN_N} on (output is unchanged)",
-        )
-    parent.add_argument(
-        "--max-n",
-        dest="max_n",
-        type=_positive_int,
-        default=DEFAULT_MAX_N,
-        help="partition-enumeration resource guard",
-    )
-    return parent
-
-
 class _Subcommand(argparse.ArgumentParser):
     """A subcommand's parser: an argument it does not know ends in its own usage error.
 
@@ -390,7 +365,17 @@ class _Subcommand(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    shared, folds = _options(threads=False), _options(threads=True)
+    shared = argparse.ArgumentParser(add_help=False)  # the options every subcommand takes
+    shared.add_argument(
+        "--format", choices=("text", "json", "csv"), default="text", help="output format"
+    )
+    shared.add_argument(
+        "--max-n",
+        dest="max_n",
+        type=_positive_int,
+        default=DEFAULT_MAX_N,
+        help="partition-enumeration resource guard",
+    )
     parser = argparse.ArgumentParser(
         prog="tnspec",
         description="Exact spectra of transposition graphs.",
@@ -398,11 +383,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
 
-    p = sub.add_parser("spectrum", parents=[folds], help="full spectrum with exact multiplicities")
+    p = sub.add_parser("spectrum", parents=[shared], help="full spectrum with exact multiplicities")
     p.add_argument("n", type=_positive_int)
     p.set_defaults(func=cmd_spectrum)
 
-    p = sub.add_parser("mult", parents=[folds], help="multiplicity of one eigenvalue")
+    p = sub.add_parser("mult", parents=[shared], help="multiplicity of one eigenvalue")
     p.add_argument("n", type=_positive_int)
     p.add_argument("value", type=int)
     p.set_defaults(func=cmd_mult)
@@ -411,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("parts", type=int, nargs="+", metavar="part")
     p.set_defaults(func=cmd_eig)
 
-    p = sub.add_parser("top", parents=[folds], help="largest distinct eigenvalues")
+    p = sub.add_parser("top", parents=[shared], help="largest distinct eigenvalues")
     p.add_argument("n", type=_positive_int)
     p.add_argument("count", type=_positive_int)
     p.set_defaults(func=cmd_top)

@@ -88,11 +88,12 @@ class Spectrum(NamedTuple):
 
 
 #: Below this n a spectrum is folded in-process whatever ``threads`` asks for.
-#: Whole-process wall time in fresh interpreters on a 2-core box, 12 alternating
-#: pairs per n, ``threads=2`` against serial: median speedup 0.97x at n = 48
-#: (two workers faster in 4 of 12), 1.14x at n = 50 (7 of 12), 1.50x at n = 52
-#: and 1.58x at n = 56 (12 of 12 each). At n = 50 the gain is a median, not a rule.
-PARALLEL_MIN_N = 50
+#: Whole-process wall time in fresh interpreters on a 2-core box, alternating
+#: pairs, ``threads=2`` against serial: two workers were faster in 4 of 12 pairs
+#: at n = 48, 7 of 12 at n = 50, and 5 of 8 and 12 of 12 in two sets at n = 51.
+#: At n = 52 they were faster in every pair of four sets (12, 8, 12 and 10 pairs),
+#: and at n = 56 in 12 of 12: from 52 on the gain holds per run, not only in the median.
+PARALLEL_MIN_N = 52
 
 #: The largest n ``spectrum`` folds. At n = 300 the walk is 150 frames deep, down
 #: the tail 1^149, and the n(n - 1) + 1 buckets of at most n! each hold about
@@ -121,11 +122,13 @@ def spectrum(n: int, *, threads: int = 1) -> Spectrum:
     In-process the walk is one tree, rooted at the empty tail. With
     ``threads`` > 1 and n at least ``PARALLEL_MIN_N`` it is cut into shards by
     the tail's bottom run (s, m), exactly m rows of length s with only longer
-    rows above them, and each shard is one task for min(threads, CPU count,
+    rows above them, and each shard is one task for min(threads, usable CPUs,
     shard count) worker processes, none started when that is 1; an idle
     worker takes the next shard from the pool's queue, largest subtrees
-    first. Bucket addition is commutative and associative, so the result is
-    identical to the serial one.
+    first. The usable CPUs are those the process's affinity mask allows,
+    not every CPU of the machine: pinned to one CPU, two workers lost to the
+    serial fold at n = 56 in 8 of 10 alternating pairs. Bucket addition is
+    commutative and associative, so the result is identical to the serial one.
 
     An n below 1 or above ``FOLD_MAX_N`` raises ValueError before any fold, and
     so do ``multiplicity`` and ``top_eigenvalues``.
@@ -138,7 +141,7 @@ def spectrum(n: int, *, threads: int = 1) -> Spectrum:
         raise ValueError(f"n = {n} exceeds the fold ceiling FOLD_MAX_N = {FOLD_MAX_N}")
     # a fold that starts no pool is one shard, the whole walk from the empty tail
     shards = _shards(n) if threads > 1 and n >= PARALLEL_MIN_N else [(0, 0)]
-    workers = min(threads, os.cpu_count() or 1, len(shards))
+    workers = min(threads, _usable_cpus(), len(shards))
     if workers == 1:
         buckets = _fold(n, (0, 0))
     else:
@@ -151,6 +154,13 @@ def spectrum(n: int, *, threads: int = 1) -> Spectrum:
                     buckets[value] = buckets.get(value, 0) + mult
     entries = tuple(sorted(buckets.items(), reverse=True))
     return Spectrum(n=n, entries=entries)
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _shards(n: int) -> list[tuple[int, int]]:

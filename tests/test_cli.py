@@ -29,14 +29,22 @@ from tnspectrum.witnesses import WitnessReport
 GOLDEN_PATH = pathlib.Path(__file__).with_name("cli_golden.json")
 GOLDEN = json.loads(GOLDEN_PATH.read_text())
 #: the digest of the file as it was first captured, except that the three ``oracle 5``
-#: cases were captured anew, without ``--tolerance``, when that option was removed
-GOLDEN_SHA256 = "71cb0a19b76c9cae223081bfc4fa9cecbf119d04889fbec9db32da10d361013d"
+#: cases were captured anew, without ``--tolerance``, when that option was removed, and
+#: the three ``spectrum 12`` cases lost ``--threads 3`` from their argv, with their
+#: captured output untouched, when ``spectrum`` stopped taking it
+GOLDEN_SHA256 = "538cb5941bbfa01d5307408680593502c094f19b5c3b8b30a308c28f4676e3ec"
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def usable_cpus(monkeypatch, count):
+    """Run on a machine of ``count`` CPUs, every one of them usable by this process."""
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
 
 
 def forbidden(name):
@@ -84,11 +92,6 @@ class TestSpectrumCommand:
         assert code == 2
         assert "exceeds" in err
 
-    def test_threads_flag_output_unchanged(self, capsys):
-        _, serial, _ = run(capsys, "spectrum", "12", "--format", "json")
-        _, parallel, _ = run(capsys, "spectrum", "12", "--format", "json", "--threads", "3")
-        assert serial == parallel
-
     @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
     @pytest.mark.parametrize(
         "argv",
@@ -96,7 +99,8 @@ class TestSpectrumCommand:
         ids=["spectrum", "mult", "top"],
     )
     def test_threads_flag_with_real_workers(self, capsys, monkeypatch, argv, fmt):
-        # the size floor would fold n = 20 in-process; at 1, main starts worker processes
+        # no flag asks for workers: with the size floor at 1 and two usable CPUs, main
+        # starts a pool of two on its own, and its output is the one-CPU run's
         from concurrent.futures import ProcessPoolExecutor
 
         started = []
@@ -106,12 +110,12 @@ class TestSpectrumCommand:
                 started.append(max_workers)
                 super().__init__(max_workers)
 
-        spectrum_module = importlib.import_module("tnspectrum.spectrum")
-        serial = run(capsys, *argv, "--format", fmt)
-        monkeypatch.setattr(spectrum_module, "PARALLEL_MIN_N", 1)
-        monkeypatch.setattr(spectrum_module.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(importlib.import_module("tnspectrum.spectrum"), "PARALLEL_MIN_N", 1)
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordedPool)
-        assert run(capsys, *argv, "--format", fmt, "--threads", "2") == serial
+        usable_cpus(monkeypatch, 1)
+        serial = run(capsys, *argv, "--format", fmt)
+        usable_cpus(monkeypatch, 2)
+        assert run(capsys, *argv, "--format", fmt) == serial
         assert serial[0] == 0
         assert started == [2]
 
@@ -483,7 +487,7 @@ class TestVerifyCommand:
         # every row is past the size floor here, and two CPUs would give two workers
         spectrum_module = importlib.import_module("tnspectrum.spectrum")
         monkeypatch.setattr(spectrum_module, "PARALLEL_MIN_N", 1)
-        monkeypatch.setattr(spectrum_module.os, "cpu_count", lambda: 2)
+        usable_cpus(monkeypatch, 2)
         monkeypatch.setattr(
             "concurrent.futures.ProcessPoolExecutor", forbidden("ProcessPoolExecutor")
         )
@@ -667,18 +671,6 @@ MAX_N = (
 )
 #: the options every subcommand shares, after its own -h
 SHARED = [HELP, FORMAT, MAX_N]
-#: the options of the three subcommands that fold on workers, where --threads sits between
-#: the shared two
-FOLDS = [
-    HELP,
-    FORMAT,
-    (
-        ("--threads",), None, "_positive_int", None, 1, None,
-        "worker processes for spectrum assembly, capped at the CPU count and the shard count "
-        "and used from n = 50 on (output is unchanged)",
-    ),
-    MAX_N,
-]
 
 
 class TestParserSurface:
@@ -709,10 +701,10 @@ class TestParserSurface:
                 None, None, None,
             ),
         ],
-        "spectrum": [*FOLDS, ("n", *POSITIVE)],
-        "mult": [*FOLDS, ("n", *POSITIVE), ("value", *INTEGER)],
+        "spectrum": [*SHARED, ("n", *POSITIVE)],
+        "mult": [*SHARED, ("n", *POSITIVE), ("value", *INTEGER)],
         "eig": [*SHARED, ("parts", "+", "int", None, None, "part", None)],
-        "top": [*FOLDS, ("n", *POSITIVE), ("count", *POSITIVE)],
+        "top": [*SHARED, ("n", *POSITIVE), ("count", *POSITIVE)],
         "witness": [*SHARED, ("n", *POSITIVE), ("target", *INTEGER)],
         "tables": SHARED,
         "verify": [*SHARED, ("n_max", *POSITIVE)],
@@ -761,7 +753,10 @@ class TestOptionErrors:
         (["spectrum", "6", "--bogus"], "tnspec spectrum", "--bogus"),
         (["spectrum", "6", "7"], "tnspec spectrum", "7"),
         (["--bogus", "spectrum", "6"], "tnspec", "--bogus"),
-        # --threads is offered only where a fold runs on workers
+        # no subcommand offers --threads: the folds size their own worker pool
+        (["spectrum", "6", "--threads", "2"], "tnspec spectrum", "--threads 2"),
+        (["mult", "6", "0", "--threads", "2"], "tnspec mult", "--threads 2"),
+        (["top", "6", "1", "--threads", "2"], "tnspec top", "--threads 2"),
         (["eig", "3", "1", "--threads", "2"], "tnspec eig", "--threads 2"),
         (["witness", "9", "0", "--threads", "2"], "tnspec witness", "--threads 2"),
         (["tables", "--threads", "2"], "tnspec tables", "--threads 2"),
@@ -882,9 +877,10 @@ class TestProcessExit:
         assert (result.returncode, result.stderr) == (2, b"")
 
     def test_workers_end_with_the_process(self, capsys, child_env):
-        _, serial, _ = run(capsys, "spectrum", "50")
+        # from n = 52 on, with two usable CPUs, the process folds on a pool of its own
+        _, expected, _ = run(capsys, "spectrum", "52")
         proc = subprocess.Popen(
-            [sys.executable, "-m", "tnspectrum", "spectrum", "50", "--threads", "2"],
+            [sys.executable, "-m", "tnspectrum", "spectrum", "52"],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             env=tnspec_env(child_env, False),
@@ -898,7 +894,7 @@ class TestProcessExit:
                 left_behind = True
             except ProcessLookupError:
                 left_behind = False
-        assert (proc.returncode, out.decode(), err) == (0, serial, b"")
+        assert (proc.returncode, out.decode(), err) == (0, expected, b"")
         assert not left_behind
 
 

@@ -44,7 +44,7 @@ def plain_fold(n):
 
 @pytest.fixture
 def pools(monkeypatch):
-    """Swap the process pool for an in-process one on a 4-CPU machine.
+    """Swap the process pool for an in-process one on a machine of 4 CPUs, all usable.
 
     ``sizes`` lists the worker count of each pool built, ``maps`` the function
     and argument lists of each ``map`` call.
@@ -70,6 +70,9 @@ def pools(monkeypatch):
 
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(spectrum_module.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(
+        spectrum_module.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False
+    )
     return built
 
 
@@ -262,8 +265,8 @@ class TestSpectrum:
         roots.clear()
         spectrum(30, threads=2)  # below PARALLEL_MIN_N
         monkeypatch.setattr(spectrum_module, "PARALLEL_MIN_N", 1)
-        monkeypatch.setattr(spectrum_module.os, "cpu_count", lambda: 1)
-        spectrum(30, threads=2)  # one CPU
+        monkeypatch.setattr(spectrum_module.os, "sched_getaffinity", lambda pid: {0})
+        spectrum(30, threads=2)  # one usable CPU
         assert roots == [(30, (0, 0))] * 2
         assert pools.sizes == []
 
@@ -282,17 +285,38 @@ class TestSpectrum:
         monkeypatch.setattr(spectrum_module, "PARALLEL_MIN_N", 1)
         serial = spectrum(30)
         assert spectrum(30, threads=10**6) == serial
-        assert pools.sizes == [4]  # min(threads, CPU count 4, 58 shards)
+        assert pools.sizes == [4]  # min(threads, 4 usable CPUs, 58 shards)
         assert spectrum(2, threads=3) == spectrum(2)
         assert pools.sizes == [4]  # one shard: no pool at all
+        # no affinity mask on the platform, and the CPU count unknown: one worker, no pool
+        monkeypatch.delattr(spectrum_module.os, "sched_getaffinity")
         monkeypatch.setattr(spectrum_module.os, "cpu_count", lambda: None)
         assert spectrum(30, threads=8) == serial
-        assert pools.sizes == [4]  # CPU count unknown: one worker, no pool
+        assert pools.sizes == [4]
+
+    def test_workers_only_on_usable_cpus(self, pools, monkeypatch):
+        # 4 CPUs in the machine, fewer in the process's affinity mask
+        monkeypatch.setattr(spectrum_module, "PARALLEL_MIN_N", 1)
+        serial = spectrum(30)
+        monkeypatch.setattr(spectrum_module.os, "sched_getaffinity", lambda pid: {0})
+        assert spectrum(30, threads=4) == serial
+        assert pools.sizes == []
+        monkeypatch.setattr(spectrum_module.os, "sched_getaffinity", lambda pid: {0, 1})
+        assert spectrum(30, threads=4) == serial
+        assert pools.sizes == [2]
 
     def test_small_spectra_start_no_pool(self, pools):
         assert spectrum(20, threads=2) == spectrum(20)
         assert pools.sizes == []
         spectrum(spectrum_module.PARALLEL_MIN_N, threads=2)
+        assert pools.sizes == [2]
+
+    def test_pool_floor(self, pools, monkeypatch):
+        # two workers beat the serial fold in every measured run from n = 52 on, not below
+        monkeypatch.setattr(spectrum_module, "_fold", lambda n, root: {})
+        spectrum(51, threads=2)
+        assert pools.sizes == []
+        spectrum(52, threads=2)
         assert pools.sizes == [2]
 
     def test_rejects_bad_thread_count(self):
