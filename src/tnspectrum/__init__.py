@@ -13,7 +13,6 @@ from ``tnspectrum.oracle``; importing the package (or the CLI) loads neither.
 """
 
 from .partitions import (
-    DEFAULT_MAX_N,
     ORACLE_MAX_N,
     ORACLE_MIN_N,
     Partition,
@@ -35,7 +34,6 @@ from .spectrum import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEFAULT_MAX_N",
     "ORACLE_MAX_N",
     "ORACLE_MIN_N",
     "Partition",

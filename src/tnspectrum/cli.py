@@ -29,7 +29,6 @@ from typing import NamedTuple, NoReturn
 
 from . import __version__
 from .partitions import (
-    DEFAULT_MAX_N,
     ORACLE_MAX_N,
     ORACLE_MIN_N,
     Partition,
@@ -45,6 +44,9 @@ from .spectrum import (
     spectrum,
     top_eigenvalues,
 )
+
+#: The default of ``--max-n``; p(80) is already ~1.6e7 partitions.
+DEFAULT_MAX_N = 80
 
 #: Known multiplicities of the eigenvalue zero, keyed by n (n = 2 has none).
 ZERO_MULTIPLICITIES = {
@@ -116,9 +118,12 @@ def _check_max_n(args, n: int, name: str | None = None, fold: bool = False) -> N
 
 
 def _run_fold(args, query, n: int, *rest):
-    """``query(n, *rest)`` behind the resource guards, on every worker ``spectrum`` allows."""
+    """``query(n, *rest)`` behind the resource guards, on every worker ``spectrum`` allows.
+
+    ``sys.maxsize`` is no cap: ``spectrum`` alone reads the usable CPUs and caps there.
+    """
     _check_max_n(args, n, fold=True)
-    return query(n, *rest, threads=os.cpu_count() or 1)
+    return query(n, *rest, threads=sys.maxsize)
 
 
 def _pass(ok: bool) -> str:

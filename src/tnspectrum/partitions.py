@@ -10,9 +10,6 @@ from __future__ import annotations
 import math
 from typing import Iterator
 
-#: The default of the CLI's ``--max-n``; p(80) is already ~1.6e7 partitions.
-DEFAULT_MAX_N = 80
-
 #: The range of n the brute-force oracle builds the n! x n! graph for; 720
 #: vertices at n = 6, and dense diagonalization beyond that is a time sink.
 ORACLE_MIN_N = 2

@@ -17,7 +17,7 @@ import sys
 import numpy as np
 import pytest
 
-from tnspectrum import DEFAULT_MAX_N, Partition, multiplicity
+from tnspectrum import Partition, multiplicity
 from tnspectrum import cli
 from tnspectrum.cli import ONE_MULTIPLICITIES, ZERO_MULTIPLICITIES, build_parser, main
 from tnspectrum.spectrum import FOLD_MAX_N
@@ -42,8 +42,7 @@ def run(capsys, *argv):
 
 
 def usable_cpus(monkeypatch, count):
-    """Run on a machine of ``count`` CPUs, every one of them usable by this process."""
-    monkeypatch.setattr(os, "cpu_count", lambda: count)
+    """Let this process run on ``count`` CPUs: the affinity mask, the one CPU reading."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
 
 
@@ -110,6 +109,11 @@ class TestSpectrumCommand:
                 started.append(max_workers)
                 super().__init__(max_workers)
 
+        def cpu_count():
+            raise AssertionError("os.cpu_count was read")
+
+        # the affinity mask alone sizes the pool: nothing reads the CPU count
+        monkeypatch.setattr(os, "cpu_count", cpu_count)
         monkeypatch.setattr(importlib.import_module("tnspectrum.spectrum"), "PARALLEL_MIN_N", 1)
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordedPool)
         usable_cpus(monkeypatch, 1)
@@ -989,7 +993,7 @@ class TestInputContract:
             return rng.choice((rng.randint(-3, 30), rng.randint(-BIG, BIG)))
 
         max_n = rng.choice((None, integer()))
-        guard = max_n if max_n is not None and max_n > 0 else DEFAULT_MAX_N
+        guard = max_n if max_n is not None and max_n > 0 else cli.DEFAULT_MAX_N
 
         def size():
             return rng.choice(
@@ -1017,12 +1021,10 @@ class TestInputContract:
         options = ["--format", rng.choice(("text", "json", "csv"))]
         if max_n is not None:
             options += ["--max-n", str(max_n)]
-        if rng.random() < 0.3:
-            options += ["--threads", str(integer())]
-        if rng.random() < 0.3:  # an unknown option: argparse's usage error
-            options += ["--tolerance", rng.choice((str(rng.uniform(-1, 1)), "nan", "inf", "0.1"))]
-        if rng.random() < 0.2:
+        if command == "oracle" and rng.random() < 0.2:
             options += ["--dump-edges", rng.choice(("edges.txt", ".", "missing/edges.txt"))]
+        if rng.random() < 0.1:  # an unknown option: argparse's usage error
+            options.append("--bogus")
         argv = [command, *map(str, positional)]
         argv = argv + options if rng.random() < 0.7 else argv[:1] + options + argv[1:]
         if rng.random() < 0.15:
@@ -1033,10 +1035,12 @@ class TestInputContract:
         monkeypatch.chdir(tmp_path)  # --dump-edges writes its relative paths here
         rng = random.Random(2204_03153)
         succeeded = set()
+        parsed = 0
         for _ in range(self.CASES):
             argv = self.draw(rng)
             try:
                 code = main(argv)
+                parsed += 1
             except SystemExit as exc:
                 code = exc.code
             except Exception as exc:  # noqa: BLE001 - the contract is that nothing else escapes
@@ -1047,6 +1051,8 @@ class TestInputContract:
                 succeeded.add(argv[0])
         # every command body, and so every import it makes, ran at least once
         assert succeeded >= set(COMMANDS)
+        # and most draws reach a command, not argparse's usage error (271 of 600)
+        assert parsed >= 250
 
 
 class TestEntryPoint:
