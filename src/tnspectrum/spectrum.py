@@ -8,6 +8,8 @@ spectrum is a bucket sum over all p(n) partitions.
 
 from __future__ import annotations
 
+import builtins
+import marshal
 import math
 import numbers
 import os
@@ -88,12 +90,12 @@ class Spectrum(NamedTuple):
 
 
 #: Below this n a spectrum is folded in-process whatever ``threads`` asks for.
-#: Whole-process wall time in fresh interpreters on a 2-core box, alternating
-#: pairs, ``threads=2`` against serial: two workers were faster in 4 of 12 pairs
-#: at n = 48, 7 of 12 at n = 50, and 5 of 8 and 12 of 12 in two sets at n = 51.
-#: At n = 52 they were faster in every pair of four sets (12, 8, 12 and 10 pairs),
-#: and at n = 56 in 12 of 12: from 52 on the gain holds per run, not only in the median.
-PARALLEL_MIN_N = 52
+#: Whole-process wall time of ``tnspec spectrum N`` in fresh interpreters on a 2-core
+#: box, two forked workers against the serial fold, 12 alternating pairs per n and
+#: set: at n = 26, 28, ..., 38 the forked fold won 3, 4, 8, 10, 10, 6 and 12 pairs in
+#: one set, 3, 10, 10, 8, 12, 11 and 11 in a second and 1, 6, 10, 8, 10, 12 and 12 in
+#: a third. From n = 38 on it won the median and at least 9 of 12 pairs in every set.
+PARALLEL_MIN_N = 38
 
 #: The largest n ``spectrum`` folds. At n = 300 the walk is 150 frames deep, down
 #: the tail 1^149, and the n(n - 1) + 1 buckets of at most n! each hold about
@@ -122,13 +124,16 @@ def spectrum(n: int, *, threads: int = 1) -> Spectrum:
     In-process the walk is one tree, rooted at the empty tail. With
     ``threads`` > 1 and n at least ``PARALLEL_MIN_N`` it is cut into shards by
     the tail's bottom run (s, m), exactly m rows of length s with only longer
-    rows above them, and each shard is one task for min(threads, usable CPUs,
-    shard count) worker processes, none started when that is 1; an idle
-    worker takes the next shard from the pool's queue, largest subtrees
-    first. The usable CPUs are those the process's affinity mask allows,
-    not every CPU of the machine: pinned to one CPU, two workers lost to the
-    serial fold at n = 56 in 8 of 10 alternating pairs. Bucket addition is
-    commutative and associative, so the result is identical to the serial one.
+    rows above them, and folded by min(threads, usable CPUs, shard count)
+    processes: the caller and the workers it forks, none forked when that is 1.
+    They drain one queue of shards, largest subtrees first, so an idle worker
+    takes the next shard; each worker moves itself off the caller's CPU, as a
+    forked process may otherwise stay on its parent's. The usable CPUs are
+    those the process's affinity mask allows, not every CPU of the machine:
+    pinned to one CPU, two workers lost to the serial fold at n = 56 in 8 of 10
+    alternating pairs. Where ``os.fork`` is missing there is one, and every
+    fold runs in-process. Bucket addition is commutative and associative, so
+    the result is identical to the serial one.
 
     An n below 1 or above ``FOLD_MAX_N`` raises ValueError before any fold, and
     so do ``multiplicity`` and ``top_eigenvalues``.
@@ -139,35 +144,125 @@ def spectrum(n: int, *, threads: int = 1) -> Spectrum:
         raise ValueError(f"n must be positive, got {n}")
     if n > FOLD_MAX_N:
         raise ValueError(f"n = {n} exceeds the fold ceiling FOLD_MAX_N = {FOLD_MAX_N}")
-    # a fold that starts no pool is one shard, the whole walk from the empty tail
+    # a fold that forks no worker is one shard, the whole walk from the empty tail
     shards = _shards(n) if threads > 1 and n >= PARALLEL_MIN_N else [(0, 0)]
     workers = min(threads, _usable_cpus(), len(shards))
-    if workers == 1:
-        buckets = _fold(n, (0, 0))
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        buckets = {}
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for partial in pool.map(_fold, [n] * len(shards), shards):
-                for value, mult in partial.items():
-                    buckets[value] = buckets.get(value, 0) + mult
+    buckets = _fold(n, (0, 0)) if workers == 1 else _fold_forked(n, shards, workers)
     entries = tuple(sorted(buckets.items(), reverse=True))
     return Spectrum(n=n, entries=entries)
 
 
 def _usable_cpus() -> int:
-    """The CPUs this process may run on: its affinity mask where the platform has one."""
+    """The CPUs this process may fold on: its affinity mask where the platform has one.
+
+    A platform without ``os.fork`` has one: ``spectrum`` folds there in-process.
+    """
+    if not hasattr(os, "fork"):
+        return 1
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _fold_forked(n: int, shards: list[tuple[int, int]], workers: int) -> dict[int, int]:
+    """The buckets of all ``shards``, folded by the caller and ``workers - 1`` forked children.
+
+    The shards' indices wait in one queue pipe, 2 bytes each in ``_shards``' order; at
+    n = 300 they take 2,386 bytes, one atomic write. Every process, the caller too, reads
+    one index at a time and folds that shard until the pipe is empty, so an idle worker
+    takes the next shard, largest subtrees first. Each child first moves itself onto the
+    usable CPUs but the caller's: on a 2-core box whose scheduler left a forked child on
+    its parent's CPU, ``tnspec spectrum N`` with the move beat it without in 35 and then
+    36 of 36 fresh-process pairs, 12 at each of n = 38, 41 and 44. A child sends its
+    buckets on a pipe of its own as one ``marshal`` blob and ends with ``os._exit``,
+    which flushes no buffer it shares with the caller. A child that raises sends the name
+    of the nearest built-in class of its exception and the message instead, and exits 1
+    with no traceback; the caller raises that built-in type. The caller reads each pipe
+    to EOF before it reaps the child, as one blob can outgrow the pipe's 64 KiB buffer
+    (all the buckets of n = 56 take 70.9 KB, of n = 44 34.5 KB), and it kills and reaps
+    every child that is left when it raises itself, so no child outlives the call.
+    """
+    buckets: dict[int, int] = {}
+
+    def add(partial):
+        for value, mult in partial.items():
+            buckets[value] = buckets.get(value, 0) + mult
+
+    def drain():
+        while index := os.read(queue, 2):
+            add(_fold(n, shards[int.from_bytes(index, "little")]))
+
+    others = _other_cpus()
+    queue, feed = os.pipe()
+    os.write(feed, b"".join(i.to_bytes(2, "little") for i in range(len(shards))))
+    os.close(feed)
+    children = {}  # pid: the read end of its result pipe
+    try:
+        for _ in range(workers - 1):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    if others:  # a forked child starts on its parent's CPU and may stay there
+                        try:
+                            os.sched_setaffinity(0, others)
+                        except OSError:  # none of them is online: fold where it is
+                            pass
+                    try:
+                        drain()
+                        blob, code = marshal.dumps(buckets), 0
+                    except BaseException as exc:
+                        kind = next(k for k in type(exc).__mro__ if k.__module__ == "builtins")
+                        blob, code = marshal.dumps((kind.__name__, str(exc))), 1
+                    with open(write, "wb") as pipe:
+                        pipe.write(blob)
+                    status = code
+                finally:
+                    os._exit(status)
+            os.close(write)
+            children[pid] = open(read, "rb")
+        drain()
+        for pid, pipe in list(children.items()):
+            blob = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[pid]
+            pipe.close()
+            if status == 0:
+                add(marshal.loads(blob))
+            elif status == 1 and blob:
+                name, message = marshal.loads(blob)
+                raise getattr(builtins, name)(message)
+            else:
+                raise ChildProcessError(
+                    f"fold worker {pid} ended with status {status} and sent no result"
+                )
+    finally:
+        os.close(queue)
+        for pid, pipe in children.items():  # left only when the call raises
+            from signal import SIGKILL
+
+            pipe.close()
+            os.kill(pid, SIGKILL)
+            os.waitpid(pid, 0)
+    return buckets
+
+
+def _other_cpus() -> set[int]:
+    """The usable CPUs but the one this process runs on, where Linux's ``/proc`` names it."""
+    try:
+        with open("/proc/self/stat", "rb") as stat:
+            cpu = int(stat.read().rsplit(b")", 1)[1].split()[36])  # field 39, "processor"
+    except OSError:
+        return set()
+    return os.sched_getaffinity(0) - {cpu}
 
 
 def _shards(n: int) -> list[tuple[int, int]]:
     """The bottom runs (s, m) of the tails ``_fold`` visits, smallest tail s*m first.
 
     A smaller tail leaves more of n to the rows above it and so roots a
-    larger subtree; taking the shards from the pool's queue in this order
+    larger subtree; taking the shards from the queue in this order
     leaves the small ones to even out the workers' loads at the end.
     """
     keys = [(n, 0)]

@@ -99,15 +99,12 @@ class TestSpectrumCommand:
     )
     def test_threads_flag_with_real_workers(self, capsys, monkeypatch, argv, fmt):
         # no flag asks for workers: with the size floor at 1 and two usable CPUs, main
-        # starts a pool of two on its own, and its output is the one-CPU run's
-        from concurrent.futures import ProcessPoolExecutor
+        # forks one worker beside itself on its own, and its output is the one-CPU run's
+        fork, forks = os.fork, []
 
-        started = []
-
-        class RecordedPool(ProcessPoolExecutor):
-            def __init__(self, max_workers):
-                started.append(max_workers)
-                super().__init__(max_workers)
+        def recorded_fork():
+            forks.append(os.getpid())
+            return fork()
 
         def cpu_count():
             raise AssertionError("os.cpu_count was read")
@@ -115,13 +112,13 @@ class TestSpectrumCommand:
         # the affinity mask alone sizes the pool: nothing reads the CPU count
         monkeypatch.setattr(os, "cpu_count", cpu_count)
         monkeypatch.setattr(importlib.import_module("tnspectrum.spectrum"), "PARALLEL_MIN_N", 1)
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordedPool)
+        monkeypatch.setattr(os, "fork", recorded_fork)
         usable_cpus(monkeypatch, 1)
         serial = run(capsys, *argv, "--format", fmt)
         usable_cpus(monkeypatch, 2)
         assert run(capsys, *argv, "--format", fmt) == serial
         assert serial[0] == 0
-        assert started == [2]
+        assert forks == [os.getpid()]  # two folding processes: this one and one child
 
 
 class TestMultCommand:
@@ -492,9 +489,7 @@ class TestVerifyCommand:
         spectrum_module = importlib.import_module("tnspectrum.spectrum")
         monkeypatch.setattr(spectrum_module, "PARALLEL_MIN_N", 1)
         usable_cpus(monkeypatch, 2)
-        monkeypatch.setattr(
-            "concurrent.futures.ProcessPoolExecutor", forbidden("ProcessPoolExecutor")
-        )
+        monkeypatch.setattr(os, "fork", forbidden("os.fork"))
         code, out, _ = run(capsys, "verify", "5")
         assert (code, out.splitlines()[-1]) == (0, "result: all checks passed for n = 4..5")
 
@@ -880,11 +875,12 @@ class TestProcessExit:
             os.close(write_end)
         assert (result.returncode, result.stderr) == (2, b"")
 
-    def test_workers_end_with_the_process(self, capsys, child_env):
-        # from n = 52 on, with two usable CPUs, the process folds on a pool of its own
-        _, expected, _ = run(capsys, "spectrum", "52")
+    @pytest.mark.parametrize("n", [44, 52])
+    def test_workers_end_with_the_process(self, capsys, child_env, n):
+        # past the size floor, with two usable CPUs, the process forks a worker of its own
+        _, expected, _ = run(capsys, "spectrum", str(n))
         proc = subprocess.Popen(
-            [sys.executable, "-m", "tnspectrum", "spectrum", "52"],
+            [sys.executable, "-m", "tnspectrum", "spectrum", str(n)],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             env=tnspec_env(child_env, False),
@@ -905,9 +901,9 @@ class TestProcessExit:
 class TestLazyImports:
     """Start-up loads only what every command runs: ``oracle`` alone loads numpy and the
     oracle, ``witness`` and ``verify`` the witness constructions, ``eig`` ``fractions``,
-    ``--format json`` ``json``, a multi-worker fold the process pool, and nothing loads
-    ``dataclasses`` or ``inspect``. Importing the package, bare or by ``*``, loads none of
-    the watched modules."""
+    ``--format json`` ``json``, and nothing loads ``concurrent.futures``, ``dataclasses``
+    or ``inspect``. Importing the package, bare or by ``*``, loads none of the watched
+    modules."""
 
     WATCHED = (
         "numpy",
@@ -951,7 +947,9 @@ class TestLazyImports:
         assert self.loaded_after(["mult", "8", "0"], child_env) == set()
 
     @pytest.mark.parametrize(
-        "argv", [["spectrum", "6"], ["top", "8", "3"], ["tables"]], ids=" ".join
+        "argv",
+        [["spectrum", "6"], ["spectrum", "44"], ["top", "8", "3"], ["tables"]],
+        ids=" ".join,
     )
     def test_other_folds_load_none_of_the_watched_modules(self, argv, child_env):
         assert self.loaded_after(argv, child_env) == set()
@@ -978,11 +976,22 @@ COMMANDS = ("spectrum", "mult", "eig", "top", "witness", "tables", "verify", "or
 
 
 class TestInputContract:
-    """Seeded random argv over the eight commands and the three formats: every one ends in
-    a result or an error record with status 0, 1 or 2, and nothing but argparse's
-    ``SystemExit`` escapes ``main``."""
+    """Seeded random argv over the eight commands and the three formats, after one known-good
+    argv per command: every one ends in a result or an error record with status 0, 1 or 2,
+    and nothing but argparse's ``SystemExit`` escapes ``main``."""
 
     CASES = 600
+    #: one argv per command that ends in status 0, whatever the draws reach
+    KNOWN_GOOD = (
+        ["spectrum", "6", "--format", "csv"],
+        ["mult", "8", "0"],
+        ["eig", "4", "2", "1", "--format", "json"],
+        ["top", "8", "3"],
+        ["witness", "14", "1"],
+        ["tables", "--format", "csv"],
+        ["verify", "6"],
+        ["oracle", "4", "--format", "json"],
+    )
     JUNK = ("x", "", "1.5", "nan", "-", "--", "1e3", "0x10", "--bogus", "--help", "--version")
 
     @staticmethod
@@ -1033,24 +1042,25 @@ class TestInputContract:
 
     def test_every_argv_ends_in_status_0_1_or_2(self, capsys, monkeypatch, tmp_path):
         monkeypatch.chdir(tmp_path)  # --dump-edges writes its relative paths here
-        rng = random.Random(2204_03153)
-        succeeded = set()
-        parsed = 0
-        for _ in range(self.CASES):
-            argv = self.draw(rng)
+
+        def status(argv):
+            """The exit status of ``main(argv)``, and whether argparse let it reach a command."""
             try:
-                code = main(argv)
-                parsed += 1
+                code, parsed = main(argv), True
             except SystemExit as exc:
-                code = exc.code
+                code, parsed = exc.code, False
             except Exception as exc:  # noqa: BLE001 - the contract is that nothing else escapes
                 pytest.fail(f"main({argv!r}) raised {exc!r}")
             capsys.readouterr()
             assert code in (0, 1, 2), argv
-            if code == 0:
-                succeeded.add(argv[0])
-        # every command body, and so every import it makes, ran at least once
-        assert succeeded >= set(COMMANDS)
+            return code, parsed
+
+        # every command body, and so every import it makes, runs with status 0
+        for argv in self.KNOWN_GOOD:
+            assert status(argv) == (0, True), argv
+        assert {argv[0] for argv in self.KNOWN_GOOD} == set(COMMANDS)
+        rng = random.Random(2204_03153)
+        parsed = sum(status(self.draw(rng))[1] for _ in range(self.CASES))
         # and most draws reach a command, not argparse's usage error (271 of 600)
         assert parsed >= 250
 

@@ -1,6 +1,9 @@
 import importlib
 import math
+import os
+import select
 import signal
+import subprocess
 import sys
 from fractions import Fraction
 from types import SimpleNamespace
@@ -44,36 +47,57 @@ def plain_fold(n):
 
 @pytest.fixture
 def pools(monkeypatch):
-    """Swap the process pool for an in-process one on a machine of 4 CPUs, all usable.
+    """Record the forked folds on a machine of 4 CPUs, all usable; the forks are real.
 
-    ``sizes`` lists the worker count of each pool built, ``maps`` the function
-    and argument lists of each ``map`` call.
+    ``sizes`` lists the worker count of each forked fold: the caller and the children
+    it forked. A fork outside a forked fold fails the test that made it.
     """
-    built = SimpleNamespace(sizes=[], maps=[])
+    built = SimpleNamespace(sizes=[])
+    fork, fold_forked = os.fork, spectrum_module._fold_forked
 
-    class InlinePool:
-        """Stands in for the process pool: records its size and tasks, maps in this process."""
+    def recording_fork():
+        built.sizes[-1] += 1
+        return fork()
 
-        def __init__(self, max_workers):
-            built.sizes.append(max_workers)
+    def recording_fold_forked(n, shards, workers):
+        built.sizes.append(1)
+        return fold_forked(n, shards, workers)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc_info):
-            return False
-
-        def map(self, fn, *iterables):
-            arguments = [list(iterable) for iterable in iterables]
-            built.maps.append((fn, arguments))
-            return map(fn, *arguments)
-
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(os, "fork", recording_fork)
+    monkeypatch.setattr(spectrum_module, "_fold_forked", recording_fold_forked)
     monkeypatch.setattr(spectrum_module.os, "cpu_count", lambda: 4)
     monkeypatch.setattr(
         spectrum_module.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False
     )
     return built
+
+
+@pytest.fixture
+def fold_log(monkeypatch, tmp_path):
+    """Log each ``_fold`` call, in whichever process makes it, to a file opened with O_APPEND.
+
+    Calling the fixture reads and empties the log: (pid, n, root) per call, in the order
+    the calls began.
+    """
+    path = tmp_path / "folds"
+    fold = spectrum_module._fold
+
+    def logging_fold(n, root):
+        fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+        try:
+            os.write(fd, f"{os.getpid()} {n} {root[0]} {root[1]}\n".encode())
+        finally:
+            os.close(fd)
+        return fold(n, root)
+
+    def read():
+        lines = path.read_text().splitlines() if path.exists() else []
+        path.unlink(missing_ok=True)
+        rows = (map(int, line.split()) for line in lines)
+        return [(pid, n, (s, m)) for pid, n, s, m in rows]
+
+    monkeypatch.setattr(spectrum_module, "_fold", logging_fold)
+    return read
 
 
 def domino_removals(p):
@@ -239,15 +263,19 @@ class TestSpectrum:
         # n = 1 and n = 2 are a single shard each and fold in-process
         assert len(pools.sizes) == 28
 
-    def test_pool_takes_one_shard_per_task(self, pools, monkeypatch):
-        # every shard is its own task, in _shards' order, so an idle worker
-        # takes the next one from the pool's queue
+    def test_pool_takes_one_shard_per_task(self, pools, fold_log, monkeypatch):
+        # every shard is one take from the queue, and each worker takes its shards
+        # in _shards' order, so an idle worker takes the next one
         monkeypatch.setattr(spectrum_module, "PARALLEL_MIN_N", 1)
         for n in (3, 12, 30):
-            pools.maps.clear()
             spectrum(n, threads=2)
             shards = spectrum_module._shards(n)
-            assert pools.maps == [(spectrum_module._fold, [[n] * len(shards), shards])], n
+            folds = fold_log()
+            assert sorted(root for _, _, root in folds) == sorted(shards), n
+            assert {size for _, size, _ in folds} == {n}
+            for worker in {pid for pid, _, _ in folds}:
+                taken = [shards.index(root) for pid, _, root in folds if pid == worker]
+                assert taken == sorted(taken), n
 
     def test_serial_fold_is_one_walk(self, pools, monkeypatch):
         # in-process, one fold from the empty tail, whatever threads asks for
@@ -263,11 +291,11 @@ class TestSpectrum:
             spectrum(n)
         assert roots == [(n, (0, 0)) for n in range(1, 31)]
         roots.clear()
-        spectrum(30, threads=2)  # below PARALLEL_MIN_N
+        spectrum(25, threads=2)  # below PARALLEL_MIN_N
         monkeypatch.setattr(spectrum_module, "PARALLEL_MIN_N", 1)
         monkeypatch.setattr(spectrum_module.os, "sched_getaffinity", lambda pid: {0})
         spectrum(30, threads=2)  # one usable CPU
-        assert roots == [(30, (0, 0))] * 2
+        assert roots == [(25, (0, 0)), (30, (0, 0))]
         assert pools.sizes == []
 
     def test_serial_fold_builds_no_shards(self, pools, monkeypatch):
@@ -287,8 +315,8 @@ class TestSpectrum:
         assert spectrum(30, threads=10**6) == serial
         assert pools.sizes == [4]  # min(threads, 4 usable CPUs, 58 shards)
         assert spectrum(2, threads=3) == spectrum(2)
-        assert pools.sizes == [4]  # one shard: no pool at all
-        # no affinity mask on the platform, and the CPU count unknown: one worker, no pool
+        assert pools.sizes == [4]  # one shard: no fork at all
+        # no affinity mask on the platform, and the CPU count unknown: one worker, no fork
         monkeypatch.delattr(spectrum_module.os, "sched_getaffinity")
         monkeypatch.setattr(spectrum_module.os, "cpu_count", lambda: None)
         assert spectrum(30, threads=8) == serial
@@ -312,11 +340,11 @@ class TestSpectrum:
         assert pools.sizes == [2]
 
     def test_pool_floor(self, pools, monkeypatch):
-        # two workers beat the serial fold in every measured run from n = 52 on, not below
+        # two forked workers beat the serial fold per run from n = 38 on, not below
         monkeypatch.setattr(spectrum_module, "_fold", lambda n, root: {})
-        spectrum(51, threads=2)
+        spectrum(37, threads=2)
         assert pools.sizes == []
-        spectrum(52, threads=2)
+        spectrum(38, threads=2)
         assert pools.sizes == [2]
 
     def test_rejects_bad_thread_count(self):
@@ -400,6 +428,130 @@ class TestFoldCeiling:
             signal.setitimer(signal.ITIMER_REAL, 0)
             sys.setrecursionlimit(limit)
             signal.signal(signal.SIGALRM, handler)
+
+
+class TestForkedFold:
+    """The caller and its forked children drain one queue of shards; no child outlives the call."""
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_every_shard_folded_once(self, pools, fold_log, large_spectra, workers):
+        serial = large_spectra(44)
+        fold_log()  # drops the serial fold, if this test was the first to ask for it
+        assert spectrum(44, threads=workers) == serial
+        assert pools.sizes == [workers]
+        folds = fold_log()
+        assert sorted(root for _, _, root in folds) == sorted(spectrum_module._shards(44))
+        assert len({pid for pid, _, _ in folds}) <= workers
+
+    def test_corrupt_hook_product_raises_in_the_caller(self, pools, monkeypatch):
+        exact_prod = math.prod
+        monkeypatch.setattr(math, "prod", lambda factors: exact_prod(factors) + 1)
+        with pytest.raises(ArithmeticError, match="does not divide"):
+            spectrum(44, threads=2)
+        assert pools.sizes == [2]
+        with pytest.raises(ChildProcessError):  # every child was reaped
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_worker_error_is_raised_as_its_builtin_type(self, pools, monkeypatch, capfd):
+        # the caller folds nothing until a child has taken a shard and raised, so the
+        # error can only come from the child, which prints no traceback
+        class Unfoldable(MemoryError):
+            pass
+
+        caller, (started, start) = os.getpid(), os.pipe()
+        waited = []
+
+        def fold(n, root):
+            if os.getpid() != caller:
+                os.write(start, b".")
+                raise Unfoldable(f"no room for {root}")
+            if not waited:  # for at most 10 s: a fold that forks nothing fails, not hangs
+                waited.append(select.select([started], [], [], 10)[0])
+            return {}
+
+        monkeypatch.setattr(spectrum_module, "PARALLEL_MIN_N", 1)
+        monkeypatch.setattr(spectrum_module, "_fold", fold)
+        try:
+            with pytest.raises(MemoryError, match=r"^no room for \(") as raised:
+                spectrum(30, threads=2)
+        finally:
+            os.close(started)
+            os.close(start)
+        assert type(raised.value) is MemoryError
+        assert waited == [[started]]
+        assert capfd.readouterr() == ("", "")
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_child_that_dies_without_a_result(self, pools, monkeypatch):
+        fork = os.fork
+
+        def dying_fork():
+            pid = fork()
+            if pid == 0:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return pid
+
+        monkeypatch.setattr(spectrum_module, "PARALLEL_MIN_N", 1)
+        monkeypatch.setattr(os, "fork", dying_fork)
+        with pytest.raises(ChildProcessError, match="status -9 and sent no result"):
+            spectrum(30, threads=2)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_result_larger_than_a_pipe_buffer(self, pools, monkeypatch):
+        # a child's blob of 2**14 buckets outgrows the 64 KiB pipe buffer, so the caller must
+        # read it to EOF before it waits for the child; a 20 s deadline turns a deadlock
+        # into a failure
+        class Deadline(Exception):
+            pass
+
+        def expire(signum, frame):
+            raise Deadline
+
+        monkeypatch.setattr(spectrum_module, "PARALLEL_MIN_N", 1)
+        monkeypatch.setattr(
+            spectrum_module, "_fold", lambda n, root: dict.fromkeys(range(2**14), 10**20)
+        )
+        handler = signal.signal(signal.SIGALRM, expire)
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 20)
+            spec = spectrum(12, threads=2)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, handler)
+        shards = len(spectrum_module._shards(12))
+        assert spec.entries == tuple((v, shards * 10**20) for v in reversed(range(2**14)))
+        assert pools.sizes == [2]
+
+    def test_unflushed_output_is_written_once(self, child_env):
+        # stdout on a pipe is block-buffered, unless PYTHONUNBUFFERED is set: the text is
+        # still in the buffer at the fork
+        env = {key: value for key, value in child_env.items() if key != "PYTHONUNBUFFERED"}
+        script = (
+            "import os, importlib\n"
+            "from tnspectrum import spectrum\n"
+            "module = importlib.import_module('tnspectrum.spectrum')\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "fork, forks = os.fork, []\n"
+            "os.fork = lambda: forks.append(1) or fork()\n"
+            "print('printed before the fold')\n"
+            "spectrum(module.PARALLEL_MIN_N, threads=2)\n"
+            "print(len(forks))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env
+        )
+        assert (result.returncode, result.stderr) == (0, "")
+        assert result.stdout == "printed before the fold\n1\n"
+
+    def test_no_fork_folds_in_process(self, pools, fold_log, monkeypatch):
+        monkeypatch.setattr(spectrum_module, "PARALLEL_MIN_N", 1)
+        monkeypatch.delattr(os, "fork")
+        assert spectrum_module._usable_cpus() == 1
+        assert spectrum(30, threads=4).entries == plain_fold(30)
+        assert fold_log() == [(os.getpid(), 30, (0, 0))]
+        assert pools.sizes == []
 
 
 def transposition_walks(n, steps):
