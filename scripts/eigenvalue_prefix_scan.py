@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Scan which small eigenvalues 0..K occur in the transposition-graph spectrum.
 
-For each n the scan walks the partition stream, records which targets in 0..K
-show up as eigenvalues, and stops early once all are found. The marked rows are
-``min_n_for_prefix``'s bound n = 10m + 4, the even-n region of
-``lambda_partition_even``; odd n need only 4m + 3. The test suite proves the
+For each n the scan reads the distinct eigenvalues from ``eigenvalue_set``, the
+content-sum dynamic program, and marks which targets in 0..K are among them.
+The marked rows are ``min_n_for_prefix``'s bound n = 10m + 4, the even-n region
+of ``lambda_partition_even``; odd n need only 4m + 3. The test suite proves the
 exact threshold N(k) for k <= 40: N(0) = 3, N(1..3) = 13, N(4..30) = 19 and
 N(31..40) = 22. The printed matrix shows how much earlier than the marked
 bound the values appear.
@@ -14,17 +14,8 @@ Usage: python scripts/eigenvalue_prefix_scan.py --max-target 3 --max-n 40
 
 import argparse
 
-from tnspectrum import enumerate_partitions, eigenvalue
+from tnspectrum import eigenvalue_set
 from tnspectrum.witnesses import min_n_for_prefix
-
-
-def present_targets(n, targets):
-    missing = set(targets)
-    for p in enumerate_partitions(n):
-        missing.discard(eigenvalue(p))
-        if not missing:
-            break
-    return set(targets) - missing
 
 
 def main():
@@ -37,11 +28,9 @@ def main():
     thresholds = {min_n_for_prefix(m): m for m in targets}
     print("   n  " + " ".join(f"m={m}" for m in targets))
     for n in range(2, args.max_n + 1):
-        found = present_targets(n, targets)
+        found = eigenvalue_set(n)
         cells = " ".join(f"{'+' if m in found else '.':>3}" for m in targets)
-        note = ""
-        if n in thresholds:
-            note = f"  <- 0..{thresholds[n]} guaranteed from here on"
+        note = f"  <- 0..{thresholds[n]} guaranteed from here on" if n in thresholds else ""
         print(f"{n:>4}  {cells}{note}")
 
 

@@ -25,6 +25,7 @@ from .spectrum import (
     Spectrum,
     character_ratio,
     eigenvalue,
+    eigenvalue_set,
     eigenvalue_upper_bound,
     multiplicity,
     spectrum,
@@ -42,6 +43,7 @@ __all__ = [
     "conjugate",
     "degree",
     "eigenvalue",
+    "eigenvalue_set",
     "eigenvalue_upper_bound",
     "enumerate_partitions",
     "multiplicity",

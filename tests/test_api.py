@@ -60,6 +60,7 @@ PUBLIC_SIGNATURES = {
     "degree": ("p",),
     "edge_list": ("adjacency",),
     "eigenvalue": ("p",),
+    "eigenvalue_set": ("n",),
     "eigenvalue_upper_bound": ("p",),
     "enumerate_partitions": ("n",),
     "lambda_partition_even": ("n", "lam"),

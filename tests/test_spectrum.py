@@ -18,6 +18,7 @@ from tnspectrum import (
     conjugate,
     degree,
     eigenvalue,
+    eigenvalue_set,
     eigenvalue_upper_bound,
     enumerate_partitions,
     multiplicity,
@@ -392,8 +393,8 @@ class TestFoldCeiling:
     @pytest.mark.parametrize("n", [FOLD_MAX_N + 1, 10**19])
     @pytest.mark.parametrize(
         "query, rest",
-        [(spectrum, ()), (multiplicity, (0,)), (top_eigenvalues, (2,))],
-        ids=["spectrum", "multiplicity", "top_eigenvalues"],
+        [(spectrum, ()), (multiplicity, (0,)), (top_eigenvalues, (2,)), (eigenvalue_set, ())],
+        ids=["spectrum", "multiplicity", "top_eigenvalues", "eigenvalue_set"],
     )
     def test_refused_before_the_fold(self, unfolded, query, rest, n):
         message = f"^n = {n} exceeds the fold ceiling FOLD_MAX_N = {FOLD_MAX_N}$"
@@ -524,6 +525,61 @@ class TestForkedFold:
         assert spec.entries == tuple((v, shards * 10**20) for v in reversed(range(2**14)))
         assert pools.sizes == [2]
 
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_worker_ends_when_its_caller_is_killed(self, child_env, workers):
+        # the caller sleeps once it has forked, so each worker's blob of 2**14 buckets
+        # outgrows the 64 KiB pipe buffer; then the caller is killed. Only the workers
+        # hold the write end of `ended`, so EOF there means they have all ended, reaped
+        # or not.
+        ended, hold = os.pipe()
+        script = (
+            "import os, sys, time, importlib\n"
+            "from tnspectrum import spectrum\n"
+            "module = importlib.import_module('tnspectrum.spectrum')\n"
+            "workers, hold = int(sys.argv[1]), int(sys.argv[2])\n"
+            "os.sched_getaffinity = lambda pid: set(range(workers))\n"
+            "fork, forks = os.fork, []\n"
+            "def forked():\n"
+            "    pid = fork()\n"
+            "    if pid:\n"
+            "        forks.append(pid)\n"
+            "        if len(forks) == workers - 1:\n"
+            "            os.close(hold)\n"
+            "            print(*forks, flush=True)\n"
+            "            time.sleep(60)\n"
+            "    return pid\n"
+            "os.fork = forked\n"
+            "module._fold = lambda n, root: dict.fromkeys(range(2**14), 10**20)\n"
+            "module.PARALLEL_MIN_N = 1\n"
+            "spectrum(12, threads=workers)\n"
+        )
+        caller = subprocess.Popen(
+            [sys.executable, "-c", script, str(workers), str(hold)],
+            stdout=subprocess.PIPE,
+            env=child_env,
+            pass_fds=(hold,),
+        )
+        os.close(hold)
+        forked = []
+        try:
+            forked = [int(pid) for pid in caller.stdout.readline().split()]
+            assert len(forked) == workers - 1
+            caller.kill()
+            caller.wait()
+            assert select.select([ended], [], [], 10)[0] == [ended]
+            assert os.read(ended, 1) == b""
+        finally:
+            if not select.select([ended], [], [], 0)[0]:  # a worker still runs
+                for pid in forked:
+                    try:
+                        os.kill(pid, signal.SIGKILL)
+                    except ProcessLookupError:
+                        pass
+            caller.kill()
+            caller.wait()
+            caller.stdout.close()
+            os.close(ended)
+
     def test_unflushed_output_is_written_once(self, child_env):
         # stdout on a pipe is block-buffered, unless PYTHONUNBUFFERED is set: the text is
         # still in the buffer at the fork
@@ -621,37 +677,13 @@ class TestWalkCountMoments:
             assert sum(m * v**k for v, m in entries) == math.factorial(n) * walks[k], k
 
 
-def content_sums(n):
-    """The distinct content sums of the partitions of n, with no hook lengths or degrees.
-
-    ``below[size][t]`` is a bitset of the content sums of the partitions of
-    ``size`` whose top row is at most t, bit c + C(n, 2) standing for the sum
-    c. Putting a row r on top of a partition of S whose top row is at most r
-    moves its boxes one row down and adds the contents 0..r - 1, so it shifts
-    every sum by C(r, 2) - S.
-    """
-    offset = n * (n - 1) // 2
-    below = [[1 << offset] * (n + 1)]  # the empty partition, sum 0
-    for size in range(1, n + 1):
-        sums = [0]
-        for top in range(1, n + 1):
-            bits = sums[-1]
-            if top <= size:
-                shift = top * (top - 1) // 2 - (size - top)
-                tails = below[size - top][top]
-                bits |= tails << shift if shift >= 0 else tails >> -shift
-            sums.append(bits)
-        below.append(sums)
-    bits = below[n][n]
-    return {c - offset for c in range(bits.bit_length()) if bits >> c & 1}
-
-
 class TestContentSumSupport:
-    """The distinct eigenvalues are the content sums, found here by a DP of their own."""
+    """The distinct eigenvalues are the content sums, which ``eigenvalue_set`` finds by a DP
+    with no hook lengths or degrees."""
 
     @pytest.fixture(scope="class")
     def supports(self):
-        return {n: content_sums(n) for n in range(1, 61)}
+        return {n: eigenvalue_set(n) for n in range(1, 61)}
 
     @pytest.mark.parametrize("n", range(1, 31))
     def test_support_of_every_spectrum(self, n, supports, spectra_up_to_30):
@@ -670,6 +702,12 @@ class TestContentSumSupport:
         for n in range(19, 61):
             assert set(range(31)) <= supports[n], n
         assert 4 not in supports[18]
+
+    def test_guard(self):
+        with pytest.raises(ValueError, match="^n must be positive, got 0$"):
+            eigenvalue_set(0)
+        with pytest.raises(ValueError, match="exceeds the fold ceiling"):
+            eigenvalue_set(FOLD_MAX_N + 1)
 
 
 class TestMultiplicity:

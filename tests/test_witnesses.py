@@ -11,6 +11,7 @@ from tnspectrum import (
     Partition,
     degree,
     eigenvalue,
+    eigenvalue_set,
     enumerate_partitions,
     multiplicity,
     spectrum,
@@ -24,8 +25,6 @@ from tnspectrum.witnesses import (
     verify_witness,
     zero_partition,
 )
-
-from test_spectrum import content_sums
 
 ROOT = pathlib.Path(__file__).parents[1]
 
@@ -186,6 +185,33 @@ def _succeeds(n, inner):
     return True
 
 
+def _absence_sets(max_v, inner_size):
+    """W and the exact absence set of each v = 0..max_v, by two routes.
+
+    ``lowest[v, parity]`` is (W, inner): W is the least n of that parity at which a
+    balanced hook around some ``inner`` partition of size <= ``inner_size`` has
+    eigenvalue v. The same inner partition covers every larger n of that parity,
+    and ``eigenvalue_set`` decides every n below the largest W, so together they
+    give each exact absence set ``absent[v]``.
+    """
+    lowest = {}
+    for inner in _inner_partitions(inner_size):
+        v = _content_sum(inner)
+        if not 0 <= v <= max_v:
+            continue
+        n = inner.n + 2 * max(len(inner), inner[0] if inner else 0) + 1
+        if (v, n % 2) not in lowest or n < lowest[v, n % 2][0]:
+            lowest[v, n % 2] = n, inner
+    assert sorted(lowest) == [(v, parity) for v in range(max_v + 1) for parity in (0, 1)]
+    for (v, _), (n, inner) in lowest.items():
+        assert eigenvalue(_balanced_hook(n, inner)) == v
+    supports = {n: eigenvalue_set(n) for n in range(1, max(n for n, _ in lowest.values()))}
+    absent = {v: {n for n, values in supports.items() if v not in values} for v in range(max_v + 1)}
+    for v, ns in absent.items():
+        assert all(n < lowest[v, n % 2][0] for n in ns), v
+    return lowest, absent
+
+
 class TestBalancedHook:
     def test_identity_and_region(self):
         for inner in _inner_partitions(12):
@@ -227,26 +253,8 @@ class TestBalancedHook:
         assert 4 not in spectrum(18)
 
     def test_absence_sets_up_to_forty(self):
-        # W(v, parity): the least n of that parity at which a balanced hook around
-        # some inner partition of size <= 20 has eigenvalue v. The same inner
-        # partition covers every larger n of that parity, and the content-sum DP
-        # decides every n below W, so together they give each exact absence set.
-        lowest = {}
-        for inner in _inner_partitions(20):
-            v = _content_sum(inner)
-            if not 0 <= v <= 40:
-                continue
-            n = inner.n + 2 * max(len(inner), inner[0] if inner else 0) + 1
-            if (v, n % 2) not in lowest or n < lowest[v, n % 2][0]:
-                lowest[v, n % 2] = n, inner
-        assert sorted(lowest) == [(v, parity) for v in range(41) for parity in (0, 1)]
-        for (v, _), (n, inner) in lowest.items():
-            assert eigenvalue(_balanced_hook(n, inner)) == v
-            assert n <= 60, v  # the DP below reaches every n under W
-        supports = {n: content_sums(n) for n in range(1, 61)}
-        absent = {v: {n for n, values in supports.items() if v not in values} for v in range(41)}
-        for v, ns in absent.items():
-            assert all(n < lowest[v, n % 2][0] for n in ns), v
+        lowest, absent = _absence_sets(40, 20)
+        assert max(n for n, _ in lowest.values()) == 36
         assert absent[0] == {2}
         assert absent[1] == {1, 3, 4, 5, 6, 8, 10, 12}
         assert absent[2] == {1, 2, 3, 6, 7, 9, 10}
@@ -259,6 +267,17 @@ class TestBalancedHook:
             **dict.fromkeys(range(4, 31), 19),
             **dict.fromkeys(range(31, 41), 22),
         }
+
+    @pytest.mark.parametrize(
+        "k, inner_size, largest_w, threshold, last_absent",
+        [(100, 26, 52, 31, {94}), (200, 32, 72, 33, {185, 193})],
+    )
+    def test_prefix_threshold(self, k, inner_size, largest_w, threshold, last_absent):
+        # N(100) = 31 and N(200) = 33, by the same two routes
+        lowest, absent = _absence_sets(k, inner_size)
+        assert max(n for n, _ in lowest.values()) == largest_w
+        assert 1 + max(max(ns) for ns in absent.values()) == threshold
+        assert {v for v, ns in absent.items() if threshold - 1 in ns} == last_absent
 
 
 class TestHookPartition:
