@@ -222,8 +222,8 @@ def _fold_forked(n: int, shards: list[tuple[int, int]], workers: int) -> dict[in
         for value, mult in partial.items():
             buckets[value] = buckets.get(value, 0) + mult
 
-    def drain(live=lambda: True):
-        while live() and (index := os.read(queue, 2)):
+    def drain():  # a child stops once it has a new parent; the caller never does
+        while caller in (os.getpid(), os.getppid()) and (index := os.read(queue, 2)):
             add(_fold(n, shards[int.from_bytes(index, "little")]))
 
     caller, others = os.getpid(), _other_cpus()
@@ -247,7 +247,7 @@ def _fold_forked(n: int, shards: list[tuple[int, int]], workers: int) -> dict[in
                         except OSError:  # none of them is online: fold where it is
                             pass
                     try:
-                        drain(lambda: os.getppid() == caller)
+                        drain()
                         blob, code = marshal.dumps(buckets), 0
                     except BaseException as exc:
                         kind = next(k for k in type(exc).__mro__ if k.__module__ == "builtins")

@@ -191,8 +191,9 @@ def _absence_sets(max_v, inner_size):
     ``lowest[v, parity]`` is (W, inner): W is the least n of that parity at which a
     balanced hook around some ``inner`` partition of size <= ``inner_size`` has
     eigenvalue v. The same inner partition covers every larger n of that parity,
-    and ``eigenvalue_set`` decides every n below the largest W, so together they
-    give each exact absence set ``absent[v]``.
+    and ``eigenvalue_set`` decides every n below the largest W, and on to 60, so
+    together they give each exact absence set ``absent[v]`` and cross-check the DP
+    against the hooks at every n up to 60.
     """
     lowest = {}
     for inner in _inner_partitions(inner_size):
@@ -205,7 +206,8 @@ def _absence_sets(max_v, inner_size):
     assert sorted(lowest) == [(v, parity) for v in range(max_v + 1) for parity in (0, 1)]
     for (v, _), (n, inner) in lowest.items():
         assert eigenvalue(_balanced_hook(n, inner)) == v
-    supports = {n: eigenvalue_set(n) for n in range(1, max(n for n, _ in lowest.values()))}
+    top = max(61, max(n for n, _ in lowest.values()))
+    supports = {n: eigenvalue_set(n) for n in range(1, top)}
     absent = {v: {n for n, values in supports.items() if v not in values} for v in range(max_v + 1)}
     for v, ns in absent.items():
         assert all(n < lowest[v, n % 2][0] for n in ns), v
