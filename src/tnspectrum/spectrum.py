@@ -152,27 +152,24 @@ def spectrum(n: int, *, threads: int = 1) -> Spectrum:
 def eigenvalue_set(n: int) -> set[int]:
     """The distinct eigenvalues for ``n``: the content sums of the partitions of n.
 
-    A bitset DP with no hook lengths or degrees: ``below[size][t]`` has bit c + C(n, 2)
-    set for each content sum c of a partition of ``size`` whose top row is at most t.
-    A row r put on top of a partition of S moves its boxes one row down and adds the
-    contents 0..r - 1, so it shifts every sum by C(r, 2) - S. In fresh interpreters on
-    2 cores it took 0.09-0.10 s and 82 MB peak RSS at n = 200, 0.43-0.59 s and 357 MB
-    at n = 300. An n outside 1..``FOLD_MAX_N`` raises ValueError first, as in ``spectrum``.
+    A bitset DP with no hook lengths or degrees: ``below[size][t]`` has bit c + C(size, 2)
+    set for each content sum c of a partition of ``size`` whose top row is at most t, kept
+    for t <= min(size, n - size), the most that later sizes read. A row r put on top of a
+    partition of S moves its boxes one row down and adds the contents 0..r - 1, so it shifts
+    every sum by C(r, 2) - S and every bit by (r - 1)(S + r). In fresh interpreters on 2
+    cores it took 0.08 s and 26 MB peak RSS at n = 200, 0.33 s and 71 MB at n = 300. An n
+    outside 1..``FOLD_MAX_N`` raises ValueError first, as in ``spectrum``.
     """
     _check_n(n)
-    offset = n * (n - 1) // 2
-    below = [[1 << offset] * (n + 1)]  # the empty partition, sum 0
+    below = [[1]]  # the empty partition, sum 0
     for size in range(1, n + 1):
-        sums = [0]
-        for top in range(1, n + 1):
-            bits = sums[-1]
-            if top <= size:
-                shift = top * (top - 1) // 2 - (size - top)
-                tails = below[size - top][top]
-                bits |= tails << shift if shift >= 0 else tails >> -shift
-            sums.append(bits)
+        bits, sums = 0, [0]
+        for top in range(1, size + 1):
+            bits |= below[size - top][min(top, size - top)] << (top - 1) * size
+            if top <= n - size:
+                sums.append(bits)
         below.append(sums)
-    bits = below[n][n]
+    offset = n * (n - 1) // 2
     return {c - offset for c in range(bits.bit_length()) if bits >> c & 1}
 
 

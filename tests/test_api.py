@@ -1,7 +1,10 @@
 """The public surface: each public module's ``__all__`` is exactly its public names, their
-annotations resolve, and every public function's parameter names are pinned below."""
+annotations resolve, every public function's parameter names are pinned below, and no
+module of the package or its tests imports numpy, which ``pyproject.toml`` no longer lists."""
 
+import ast
 import inspect
+import pathlib
 import types
 import typing
 
@@ -47,7 +50,7 @@ def test_all_lists_exactly_what_the_module_defines(module):
 
 @pytest.mark.parametrize("name", [name for name, value in PUBLIC.items() if callable(value)])
 def test_annotations_resolve(name):
-    # numpy is imported inside the oracle functions, so no annotation may name it
+    # under ``from __future__ import annotations`` each annotation is a string until read
     typing.get_type_hints(PUBLIC[name])
 
 
@@ -101,3 +104,12 @@ def test_parameter_kinds_are_pinned():
             keyword_only = parameter.name in KEYWORD_ONLY.get(name, ())
             expected = parameter.KEYWORD_ONLY if keyword_only else parameter.POSITIONAL_OR_KEYWORD
             assert parameter.kind == expected, (name, parameter.name)
+
+
+def test_nothing_imports_numpy():
+    root = pathlib.Path(__file__).parents[1]
+    for path in [*(root / "src").rglob("*.py"), *(root / "tests").rglob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):  # a from-import's module, too
+                modules = [getattr(node, "module", None) or "", *(a.name for a in node.names)]
+                assert "numpy" not in {m.split(".")[0] for m in modules}, f"{path}:{node.lineno}"

@@ -1,36 +1,36 @@
-import hashlib
 import itertools
-import json
 import math
-import pathlib
+import random
 
-import numpy as np
 import pytest
 
-from tnspectrum import spectrum
-from tnspectrum.cli import main
+from tnspectrum import Spectrum, spectrum
 from tnspectrum.oracle import build_graph, compare, edge_list, numeric_spectrum
 
-GOLDEN_PATH = pathlib.Path(__file__).with_name("cli_golden.json")
+
+def double_swap(graph, seed):
+    """``graph`` with one seeded degree-preserving double edge swap: a-b, c-d made a-d, c-b."""
+    rng, swapped = random.Random(seed), [list(neighbours) for neighbours in graph]
+    while True:
+        (a, b), (c, d) = rng.sample(edge_list(graph), 2)
+        if len({a, b, c, d}) == 4 and d not in graph[a] and b not in graph[c]:
+            break
+    for u, old, new in ((a, b, d), (b, a, c), (c, d, b), (d, c, a)):
+        swapped[u][swapped[u].index(old)] = new
+    return swapped
 
 
 class TestBuildGraph:
     def test_k2(self):
-        g = build_graph(2)
-        assert len(g) == 2
-        assert int(g.sum()) // 2 == 1
+        assert build_graph(2) == [[1], [0]]
 
     def test_n3(self):
         g = build_graph(3)
-        assert len(g) == 6
-        assert int(g.sum()) // 2 == 9
-        assert all(int(row.sum()) == 3 for row in g)
+        assert (len(g), sum(map(len, g)) // 2, set(map(len, g))) == (6, 9, {3})
 
     def test_n4(self):
         g = build_graph(4)
-        assert len(g) == 24
-        assert int(g.sum()) // 2 == 72
-        assert all(int(row.sum()) == 6 for row in g)
+        assert (len(g), sum(map(len, g)) // 2, set(map(len, g))) == (24, 72, {6})
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
@@ -40,122 +40,103 @@ class TestBuildGraph:
 
     @pytest.mark.parametrize("n", range(2, 6))
     def test_structural_invariants(self, n):
-        adj = build_graph(n)
-        assert len(adj) == math.factorial(n)
-        assert np.array_equal(adj, adj.T)
-        assert not adj.diagonal().any()
+        g = build_graph(n)
         degree = n * (n - 1) // 2
-        assert (adj.sum(axis=1) == degree).all()
-        assert int(adj.sum()) == math.factorial(n) * degree  # handshake
+        assert all(neighbours == sorted(set(neighbours)) for neighbours in g)
+        assert all(u in g[v] for u, neighbours in enumerate(g) for v in neighbours)  # symmetric
+        assert all(u not in neighbours for u, neighbours in enumerate(g))  # no loops
+        assert all(len(neighbours) == degree for neighbours in g)
+        assert sum(map(len, g)) == math.factorial(n) * degree  # handshake
 
     @pytest.mark.parametrize("n", range(2, 6))
     def test_bipartite_by_parity(self, n):
         # every edge must join an even and an odd permutation, which rules out
         # odd cycles outright
+        perms = itertools.permutations(range(n))
+        colors = [sum(a > b for a, b in itertools.combinations(p, 2)) % 2 for p in perms]
         g = build_graph(n)
-        perms = list(itertools.permutations(range(n)))
-        colors = np.array([sum(a > b for a, b in itertools.combinations(p, 2)) % 2 for p in perms])
-        rows, cols = np.nonzero(g)
-        assert (colors[rows] != colors[cols]).all()
+        assert all(colors[u] != colors[v] for u, neighbours in enumerate(g) for v in neighbours)
 
 
 class TestNumericSpectrum:
     def test_n2(self):
-        values = numeric_spectrum(build_graph(2))
-        assert values == pytest.approx((1.0, -1.0), abs=1e-9)
+        assert numeric_spectrum(build_graph(2)) == Spectrum(2, ((1, 1), (-1, 1)))
 
     def test_n3(self):
-        values = numeric_spectrum(build_graph(3))
-        assert [round(v) for v in values] == [3, 0, 0, 0, 0, -3]
+        assert numeric_spectrum(build_graph(3)) == Spectrum(3, ((3, 1), (0, 4), (-3, 1)))
 
     @pytest.mark.parametrize("n", range(2, 6))
     def test_descending_and_integral(self, n):
-        values = numeric_spectrum(build_graph(n))
-        assert len(values) == math.factorial(n)
-        assert all(a >= b for a, b in zip(values, values[1:]))
-        assert all(abs(v - round(v)) <= 1e-6 for v in values)
-
-    def test_non_integer_eigenvalue_raises(self, monkeypatch):
-        # numeric_spectrum hands the raw values on; compare is the one that judges them
-        eigvalsh = np.linalg.eigvalsh
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: eigvalsh(a) + 0.25)
-        values = numeric_spectrum(build_graph(3))
-        assert values == pytest.approx((3.25, 0.25, 0.25, 0.25, 0.25, -2.75), abs=1e-9)
-        with pytest.raises(ArithmeticError, match="away from an integer"):
-            compare(spectrum(3), values)
+        spec = numeric_spectrum(build_graph(n))
+        assert spec.order == math.factorial(n)
+        assert [v for v, _ in spec.entries] == sorted({v for v, _ in spec.entries}, reverse=True)
+        assert all(type(v) is int and type(m) is int and m > 0 for v, m in spec.entries)
 
     @pytest.mark.parametrize("n", range(2, 6))
     def test_moment_sums(self, n):
-        values = numeric_spectrum(build_graph(n))
-        fact = math.factorial(n)
-        assert abs(sum(values)) <= fact * 1e-6
-        assert sum(v * v for v in values) == pytest.approx(
-            fact * n * (n - 1) // 2, abs=1e-4
-        )
+        entries = numeric_spectrum(build_graph(n)).entries
+        assert sum(v * m for v, m in entries) == 0
+        assert sum(v * v * m for v, m in entries) == math.factorial(n) * n * (n - 1) // 2
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_double_edge_swap_is_refused(self, n, seed):
+        with pytest.raises(ArithmeticError):
+            numeric_spectrum(double_swap(build_graph(n), seed))
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_removed_edge_is_refused(self, n):
+        g = build_graph(n)
+        g[g[0].pop(0)].remove(0)
+        with pytest.raises(ArithmeticError):
+            numeric_spectrum(g)
+
+    @pytest.mark.parametrize("kept", [(1, 0, 2, 3), (1, 2, 3, 0)], ids=["transposition", "cycle"])
+    def test_integral_but_not_vertex_transitive_is_refused(self, kept):
+        # the edge 0-1 and its images under ``kept``: vertex 0's walks pass the integrality
+        # proof, and only the other relabelling finds that the graph is not vertex-transitive
+        perms = list(itertools.permutations(range(4)))
+        rank = {perm: r for r, perm in enumerate(perms)}
+        g, edge = [[] for _ in perms], (perms[0], perms[1])
+        for _ in range(4):  # the orbit of the edge, as ``kept`` has order 2 or 4
+            u, v = rank[edge[0]], rank[edge[1]]
+            g[u], g[v] = sorted({*g[u], v}), sorted({*g[v], u})
+            edge = tuple(tuple(kept[x] for x in perm) for perm in edge)
+        with pytest.raises(ArithmeticError, match="no proof that the graph is vertex-transitive$"):
+            numeric_spectrum(g)
+
+    def test_non_integer_eigenvalue_raises(self):
+        # the adjacent transpositions' Cayley graph, the permutohedron, is vertex-transitive
+        # and has irrational eigenvalues
+        perms = list(itertools.permutations(range(4)))
+        rank = {perm: r for r, perm in enumerate(perms)}
+        g = [sorted(rank[p[:i] + (p[i + 1], p[i]) + p[i + 2:]] for i in range(3)) for p in perms]
+        with pytest.raises(ArithmeticError, match=r"no integer in -6\.\.6$"):
+            numeric_spectrum(g)
+
+    @pytest.mark.parametrize("order", [0, 1, 5, 7, 23])
+    def test_vertex_count_not_a_factorial_raises(self, order):
+        with pytest.raises(ValueError, match="is no n!"):
+            numeric_spectrum([[] for _ in range(order)])
 
 
 class TestCompare:
-    @pytest.mark.parametrize("n", range(2, 6))
+    @pytest.mark.parametrize("n", range(2, 7))
     def test_agreement(self, n):
-        report = compare(spectrum(n), numeric_spectrum(build_graph(n)))
-        assert report.agreement
-        assert report.max_deviation <= 1e-6
-        assert report.discrepancies == ()
+        numeric = numeric_spectrum(build_graph(n))
+        assert numeric == spectrum(n)
+        assert compare(spectrum(n), numeric) == (True, ())
 
     def test_size_mismatch_raises(self):
-        numeric = numeric_spectrum(build_graph(4))
-        with pytest.raises(ValueError):
-            compare(spectrum(3), numeric)
+        for other in (spectrum(4), Spectrum(3, ((3, 1), (0, 5), (-3, 1)))):
+            with pytest.raises(ValueError, match="^size mismatch"):
+                compare(spectrum(3), other)
 
     def test_discrepancies_reported_not_thrown(self):
-        # a hand-mangled multiset: one eigenvalue moved from bucket 0 to 3
-        wrong = (3.0, 3.0, 0.0, 0.0, 0.0, -3.0)
-        report = compare(spectrum(3), wrong)
+        # one eigenvalue moved from bucket 0 to 3, and one to the absent value 1
+        report = compare(spectrum(3), Spectrum(3, ((3, 2), (1, 1), (0, 2), (-3, 1))))
         assert not report.agreement
-        assert (3, 1, 2) in report.discrepancies
-        assert (0, 4, 3) in report.discrepancies
-
-    def test_tolerance_violation_aborts(self):
-        drifted = (3.0, 0.4, 0.0, 0.0, 0.0, -3.4)
-        with pytest.raises(ArithmeticError):
-            compare(spectrum(3), drifted)
-
-    def test_tolerance_violation_names_the_farthest_value(self):
-        drifted = (3.0, 0.1, 0.0, 0.0, 0.0, -3.4)
-        message = r"^eigenvalue -3\.4 is 4\.000e-01 away from an integer \(tolerance 1e-06\)$"
-        with pytest.raises(ArithmeticError, match=message):
-            compare(spectrum(3), drifted)
-
-    @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")], ids=repr)
-    def test_non_finite_value_is_the_farthest(self, bad):
-        numeric = (3.0, 0.1, bad, 0.0, 0.0, -3.0)
-        message = rf"^eigenvalue {bad!r} is inf away from an integer"
-        with pytest.raises(ArithmeticError, match=message):
-            compare(spectrum(3), numeric)
-
-    def test_nan_from_the_eigensolver_is_an_error_record(self, monkeypatch, capsys, tmp_path):
-        eigvalsh = np.linalg.eigvalsh
-
-        def one_nan(a):
-            values = eigvalsh(a)
-            values[2] = np.nan
-            return values
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", one_nan)
-        path = tmp_path / "edges.txt"
-        code = main(["oracle", "3", "--dump-edges", str(path), "--format", "json"])
-        record = json.loads(capsys.readouterr().out)
-        assert code == 2
-        assert record["status"] == "error"
-        assert "away from an integer" in record["payload"]["message"]
-        # the edge file is written after the eigensolve but before compare judges it
-        golden = json.loads(GOLDEN_PATH.read_text())
-        (digest,) = {
-            case["edges_sha256"]
-            for case in golden
-            if case["argv"][:3] == ["oracle", "3", "--dump-edges"] and case["exit"] == 0
-        }
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+        assert report.discrepancies == ((3, 1, 2), (1, 0, 1), (0, 4, 2))
 
 
 class TestRecords:
@@ -169,27 +150,12 @@ class TestRecords:
         with pytest.raises(AttributeError):
             setattr(record, field, getattr(record, field))
 
-    def test_eigensolver_gets_the_graph_itself(self, monkeypatch):
-        eigvalsh = np.linalg.eigvalsh
-        seen = []
-
-        def record(a):
-            seen.append(a)
-            return eigvalsh(a)
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", record)
-        g = build_graph(4)
-        numeric_spectrum(g)
-        assert len(seen) == 1
-        assert seen[0] is g
-
     @pytest.mark.parametrize("n", range(2, 5))
     def test_graph_and_spectrum_are_plain_values(self, n):
         g = build_graph(n)
-        assert isinstance(g, np.ndarray)
-        assert g.shape == (math.factorial(n), math.factorial(n))
-        assert g.dtype == np.float64  # the dtype the eigensolver reads, so it needs no copy
-        assert isinstance(numeric_spectrum(g), tuple)
+        assert type(g) is list and all(type(neighbours) is list for neighbours in g)
+        assert all(type(v) is int for neighbours in g for v in neighbours)
+        assert type(numeric_spectrum(g)) is Spectrum
 
 
 class TestEdgeList:
@@ -200,15 +166,12 @@ class TestEdgeList:
         assert len(edges) == math.factorial(n) * n * (n - 1) // 4
         assert all(0 <= u < v < len(g) for u, v in edges)
         assert edges == sorted(edges)
-        # the same pairs straight from the permutations, without the matrix
+        # the same pairs straight from the permutations, without the graph
         perms = list(itertools.permutations(range(n)))
         rank = {perm: r for r, perm in enumerate(perms)}
-        expected = []
-        for u, perm in enumerate(perms):
-            for i, j in itertools.combinations(range(n), 2):
-                swapped = list(perm)
-                swapped[i], swapped[j] = swapped[j], swapped[i]
-                v = rank[tuple(swapped)]
-                if u < v:
-                    expected.append((u, v))
+        expected = set()
+        for perm, (i, j) in itertools.product(perms, itertools.combinations(range(n), 2)):
+            swapped = list(perm)
+            swapped[i], swapped[j] = swapped[j], swapped[i]
+            expected.add(tuple(sorted((rank[perm], rank[tuple(swapped)]))))
         assert edges == sorted(expected)

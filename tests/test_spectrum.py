@@ -14,6 +14,7 @@ from hypothesis import given
 
 from tnspectrum import (
     Partition,
+    Spectrum,
     character_ratio,
     conjugate,
     degree,
@@ -203,11 +204,9 @@ class TestSpectrum:
         )
 
     def test_resource_guard(self):
-        # the hard limits alone, with no other argument; neither one folds
+        # the ceiling is TestFoldCeiling's, whose stubbed fold cannot run if the check slips
         with pytest.raises(ValueError, match="^n must be positive, got 0$"):
             spectrum(0)
-        with pytest.raises(ValueError, match="exceeds the fold ceiling"):
-            spectrum(FOLD_MAX_N + 1)
         # threads is keyword-only, so an old positional max_n is no worker count
         with pytest.raises(TypeError):
             spectrum(10, 9)
@@ -215,6 +214,22 @@ class TestSpectrum:
     @pytest.mark.parametrize("n", range(1, 13))
     def test_invariants(self, n):
         assert all(spectrum(n).invariant_checks().values())
+
+    @pytest.mark.parametrize(
+        "entries, failed",
+        [
+            (((6, 1), (2, 9), (0, 5), (-2, 9), (-6, 1)), {"multiplicity_sum_is_factorial"}),
+            (((6, 1), (2, 10), (0, 4), (-2, 8), (-6, 1)),
+             {"trace_is_zero", "symmetric_about_zero"}),  # a symmetric spectrum has trace 0
+            (((6, 1), (2, 8), (0, 6), (-2, 8), (-6, 1)), {"square_trace_is_twice_edge_count"}),
+            (((6, 1), (4, 1), (1, 6), (0, 13), (-5, 2), (-6, 1)), {"symmetric_about_zero"}),
+            (((6, 2), (0, 20), (-6, 2)), {"largest_eigenvalue_is_simple"}),
+        ],
+        ids=["order", "trace", "square_trace", "symmetry", "simple_top"],
+    )
+    def test_each_check_fails_on_a_spectrum_broken_for_it(self, entries, failed):
+        checks = Spectrum(4, entries).invariant_checks()
+        assert {name for name, passed in checks.items() if not passed} == failed
 
     def test_lookup_helpers(self):
         spec = spectrum(4)
