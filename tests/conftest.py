@@ -1,12 +1,34 @@
 import functools
 import os
 import pathlib
+import signal
 
 import pytest
 
 from tnspectrum import spectrum
 
 SRC = pathlib.Path(__file__).parents[1] / "src"
+#: Seconds a test may run before it fails: above the longest timeout a test sets itself, 120 s.
+DEADLINE_S = 180
+
+
+@pytest.fixture(autouse=True)
+def deadline():
+    """Fail a test still running after ``DEADLINE_S``, so a hang ends in a named failure.
+
+    The timer fires again every ``DEADLINE_S``, which also cuts a Hypothesis replay of a
+    hung example. Forked children and subprocesses do not inherit it. A test that arms
+    ``ITIMER_REAL`` itself replaces this timer, and puts this handler back when it is done.
+    """
+
+    def expire(signum, frame):
+        pytest.fail(f"still running after the {DEADLINE_S} s deadline")
+
+    handler = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, DEADLINE_S, DEADLINE_S)
+    yield
+    signal.setitimer(signal.ITIMER_REAL, 0)
+    signal.signal(signal.SIGALRM, handler)
 
 
 @pytest.fixture(scope="session")

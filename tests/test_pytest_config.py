@@ -1,8 +1,13 @@
-"""The suite's pytest settings let a run report every test, even after a property test fails."""
+"""The suite's pytest settings let a run report every test, even after a property test fails,
+and end a test that hangs in a named failure."""
 
 import pathlib
+import signal
 import subprocess
 import sys
+import time
+
+import pytest
 
 PYPROJECT = pathlib.Path(__file__).parents[1] / "pyproject.toml"
 
@@ -31,3 +36,10 @@ def test_failing_property_test_does_not_stop_the_run(tmp_path):
     )
     assert "INTERNALERROR" not in result.stdout + result.stderr
     assert "1 failed, 1 passed" in result.stdout
+
+
+def test_a_test_past_its_deadline_fails():
+    # the handler conftest installed, with its timer re-armed from DEADLINE_S to 0.05 s
+    signal.setitimer(signal.ITIMER_REAL, 0.05)
+    with pytest.raises(pytest.fail.Exception, match="deadline$"):
+        time.sleep(10)

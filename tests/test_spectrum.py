@@ -74,6 +74,15 @@ def pools(monkeypatch):
     return built
 
 
+def append_line(path, line):
+    """Append ``line`` to ``path`` in one write to a file opened with O_APPEND, from any process."""
+    fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+    try:
+        os.write(fd, f"{line}\n".encode())
+    finally:
+        os.close(fd)
+
+
 @pytest.fixture
 def fold_log(monkeypatch, tmp_path):
     """Log each ``_fold`` call, in whichever process makes it, to a file opened with O_APPEND.
@@ -85,11 +94,7 @@ def fold_log(monkeypatch, tmp_path):
     fold = spectrum_module._fold
 
     def logging_fold(n, root):
-        fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
-        try:
-            os.write(fd, f"{os.getpid()} {n} {root[0]} {root[1]}\n".encode())
-        finally:
-            os.close(fd)
+        append_line(path, f"{os.getpid()} {n} {root[0]} {root[1]}")
         return fold(n, root)
 
     def read():
@@ -207,9 +212,6 @@ class TestSpectrum:
         # the ceiling is TestFoldCeiling's, whose stubbed fold cannot run if the check slips
         with pytest.raises(ValueError, match="^n must be positive, got 0$"):
             spectrum(0)
-        # threads is keyword-only, so an old positional max_n is no worker count
-        with pytest.raises(TypeError):
-            spectrum(10, 9)
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_invariants(self, n):
@@ -263,13 +265,6 @@ class TestSpectrum:
         monkeypatch.setattr(math, "prod", lambda factors: exact_prod(factors) + 1)
         with pytest.raises(ArithmeticError, match="does not divide"):
             spectrum(6)
-
-    def test_parallel_fold_matches_serial(self, monkeypatch):
-        # real worker processes; the size floor would fold these n in-process
-        monkeypatch.setattr(spectrum_module, "PARALLEL_MIN_N", 1)
-        for n in (1, 2, 3, 7, 18, 25):
-            assert spectrum(n, threads=2) == spectrum(n), n
-        assert spectrum(18, threads=3) == spectrum(18)
 
     @pytest.mark.parametrize("threads", [2, 3])
     def test_pooled_shards_match_plain_fold(self, pools, monkeypatch, threads):
@@ -615,6 +610,31 @@ class TestForkedFold:
         )
         assert (result.returncode, result.stderr) == (0, "")
         assert result.stdout == "printed before the fold\n1\n"
+
+    def test_each_child_moves_off_the_callers_cpu(self, pools, monkeypatch, tmp_path):
+        path, fork, children = tmp_path / "moves", os.fork, []
+
+        def recording_fork():
+            pid = fork()
+            children.append(pid)
+            return pid
+
+        def logging_move(pid, cpus):
+            append_line(path, f"{os.getpid()} {' '.join(map(str, sorted(cpus)))}")
+
+        monkeypatch.setattr(spectrum_module, "PARALLEL_MIN_N", 1)
+        monkeypatch.setattr(spectrum_module, "_other_cpus", lambda: {1, 2})
+        monkeypatch.setattr(os, "sched_setaffinity", logging_move, raising=False)
+        monkeypatch.setattr(os, "fork", recording_fork)
+        assert spectrum(30, threads=3) == spectrum(30)
+        assert pools.sizes == [3]
+        moves = sorted(line.split(" ", 1) for line in path.read_text().splitlines())
+        assert moves == sorted([str(pid), "1 2"] for pid in children)  # none in the caller
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads Linux's /proc")
+    def test_other_cpus_are_the_usable_ones_but_one(self):
+        usable, others = os.sched_getaffinity(0), spectrum_module._other_cpus()
+        assert others < usable and len(usable - others) == 1
 
     def test_no_fork_folds_in_process(self, pools, fold_log, monkeypatch):
         monkeypatch.setattr(spectrum_module, "PARALLEL_MIN_N", 1)
