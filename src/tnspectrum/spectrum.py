@@ -13,9 +13,10 @@ import marshal
 import math
 import numbers
 import os
+from operator import mul
 from typing import NamedTuple
 
-from .partitions import Partition, conjugate
+from .partitions import Partition
 
 
 def eigenvalue(p: Partition) -> int:
@@ -92,14 +93,15 @@ class Spectrum(NamedTuple):
 #: Below this n a spectrum is folded in-process whatever ``threads`` asks for.
 #: Whole-process wall time of ``tnspec spectrum N`` in fresh interpreters on a 2-core
 #: box, two forked workers against the serial fold, 12 alternating pairs per n and
-#: set: at n = 26, 28, ..., 38 the forked fold won 3, 4, 8, 10, 10, 6 and 12 pairs in
-#: one set, 3, 10, 10, 8, 12, 11 and 11 in a second and 1, 6, 10, 8, 10, 12 and 12 in
-#: a third. From n = 38 on it won the median and at least 9 of 12 pairs in every set.
-PARALLEL_MIN_N = 38
+#: set: at n = 36, 38, ..., 52 the forked fold won 6, 8, 11, 12, 11, 12, 12, 12 and 12
+#: pairs in one set, 8, 12, 12, 10, 10, 11, 12, 12 and 12 in a second and 9, 12, 12,
+#: 10, 12, 12, 12, 12 and 12 in a third. From n = 40 on it won the median and at least
+#: 9 of 12 pairs in every set. Re-measure it whenever ``_fold`` changes.
+PARALLEL_MIN_N = 40
 
-#: The largest n ``spectrum`` folds. At n = 300 the walk is 150 frames deep, down
-#: the tail 1^149, and the n(n - 1) + 1 buckets of at most n! each hold about
-#: 33 MB; the fold cannot finish there, as p(300) is about 9e15.
+#: The largest n ``spectrum`` folds. At n = 300 the walk is 149 frames deep, down
+#: the tail 1^148 (1^149 is a leaf), and the n(n - 1) + 1 buckets of at most n! each
+#: hold about 33 MB; the fold cannot finish there, as p(300) is about 9e15.
 FOLD_MAX_N = 300
 
 
@@ -118,8 +120,14 @@ def spectrum(n: int, *, threads: int = 1) -> Spectrum:
     tails, the rows below the first: a node is a tail, its children put one
     more row, no shorter than the tail's top row, on top of it, and it yields
     the one partition of n whose first row is n minus the tail's size. Adding
-    a row on top changes no hook below it, so a node's hook product is its
-    parent's times the hooks of the new row alone.
+    a row on top changes no hook below it, and by Frobenius' beta-number form
+    of the hook formula the first row t over a tail mu of length L has the
+    hook product (t + L)!/E(t), E(x) = prod_k (x + k - mu_k). So a node
+    carries n!/H(mu) and a table of E, each partition's degree is that share
+    times E(t)/(t + L)!, and a child's table is the parent's shifted by one
+    and multiplied by one linear factor. A child whose first row has no room
+    for a row of its own is a leaf, and is folded in its parent's loop with
+    no call; at n = 44 that is 78% of the 39,453 partitions visited.
 
     In-process the walk is one tree, rooted at the empty tail. With
     ``threads`` > 1 and n at least ``PARALLEL_MIN_N`` it is cut into shards by
@@ -313,59 +321,102 @@ def _shards(n: int) -> list[tuple[int, int]]:
 def _fold(n: int, root: tuple[int, int]) -> dict[int, int]:
     """The buckets ``spectrum`` folds from the partitions of n in the subtree at ``root``.
 
-    A tail mu of size S and length L is described by its column offsets
-    ``cols[j] = mu'_j - j - L`` for j < mu_1 (mu'_j is the length of column
-    j, counted from 0). A row r put on top of it has the hook r + L + cols[j]
-    in column j < mu_1 and r - j beyond, and every hook of mu stays as it
-    was. Putting r on top keeps every offset and appends -j - L for
-    mu_1 <= j < r. It also moves every box of mu one row down, so the content
-    sum c(mu) becomes c(mu) - S + C(r, 2); the partition visited at mu, with
-    first row n - S, has the eigenvalue c(mu) - S + C(n - S, 2). The root (s, m) is
-    the rectangle s^m, its children rows longer than s; (0, 0) roots the whole walk.
-    """
-    fact = [1]
-    for k in range(1, n + 1):
-        fact.append(fact[-1] * k)
-    factorial = fact[n]
-    buckets: dict[int, int] = {}
+    A tail mu of size S and length L is carried as G = n!/H(mu), H(mu) its hook
+    product, with its content sum c(mu), its top row low = mu_1 and a table of
+    E(x) = prod_{k=1..L} (x + k - mu_k) for low <= x <= n - S. By Frobenius'
+    beta-number form of the hook formula, the first row t of the partition (t, mu)
+    has the hook product (t + L)!/E(t), so the partition has the degree
+    G E(t)/(t + L)!. The partition visited at mu, with first row n - S, thus has
+    d = G E(n - S)/(n - S + L)!. A child row r put on top gives the tail
+    nu = (r, mu) with G E(r)/(r + L)! and the table E_nu(x) = (x + 1 - r) E(x + 1).
+    It also moves every box of mu one row down, so c(nu) = c(mu) - S + C(r, 2); the
+    partition visited at mu has the eigenvalue c(mu) - S + C(n - S, 2).
 
-    def visit(size, length, hooks, content, low, cols):
+    A child whose first row n - S - r leaves no room for a row of its own, where
+    3r > n - S or 2r > n - S - L - 3, is a leaf. The leaves are the longest child
+    rows, and each is folded in its parent's loop, with no call and no table, as
+    d = G E(r) (n - S - 2r + 1) E(n - S - r + 1) / ((r + L)! (n - S - r + L + 1)!).
+    Every division is a checked ``divmod``: a remainder raises ArithmeticError
+    naming the partition whose hook product does not divide n!. The root (s, m) is
+    the rectangle s^m, its table from x = s and its children rows longer than s
+    (from ``start``; any other node's children start at its ``low``); (0, 0) roots
+    the whole walk.
+    """
+    fact = _factorials(n)
+    buckets: dict[int, int] = {}
+    tail = []  # the rows below the current node's first row, bottom first, for messages
+
+    def inexact(top, *rows):
+        return ArithmeticError(
+            f"hook product does not divide {n}! for {_completed(top, [*tail, *rows])}"
+        )
+
+    def visit(size, length, share, content, low, start, table):
         top = n - size
-        first = len(cols)
-        product = hooks * math.prod(map((top + length).__add__, cols)) * fact[top - first]
-        deg, remainder = divmod(factorial, product)
+        deg, remainder = divmod(share * table[top - low], fact[top + length])
         if remainder:
-            raise ArithmeticError(
-                f"hook product {product} does not divide {n}! for {_completed(top, length, cols)}"
-            )
+            raise inexact(top)
         content -= size  # every box of the tail sits one row below the first
         value = content + top * (top - 1) // 2
         square = deg * deg
         buckets[value] = buckets.get(value, 0) + square
         if top > length + 1:  # first part longer than the length: also the conjugate
             buckets[-value] = buckets.get(-value, 0) + square
-        # a child row r leaves a first row n - size - r of at least r and at least length + 2
+        # a child row r leaves a first row top - r of at least r and at least length + 2;
+        # the child is a leaf when that row has no room for a row r' >= r of its own
         high = min(top // 2, top - length - 2)
-        if low > high:
-            return
-        cols.extend(range(-first - length, -low - length, -1))
-        for row in range(low, high + 1):
-            child_hooks = hooks * math.prod(map((row + length).__add__, cols))
-            visit(size + row, length + 1, child_hooks, content + row * (row - 1) // 2, row, cols)
-            cols.append(-row - length)
-        del cols[first:]
+        split = min(top // 3, (top - (length + 1) - 2) // 2) + 1
+        for row in range(start, min(split, high + 1)):
+            child, remainder = divmod(share * table[row - low], fact[row + length])
+            if remainder:
+                raise inexact(row)
+            shifted = table[row + 1 - low:top - row + 2 - low]  # E(x + 1) for x = row..top - row
+            tail.append(row)
+            visit(size + row, length + 1, child, content + row * (row - 1) // 2, row, row,
+                  list(map(mul, range(1, top - 2 * row + 2), shifted)))
+            tail.pop()
+        content -= size  # and every box of a leaf's tail one row further down
+        for row in range(max(start, split), high + 1):
+            rest = top - row
+            deg, remainder = divmod(
+                share * table[row - low] * (rest - row + 1) * table[rest + 1 - low],
+                fact[row + length] * fact[rest + length + 1],
+            )
+            if remainder:
+                raise inexact(rest, row)
+            value = content + row * (row - 3) // 2 + rest * (rest - 1) // 2
+            square = deg * deg
+            buckets[value] = buckets.get(value, 0) + square
+            if rest > length + 2:  # the leaf's first part longer than its length
+                buckets[-value] = buckets.get(-value, 0) + square
 
-    # the rectangle s^m: offsets 0, -1, ..., 1 - s; hook product prod_i (i + s)! / i!;
-    # content sum m C(s, 2) - s C(m, 2)
+    # the rectangle s^m: hooks i + j for rows i < m and 1 <= j <= s, E(x) = prod_k (x + k - s)
+    # and content sum m C(s, 2) - s C(m, 2)
     s, m = root
-    rectangle = math.prod(fact[i + s] // fact[i] for i in range(m))
-    visit(s * m, m, rectangle, s * m * (s - m) // 2, s + 1, list(range(0, -s, -1)))
+    size = s * m
+    share, remainder = divmod(fact[n], math.prod(i + j for i in range(m) for j in range(1, s + 1)))
+    if remainder:
+        raise ArithmeticError(f"hook product does not divide {n}! for {Partition([s] * m)}")
+    table = [math.prod(range(x - s + 1, x - s + m + 1)) for x in range(s, n - size + 1)]
+    tail.extend([s] * m)
+    visit(size, m, share, size * (s - m) // 2, s, s + 1, table)
     return buckets
 
 
-def _completed(top: int, length: int, cols: list[int]) -> Partition:
-    """The partition ``_fold`` visits at the tail ``cols`` of length ``length``, for messages."""
-    return Partition([top, *conjugate([offset + j + length for j, offset in enumerate(cols)])])
+#: 0!, 1!, 2!, ...: one list per process, which ``_factorials`` extends as n grows.
+_FACTORIALS = [1]
+
+
+def _factorials(n: int) -> list[int]:
+    """The k! for k = 0..n at least, read by ``_fold``: built once per process, not per shard."""
+    while len(_FACTORIALS) <= n:
+        _FACTORIALS.append(_FACTORIALS[-1] * len(_FACTORIALS))
+    return _FACTORIALS
+
+
+def _completed(top: int, tail: list[int]) -> Partition:
+    """The partition with first row ``top`` over the rows ``tail``, bottom first, for messages."""
+    return Partition([top, *reversed(tail)])
 
 
 def multiplicity(n: int, value: int, *, threads: int = 1) -> int:

@@ -74,6 +74,19 @@ def pools(monkeypatch):
     return built
 
 
+def inexact_factorial(monkeypatch, k=None):
+    """Make ``_fold`` read k! + 1 for k!, n! + 1 for n! by default, so a hook product no
+    longer divides what it reads."""
+    factorials = spectrum_module._factorials
+
+    def inexact(n):
+        fact = factorials(n)[:n + 1]
+        fact[n if k is None else k] += 1
+        return fact
+
+    monkeypatch.setattr(spectrum_module, "_factorials", inexact)
+
+
 def append_line(path, line):
     """Append ``line`` to ``path`` in one write to a file opened with O_APPEND, from any process."""
     fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
@@ -254,17 +267,27 @@ class TestSpectrum:
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_completed_names_the_visited_partition(self, n):
-        # the fold describes a tail mu by its column offsets mu'_j - j - len(mu)
+        # the fold keeps the rows below the first row of a partition, bottom first
         for p in enumerate_partitions(n):
-            tail = p[1:]
-            cols = [column - j - len(tail) for j, column in enumerate(conjugate(tail))]
-            assert spectrum_module._completed(p[0], len(tail), cols) == p
+            assert spectrum_module._completed(p[0], list(reversed(p[1:]))) == p
 
     def test_hook_product_exactness_is_checked(self, monkeypatch):
-        exact_prod = math.prod
-        monkeypatch.setattr(math, "prod", lambda factors: exact_prod(factors) + 1)
+        inexact_factorial(monkeypatch)
         with pytest.raises(ArithmeticError, match="does not divide"):
             spectrum(6)
+
+    @pytest.mark.parametrize(
+        "n, k, root, named",
+        [(8, 8, (2, 2), "2, 2"), (7, 5, (2, 2), "3, 2, 2"), (9, 9, (1, 1), "2, 1"),
+         (6, 6, (1, 1), "3, 2, 1")],
+        ids=["shard-root", "node", "child-tail", "leaf"],
+    )
+    def test_each_division_is_checked(self, monkeypatch, n, k, root, named):
+        # with k! read as k! + 1, the first division that goes wrong is the root's n!/H(s^m),
+        # a node's own partition, a child tail's n!/H(nu) and a leaf folded in its parent's loop
+        inexact_factorial(monkeypatch, k)
+        with pytest.raises(ArithmeticError, match=rf"does not divide {n}! for Partition\({named}\)$"):
+            spectrum_module._fold(n, root)
 
     @pytest.mark.parametrize("threads", [2, 3])
     def test_pooled_shards_match_plain_fold(self, pools, monkeypatch, threads):
@@ -351,11 +374,11 @@ class TestSpectrum:
         assert pools.sizes == [2]
 
     def test_pool_floor(self, pools, monkeypatch):
-        # two forked workers beat the serial fold per run from n = 38 on, not below
+        # two forked workers beat the serial fold per run from n = 40 on, not below
         monkeypatch.setattr(spectrum_module, "_fold", lambda n, root: {})
-        spectrum(37, threads=2)
+        spectrum(39, threads=2)
         assert pools.sizes == []
-        spectrum(38, threads=2)
+        spectrum(40, threads=2)
         assert pools.sizes == [2]
 
     def test_rejects_bad_thread_count(self):
@@ -455,8 +478,7 @@ class TestForkedFold:
         assert len({pid for pid, _, _ in folds}) <= workers
 
     def test_corrupt_hook_product_raises_in_the_caller(self, pools, monkeypatch):
-        exact_prod = math.prod
-        monkeypatch.setattr(math, "prod", lambda factors: exact_prod(factors) + 1)
+        inexact_factorial(monkeypatch)
         with pytest.raises(ArithmeticError, match="does not divide"):
             spectrum(44, threads=2)
         assert pools.sizes == [2]
