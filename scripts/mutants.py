@@ -4,13 +4,13 @@
 A mutant replaces one exact text, which must occur once in its file, with another.
 The checkout is copied once into a temporary directory (``TMPDIR`` chooses where);
 each mutant is applied to the copy alone and ``pytest -x`` runs its test files there,
-under a deadline. One line per mutant says killed (with the first failing test),
-survived, timed out or no verdict (pytest ended otherwise), and the time taken. A
-perf-only mutant keeps every output and only changes how the program gets there, so
-it is listed with its evidence and not run. The exit status is 1 if any mutant was
-not killed, 2 if an old text is stale.
+under a deadline of ``DEADLINE_S`` seconds. One line per mutant says killed (with the
+first failing test), survived, timed out or no verdict (pytest ended otherwise), and
+the time taken. A perf-only mutant keeps every output and only changes how the
+program gets there, so it is listed with its evidence and not run. The exit status is
+1 if any mutant was not killed, 2 if an old text is stale.
 
-Usage: python scripts/mutants.py [--deadline SECONDS] [NAME ...]
+Usage: python scripts/mutants.py [NAME ...]
 """
 
 from __future__ import annotations
@@ -28,6 +28,9 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
+
+#: Seconds a mutant's pytest run may take before it counts as timed out.
+DEADLINE_S = 300
 
 
 class Mutant(NamedTuple):
@@ -235,8 +238,6 @@ MUTANTS = [
 def parse_args(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("names", nargs="*", help="run only these mutants (default: all)")
-    parser.add_argument("--deadline", type=float, default=300.0,
-                        help="seconds a mutant's pytest run may take (default 300)")
     return parser.parse_args(argv)
 
 
@@ -245,7 +246,7 @@ def stale(mutants):
     return [m for m in mutants if (ROOT / m.file).read_text().count(m.old) != 1]
 
 
-def run(mutant, copy, deadline):
+def run(mutant, copy):
     """Apply ``mutant`` to ``copy``, run its tests, restore the file: (outcome, first failure)."""
     path = copy / mutant.file
     original = path.read_text()
@@ -256,7 +257,7 @@ def run(mutant, copy, deadline):
     child = subprocess.Popen(command, cwd=copy, env=env, stdout=subprocess.PIPE,
                              stderr=subprocess.STDOUT, text=True, start_new_session=True)
     try:
-        output, _ = child.communicate(timeout=deadline)
+        output, _ = child.communicate(timeout=DEADLINE_S)
     except subprocess.TimeoutExpired:
         os.killpg(child.pid, signal.SIGKILL)  # the run and any fold worker it forked
         child.communicate()
@@ -294,7 +295,7 @@ def main(argv=None):
                 print(f"{m.name:36} perf-only   not run: {m.perf_only}", flush=True)
                 continue
             start = time.monotonic()
-            outcome, first = run(m, copy, args.deadline)
+            outcome, first = run(m, copy)
             failed += outcome != "killed"
             seconds = time.monotonic() - start
             print(f"{m.name:36} {outcome:10} {seconds:6.1f} s  {first}", flush=True)

@@ -13,6 +13,7 @@ import marshal
 import math
 import numbers
 import os
+from itertools import accumulate
 from operator import mul
 from typing import NamedTuple
 
@@ -93,10 +94,16 @@ class Spectrum(NamedTuple):
 #: Below this n a spectrum is folded in-process whatever ``threads`` asks for.
 #: Whole-process wall time of ``tnspec spectrum N`` in fresh interpreters on a 2-core
 #: box, two forked workers against the serial fold, 12 alternating pairs per n and
-#: set: at n = 36, 38, ..., 52 the forked fold won 6, 8, 11, 12, 11, 12, 12, 12 and 12
-#: pairs in one set, 8, 12, 12, 10, 10, 11, 12, 12 and 12 in a second and 9, 12, 12,
-#: 10, 12, 12, 12, 12 and 12 in a third. From n = 40 on it won the median and at least
-#: 9 of 12 pairs in every set. Re-measure it whenever ``_fold`` changes.
+#: set, six sets. At n = 36, 38, 40, 42 and 44 the forked fold won 10, 8, 5, 7 and 5
+#: pairs in set 1, 5, 5, 6, 11 and 11 in set 2, 8, 8, 10, 12 and 11 in set 3, 6, 8,
+#: 11, 12 and 11 in set 4, 8, 12, 12, 10 and 10 in set 5 and 9, 12, 12, 10 and 12 in
+#: set 6; below 36 (sets 1-3) at most 8, and at 46..52 (sets 4-6) at least 11. No n
+#: up to 44 won the median and at least 9 of 12 pairs in all six sets: set 1 never
+#: did (it lost the median at 40 and 44, in a slow spell: its forked median at 44 was
+#: 0.269 s against 0.140-0.162 s in the other sets), and set 2 did from 42. Sets 1-3
+#: disagreed (none, 42 and 40), so sets 4-6 were run, and the floor is the least n
+#: from which each of those three met that rule (40, 38 and 36). Re-measure it
+#: whenever ``_fold`` changes.
 PARALLEL_MIN_N = 40
 
 #: The largest n ``spectrum`` folds. At n = 300 the walk is 149 frames deep, down
@@ -403,15 +410,9 @@ def _fold(n: int, root: tuple[int, int]) -> dict[int, int]:
     return buckets
 
 
-#: 0!, 1!, 2!, ...: one list per process, which ``_factorials`` extends as n grows.
-_FACTORIALS = [1]
-
-
 def _factorials(n: int) -> list[int]:
-    """The k! for k = 0..n at least, read by ``_fold``: built once per process, not per shard."""
-    while len(_FACTORIALS) <= n:
-        _FACTORIALS.append(_FACTORIALS[-1] * len(_FACTORIALS))
-    return _FACTORIALS
+    """The k! for k = 0..n, which ``_fold`` reads."""
+    return list(accumulate(range(1, n + 1), mul, initial=1))
 
 
 def _completed(top: int, tail: list[int]) -> Partition:
