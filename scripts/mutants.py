@@ -232,6 +232,44 @@ MUTANTS = [
            '<< (top - 1) * size',
            '<< (top - 1) * (size - top)',
            'tests/test_spectrum.py'),
+    Mutant('support-top-from-two', 'src/tnspectrum/spectrum.py',
+           'for top in range(1, size + 1):',
+           'for top in range(2, size + 1):',
+           'tests/test_spectrum.py'),
+    Mutant('upper-bound-plus-one', 'src/tnspectrum/spectrum.py',
+           '// 2 - (k - 1) * last\n',
+           '// 2 - (k - 1) * last + 1\n',
+           'tests/test_spectrum.py'),
+    Mutant('waitpid-before-read', 'src/tnspectrum/spectrum.py',
+           'blob = pipe.read()\n            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])',
+           'status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])\n            blob = pipe.read()',
+           'tests/test_spectrum.py'),
+    Mutant('balanced-hook-region', 'src/tnspectrum/witnesses.py',
+           'inner[0] if inner else 0) + 1',
+           'inner[0] if inner else 0) - 1',
+           'tests/test_witnesses.py'),
+    Mutant('zero-n2-guard', 'src/tnspectrum/witnesses.py',
+           'if n == 2:',
+           'if n == -2:',
+           'tests/test_witnesses.py'),
+    Mutant('lambda-lower-bound', 'src/tnspectrum/witnesses.py',
+           'if not 1 <= lam <= n:\n        raise ValueError(f"need 1 <= lam <= n = {n}, got lam = {lam}")\n'
+           '    return _balanced_hook(n, (lam + 1,)',
+           'if not 0 <= lam <= n:\n        raise ValueError(f"need 1 <= lam <= n = {n}, got lam = {lam}")\n'
+           '    return _balanced_hook(n, (lam + 1,)',
+           'tests/test_witnesses.py'),
+    Mutant('prefix-bound', 'src/tnspectrum/witnesses.py',
+           'return 10 * k + 4',
+           'return 10 * k + 3',
+           'tests/test_witnesses.py'),
+    Mutant('verify-fourth-skip', 'src/tnspectrum/cli.py',
+           'if n <= 6',
+           'if n <= 5',
+           'tests/test_cli.py'),
+    Mutant('verify-witness-one-skip', 'src/tnspectrum/cli.py',
+           'witness_one = "SKIP"',
+           'witness_one = "PASS"',
+           'tests/test_cli.py'),
 ]
 
 

@@ -23,7 +23,7 @@ from tnspectrum.witnesses import WitnessReport
 
 # The golden cases are the CLI's output contract, replayed below in-process and in real
 # processes. A per-command test exists only for what no golden case can show: a
-# monkeypatched failure, an argv outside the golden set, or the parser's internals.
+# monkeypatched failure, a call no golden case makes, or the parser's internals.
 
 #: stdout, stderr, exit status and edge-file digest of every case, captured
 #: once from the CLI before its renderer was unified; never regenerate it
@@ -78,7 +78,7 @@ class TestSpectrumCommand:
         [["spectrum", "20"], ["mult", "20", "0"], ["top", "20", "3"]],
         ids=["spectrum", "mult", "top"],
     )
-    def test_threads_flag_with_real_workers(self, capsys, monkeypatch, argv, fmt):
+    def test_forks_on_its_own_with_unchanged_output(self, capsys, monkeypatch, argv, fmt):
         # no flag asks for workers: with the size floor at 1 and two usable CPUs, main
         # forks one worker beside itself on its own, and its output is the one-CPU run's
         fork, forks = os.fork, []
@@ -341,25 +341,6 @@ class TestOneQueryPerCommand:
 
 
 class TestVerifyCommand:
-    def test_passes_to_12(self, capsys):
-        code, out, _ = run(capsys, "verify", "12")
-        assert code == 0
-        assert "all checks passed" in out
-
-    def test_fourth_check_skipped_for_small_n(self, capsys):
-        code, out, _ = run(capsys, "verify", "6", "--format", "json")
-        assert code == 0
-        rows = {row["n"]: row["checks"] for row in json.loads(out)["payload"]["rows"]}
-        assert rows[6]["fourth"] == "SKIP"
-        assert rows[4]["fourth"] == "SKIP"
-        assert rows[6]["third"] == "PASS"
-
-    def test_witness_one_skip_and_pass(self, capsys):
-        code, out, _ = run(capsys, "verify", "7", "--format", "json")
-        rows = {row["n"]: row["checks"] for row in json.loads(out)["payload"]["rows"]}
-        assert rows[5]["witness_one"] == "SKIP"
-        assert rows[7]["witness_one"] == "PASS"
-
     def test_rows_fold_in_process(self, capsys, monkeypatch):
         # every row is past the size floor here, and two CPUs would give two workers
         spectrum_module = importlib.import_module("tnspectrum.spectrum")
@@ -772,12 +753,10 @@ class TestLazyImports:
     def test_package_import_loads_none_of_the_watched_modules(self, code, child_env):
         assert self.loaded_by(code, child_env) == set()
 
-    def test_mult_loads_neither_numpy_nor_the_pool(self, child_env):
-        assert self.loaded_after(["mult", "8", "0"], child_env) == set()
-
     @pytest.mark.parametrize(
         "argv",
-        [["spectrum", "6"], ["spectrum", "44"], ["top", "8", "3"], ["tables"]],
+        [["mult", "8", "0"], ["spectrum", "6"], ["spectrum", "44"], ["top", "8", "3"],
+         ["tables"]],
         ids=" ".join,
     )
     def test_other_folds_load_none_of_the_watched_modules(self, argv, child_env):
@@ -790,14 +769,12 @@ class TestLazyImports:
             (["mult", "8", "0", "--format", "json"], {"json"}),
             (["witness", "14", "1"], {"tnspectrum.witnesses"}),
             (["verify", "6"], {"tnspectrum.witnesses"}),
+            (["oracle", "4"], {"tnspectrum.oracle"}),
         ],
-        ids=["eig", "json", "witness", "verify"],
+        ids=["eig", "json", "witness", "verify", "oracle"],
     )
     def test_loads_only_what_the_command_runs(self, argv, expected, child_env):
         assert self.loaded_after(argv, child_env) == expected
-
-    def test_oracle_loads_the_oracle_and_not_numpy(self, child_env):
-        assert self.loaded_after(["oracle", "4"], child_env) == {"tnspectrum.oracle"}
 
 
 BIG = 10**30

@@ -25,7 +25,7 @@ def test_library_block_is_true():
             shown += 1
         else:
             exec(code, namespace)
-    assert shown == 4
+    assert shown == 5
 
 
 def test_cli_examples_run(tmp_path):

@@ -3,9 +3,7 @@ import pathlib
 import subprocess
 import sys
 
-import hypothesis.strategies as st
 import pytest
-from hypothesis import given
 
 from tnspectrum import (
     Partition,
@@ -29,33 +27,7 @@ from tnspectrum.witnesses import (
 ROOT = pathlib.Path(__file__).parents[1]
 
 
-class TestZeroPartition:
-    def test_examples(self):
-        assert zero_partition(5) == (3, 1, 1)
-        assert zero_partition(4) == (2, 2)
-        assert zero_partition(1) == (1,)
-
-    def test_n2_has_no_zero(self):
-        with pytest.raises(NoWitnessError):
-            zero_partition(2)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            zero_partition(0)
-
-    @pytest.mark.parametrize("n", [n for n in range(1, 30) if n != 2])
-    def test_eigenvalue_is_zero(self, n):
-        p = zero_partition(n)
-        assert p.n == n
-        assert eigenvalue(p) == 0
-
-
 class TestOnePartition:
-    def test_examples(self):
-        assert verify_witness(7, 1).partition == (3, 3, 1)
-        assert verify_witness(14, 1).partition == (4, 4, 4, 2)
-        assert verify_witness(9, 1).partition == (4, 3, 1, 1)
-
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 8, 10, 12])
     def test_outside_validity_ranges(self, n):
         with pytest.raises(NoWitnessError):
@@ -66,50 +38,6 @@ class TestOnePartition:
             assert verify_witness(n, 1).partition == lambda_partition_odd(n, 1)
         for n in range(14, 44, 2):
             assert verify_witness(n, 1).partition == lambda_partition_even(n, 1)
-
-
-class TestLambdaPartitions:
-    def test_odd_examples(self):
-        assert lambda_partition_odd(7, 1) == (3, 3, 1)
-        assert lambda_partition_odd(11, 2) == (4, 4, 2, 1)
-
-    def test_odd_region_enforced(self):
-        with pytest.raises(ValueError):
-            lambda_partition_odd(7, 2)  # 2 > (7 - 3)/4
-        with pytest.raises(ValueError):
-            lambda_partition_odd(8, 1)  # even n
-        with pytest.raises(ValueError):
-            lambda_partition_odd(5, 1)  # below n = 7
-        with pytest.raises(ValueError):
-            lambda_partition_odd(11, 0)
-
-    def test_even_examples(self):
-        assert lambda_partition_even(14, 1) == (4, 4, 4, 2)
-        assert lambda_partition_even(24, 2) == (6, 6, 5, 3, 2, 2)
-
-    def test_even_region_enforced(self):
-        with pytest.raises(ValueError):
-            lambda_partition_even(14, 2)  # 2 > (14 - 4)/10
-        with pytest.raises(ValueError):
-            lambda_partition_even(15, 1)  # odd n
-        with pytest.raises(ValueError):
-            lambda_partition_even(12, 1)  # below n = 14
-
-    @given(st.integers(min_value=3, max_value=50), st.data())
-    def test_odd_region_sweep(self, half, data):
-        n = 2 * half + 1
-        lam = data.draw(st.integers(min_value=1, max_value=(n - 3) // 4))
-        p = lambda_partition_odd(n, lam)
-        assert p.n == n
-        assert eigenvalue(p) == lam
-
-    @given(st.integers(min_value=7, max_value=52), st.data())
-    def test_even_region_sweep(self, half, data):
-        n = 2 * half
-        lam = data.draw(st.integers(min_value=1, max_value=(n - 4) // 10))
-        p = lambda_partition_even(n, lam)
-        assert p.n == n
-        assert eigenvalue(p) == lam
 
 
 def _reference_zero(n):
@@ -366,16 +294,6 @@ class TestMinNForPrefix:
 
 
 class TestVerifyWitness:
-    def test_zero_witness(self):
-        report = verify_witness(9, 0)
-        assert report.partition == (5, 1, 1, 1, 1)
-        assert report.verified
-
-    def test_one_witness(self):
-        report = verify_witness(14, 1)
-        assert report.partition == (4, 4, 4, 2)
-        assert report.verified
-
     def test_report_fields_are_read_only(self):
         report = verify_witness(14, 1)
         with pytest.raises(AttributeError):
