@@ -226,3 +226,8 @@ class TestDegree:
     def test_branching_rule(self, n):
         for p in enumerate_partitions(n):
             assert degree(p) == branching_degree(tuple(p)), p
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_squared_degrees_sum_to_factorial(self, n):
+        total = sum(degree(p) ** 2 for p in enumerate_partitions(n))
+        assert total == math.factorial(n)

@@ -27,6 +27,14 @@ from tnspectrum.witnesses import (
 ROOT = pathlib.Path(__file__).parents[1]
 
 
+class TestZeroPartition:
+    @pytest.mark.parametrize("n", [n for n in range(1, 30) if n != 2])
+    def test_eigenvalue_is_zero(self, n):
+        p = zero_partition(n)
+        assert p.n == n
+        assert eigenvalue(p) == 0
+
+
 class TestOnePartition:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 8, 10, 12])
     def test_outside_validity_ranges(self, n):
