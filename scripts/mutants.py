@@ -7,8 +7,9 @@ each mutant is applied to the copy alone and ``pytest -x`` runs its test files t
 under a deadline of ``DEADLINE_S`` seconds. One line per mutant says killed (with the
 first failing test), survived, timed out or no verdict (pytest ended otherwise), and
 the time taken. A perf-only mutant keeps every output and only changes how the
-program gets there, so it is listed with its evidence and not run. The exit status is
-1 if any mutant was not killed, 2 if an old text is stale.
+program gets there, so it is listed with its evidence and not run. The last line
+counts the mutants killed, not killed and perf-only. The exit status is 1 if any
+mutant was not killed, 2 if an old text is stale.
 
 Usage: python scripts/mutants.py [NAME ...]
 """
@@ -270,6 +271,34 @@ MUTANTS = [
            'witness_one = "SKIP"',
            'witness_one = "PASS"',
            'tests/test_cli.py'),
+    Mutant('witness-verified-or', 'src/tnspectrum/witnesses.py',
+           'part.n == n and eigenvalue(part) == target',
+           'part.n == n or eigenvalue(part) == target',
+           'tests/test_cli.py'),
+    Mutant('product-sign', 'src/tnspectrum/oracle.py',
+           'low - r * high',
+           'low + r * high',
+           'tests/test_oracle.py'),
+    Mutant('spectrum-failed-status', 'src/tnspectrum/cli.py',
+           '0 if all(checks.values()) else 1,',
+           '0,',
+           'tests/test_cli.py'),
+    Mutant('tables-mismatch-verdict', 'src/tnspectrum/cli.py',
+           'else "result: MISMATCH"',
+           'else "result: mismatch"',
+           'tests/test_cli.py'),
+    Mutant('verify-failures-verdict', 'src/tnspectrum/cli.py',
+           'else "FAILURES found"',
+           'else "failures found"',
+           'tests/test_cli.py'),
+    Mutant('oracle-disagree-verdict', 'src/tnspectrum/cli.py',
+           'else "DISAGREE"',
+           'else "DISAGREES"',
+           'tests/test_cli.py'),
+    Mutant('witness-failed-verdict', 'src/tnspectrum/cli.py',
+           'else "FAILED"',
+           'else "failed"',
+           'tests/test_cli.py'),
 ]
 
 
@@ -303,7 +332,10 @@ def run(mutant, copy):
     finally:
         path.write_text(original)
     if child.returncode == 0:
-        return "survived", ""
+        # a mutant can end pytest's own process early with status 0, as a forked child would
+        if re.search(r"^\d+ passed", output, re.M):
+            return "survived", ""
+        return "no verdict", "pytest exit status 0 with no summary"
     if child.returncode not in (1, 2):  # 1: a test failed; 2: collection failed
         return "no verdict", f"pytest exit status {child.returncode}"
     first = re.search(r"^(?:FAILED|ERROR) (.+?)(?: - |$)", output, re.M)
@@ -323,7 +355,7 @@ def main(argv=None):
             print(f"stale: {m.name}: its old text does not occur exactly once in {m.file}",
                   file=sys.stderr)
         return 2
-    failed = 0
+    killed = failed = 0
     with tempfile.TemporaryDirectory(prefix="mutants-") as scratch:
         copy = Path(scratch) / "checkout"
         shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
@@ -334,9 +366,12 @@ def main(argv=None):
                 continue
             start = time.monotonic()
             outcome, first = run(m, copy)
+            killed += outcome == "killed"
             failed += outcome != "killed"
             seconds = time.monotonic() - start
             print(f"{m.name:36} {outcome:10} {seconds:6.1f} s  {first}", flush=True)
+    perf_only = len(chosen) - killed - failed
+    print(f"{killed} killed, {failed} not killed, {perf_only} perf-only not run")
     return 1 if failed else 0
 
 

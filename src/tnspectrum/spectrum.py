@@ -339,10 +339,10 @@ def _fold(n: int, root: tuple[int, int]) -> dict[int, int]:
     It also moves every box of mu one row down, so c(nu) = c(mu) - S + C(r, 2); the
     partition visited at mu has the eigenvalue c(mu) - S + C(n - S, 2).
 
-    A child whose first row n - S - r leaves no room for a row of its own, where
-    3r > n - S or 2r > n - S - L - 3, is a leaf. The leaves are the longest child
-    rows, and each is folded in its parent's loop, with no call and no table, as
-    d = G E(r) (n - S - 2r + 1) E(n - S - r + 1) / ((r + L)! (n - S - r + L + 1)!).
+    A child row r leaves a first row n - S - r of at least r and L + 2, and the child is
+    a leaf, with no room for a row of its own, where 3r > n - S or 2r > n - S - L - 3. The
+    leaves are the longest child rows, each folded in its parent's loop, with no call and
+    no table, as d = G E(r) (n - S - 2r + 1) E(n - S - r + 1) / ((r + L)! (n - S - r + L + 1)!).
     Every division is a checked ``divmod``: a remainder raises ArithmeticError
     naming the partition whose hook product does not divide n!. The root (s, m) is
     the rectangle s^m, its table from x = s and its children rows longer than s
@@ -369,11 +369,10 @@ def _fold(n: int, root: tuple[int, int]) -> dict[int, int]:
         buckets[value] = buckets.get(value, 0) + square
         if top > length + 1:  # first part longer than the length: also the conjugate
             buckets[-value] = buckets.get(-value, 0) + square
-        # a child row r leaves a first row top - r of at least r and at least length + 2;
-        # the child is a leaf when that row has no room for a row r' >= r of its own
+        # every visit has top >= length + 1, so split <= high + 1: no internal child passes high
         high = min(top // 2, top - length - 2)
         split = min(top // 3, (top - (length + 1) - 2) // 2) + 1
-        for row in range(start, min(split, high + 1)):
+        for row in range(start, split):
             child, remainder = divmod(share * table[row - low], fact[row + length])
             if remainder:
                 raise inexact(row)

@@ -15,7 +15,7 @@ import sys
 
 import pytest
 
-from tnspectrum import Partition, multiplicity
+from tnspectrum import Partition, Spectrum, multiplicity, spectrum
 from tnspectrum import cli
 from tnspectrum.cli import ONE_MULTIPLICITIES, ZERO_MULTIPLICITIES, build_parser, main
 from tnspectrum.spectrum import FOLD_MAX_N
@@ -115,6 +115,11 @@ class TestEigCommand:
         record = json.loads(out)
         assert record["status"] == "error"
         assert "out of memory" in record["payload"]["message"]
+
+    def test_n2_has_a_character_ratio(self, capsys):
+        # the least n with a transposition; no golden case has n = 2
+        code, out, _ = run(capsys, "eig", "1", "1")
+        assert (code, out.splitlines()[-1]) == (0, "  character ratio  -1/1")
 
 
 class TestWitnessCommand:
@@ -357,6 +362,15 @@ class TestOracleCommand:
             main(["oracle", "7"])
         assert err.value.code == 2
 
+    def test_oracle_6_is_checked(self, capsys):
+        # the largest n the oracle takes; no golden case runs it
+        assert run(capsys, "oracle", "6") == (
+            0,
+            "oracle check, n = 6: 720 vertices, 5400 edges\n"
+            "numeric vs exact spectrum: AGREE (max deviation 0.000e+00)\n",
+            "",
+        )
+
     def test_arithmetic_error_is_error_record(self, capsys, monkeypatch, tmp_path):
         # a graph with one edge removed; its edge file is written before the proof refuses it
         from tnspectrum import oracle
@@ -400,6 +414,36 @@ class TestOracleCommand:
         assert len(writes) == 1
         assert path.read_text() == writes[0]
         assert len(writes[0].splitlines()) == 600  # 5! vertices of degree 10
+
+
+class TestFailedChecks:
+    """Status 1 and the command's failure line when a check fails: each row patches the
+    query its command reads to answer wrongly. No golden case reaches this path."""
+
+    @pytest.mark.parametrize(
+        "target, wrong, argv, lines",
+        [
+            # passes every invariant but the symmetry
+            ("tnspectrum.cli.spectrum",
+             lambda n, **kwargs: Spectrum(3, ((3, 1), (1, 1), (0, 2), (-2, 2))),
+             ["spectrum", "3"], [f"  {'symmetric_about_zero':<34} FAIL"]),
+            ("tnspectrum.cli.multiplicity", lambda n, value: 0, ["tables"], ["result: MISMATCH"]),
+            ("tnspectrum.cli.spectrum", lambda n: Spectrum(n, spectrum(n).entries[::-1]),
+             ["verify", "4"], ["result: FAILURES found for n = 4..4"]),
+            ("tnspectrum.cli.spectrum", lambda n: Spectrum(2, ((1, 2),)), ["oracle", "2"],
+             ["numeric vs exact spectrum: DISAGREE (max deviation 0.000e+00)",
+              "  eigenvalue 1: exact multiplicity 2, numeric 1",
+              "  eigenvalue -1: exact multiplicity 0, numeric 1"]),
+            ("tnspectrum.witnesses.lambda_partition_odd", lambda n, lam: Partition((7,)),
+             ["witness", "7", "1"], ["eigenvalue 1 witness for n = 7: (7,) FAILED"]),
+        ],
+        ids=["spectrum", "tables", "verify", "oracle", "witness"],
+    )
+    def test_status_1_and_the_failure_line(self, capsys, monkeypatch, target, wrong, argv, lines):
+        monkeypatch.setattr(target, wrong)
+        code, out, _ = run(capsys, *argv)
+        assert code == 1
+        assert [line for line in lines if line not in out.splitlines()] == []
 
 
 class TestGoldenReplay:

