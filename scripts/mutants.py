@@ -124,9 +124,9 @@ MUTANTS = [
            'zip(values, mults) if mult))',
            'zip(values, mults)))',
            'tests/test_oracle.py'),
-    Mutant('children-buckets-dropped', 'src/tnspectrum/spectrum.py',
-           'add(marshal.loads(blob))',
-           'marshal.loads(blob)',
+    Mutant('children-buckets-dropped', 'src/tnspectrum/forked.py',
+           'mine[:] = map(add, mine, theirs)',
+           'mine[:] = mine',
            'tests/test_acceptance.py'),
     Mutant('threads-positional', 'src/tnspectrum/spectrum.py',
            'def spectrum(n: int, *, threads: int = 1)',
@@ -140,7 +140,7 @@ MUTANTS = [
            'row_len - j + conj[j] - t - 1',
            'row_len - j + conj[j] - t',
            'tests/test_acceptance.py'),
-    Mutant('cpu-move-skipped', 'src/tnspectrum/spectrum.py',
+    Mutant('cpu-move-skipped', 'src/tnspectrum/forked.py',
            'os.sched_setaffinity(0, others)',
            'pass',
            'tests/test_spectrum.py'),
@@ -172,18 +172,44 @@ MUTANTS = [
            '(top - (length + 1) - 2) // 2) + 1',
            '(top - (length + 0) - 2) // 2) + 1',
            'tests/test_spectrum.py',
-           'BENCH_etable_fold.json mutants: same buckets, 9,943 calls for 8,819 at n = 44'),
+           'BENCH_lean_fold.json mutants: same buckets for n = 1..40 and the same 2,743 visit '
+           'calls at n = 44; a leaf row at the raised split only divides out its unused '
+           'n!/H(nu), 6,802 such divisions for 6,076'),
     Mutant('table-factor', 'src/tnspectrum/spectrum.py',
            'map(mul, range(1, top - 2 * row + 2)',
            'map(mul, range(0, top - 2 * row + 1)',
            'tests/test_spectrum.py'),
     Mutant('leaf-conjugate-guard', 'src/tnspectrum/spectrum.py',
-           'if rest > length + 2:',
-           'if rest >= length + 2:',
+           'sums = strict if row < top - length - 2 else square',
+           'sums = strict if row <= top - length - 2 else square',
            'tests/test_spectrum.py'),
     Mutant('node-conjugate-guard', 'src/tnspectrum/spectrum.py',
-           'if top > length + 1:',
-           'if top >= length + 1:',
+           'sums = strict if top > length + 1 else square',
+           'sums = strict if top >= length + 1 else square',
+           'tests/test_spectrum.py'),
+    Mutant('pre-leaf-leaf-conjugate-guard', 'src/tnspectrum/spectrum.py',
+           'sums = strict if leaf < rest - length - 3 else square',
+           'sums = strict if leaf <= rest - length - 3 else square',
+           'tests/test_spectrum.py'),
+    Mutant('pre-leaf-test-minus-one', 'src/tnspectrum/spectrum.py',
+           '(top - (length + 1) - 3) // 3) + 1',
+           '(top - (length + 1) - 3) // 3)',
+           'tests/test_spectrum.py'),
+    Mutant('pre-leaf-test-plus-one', 'src/tnspectrum/spectrum.py',
+           '(top - (length + 1) - 3) // 3) + 1',
+           '(top - (length + 1) - 3) // 3) + 2',
+           'tests/test_spectrum.py'),
+    Mutant('pre-leaf-leaves-skipped', 'src/tnspectrum/spectrum.py',
+           'if row < split:',
+           'if row < split - 1:',
+           'tests/test_spectrum.py'),
+    Mutant('pre-leaf-content-shift', 'src/tnspectrum/spectrum.py',
+           'shift = content - size + row * (row - 5) // 2',
+           'shift = content + row * (row - 5) // 2',
+           'tests/test_spectrum.py'),
+    Mutant('mirror-dropped', 'src/tnspectrum/spectrum.py',
+           'map(add, reversed(strict), strict)',
+           'reversed(strict)',
            'tests/test_spectrum.py'),
     Mutant('child-range', 'src/tnspectrum/spectrum.py',
            'high = min(top // 2, top - length - 2)',
@@ -208,6 +234,14 @@ MUTANTS = [
     Mutant('leaf-division-unchecked', 'src/tnspectrum/spectrum.py',
            'if remainder:\n                raise inexact(rest, row)',
            'if False:\n                raise inexact(rest, row)',
+           'tests/test_spectrum.py'),
+    Mutant('pre-leaf-tail-division-unchecked', 'src/tnspectrum/spectrum.py',
+           'if remainder:\n                    raise inexact(row)',
+           'if False:\n                    raise inexact(row)',
+           'tests/test_spectrum.py'),
+    Mutant('pre-leaf-leaf-division-unchecked', 'src/tnspectrum/spectrum.py',
+           'if remainder:\n                        raise inexact(first, row, leaf)',
+           'if False:\n                        raise inexact(first, row, leaf)',
            'tests/test_spectrum.py'),
     Mutant('shard-sort-reversed', 'src/tnspectrum/spectrum.py',
            'keys.sort(key=lambda key: (key[0] * key[1], key[0]))',
@@ -241,7 +275,7 @@ MUTANTS = [
            '// 2 - (k - 1) * last\n',
            '// 2 - (k - 1) * last + 1\n',
            'tests/test_spectrum.py'),
-    Mutant('waitpid-before-read', 'src/tnspectrum/spectrum.py',
+    Mutant('waitpid-before-read', 'src/tnspectrum/forked.py',
            'blob = pipe.read()\n            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])',
            'status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])\n            blob = pipe.read()',
            'tests/test_spectrum.py'),

@@ -91,14 +91,14 @@ def degree(p: Partition) -> int:
     The division is exact for every valid partition; an inexact division can
     only mean a corrupted hook grid, so it raises instead of rounding.
     """
-    conj = conjugate(p)
+    n, conj = p.n, conjugate(p)  # ``n`` sums the parts on each access
     hook_product = 1
     for t, row_len in enumerate(p):
         for j in range(row_len):
             hook_product *= row_len - j + conj[j] - t - 1
-    quotient, remainder = divmod(math.factorial(p.n), hook_product)
+    quotient, remainder = divmod(math.factorial(n), hook_product)
     if remainder:
-        raise ArithmeticError(f"hook product {hook_product} does not divide {p.n}! for {p}")
+        raise ArithmeticError(f"hook product {hook_product} does not divide {n}! for {p}")
     return quotient
 
 

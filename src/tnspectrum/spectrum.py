@@ -8,13 +8,11 @@ spectrum is a bucket sum over all p(n) partitions.
 
 from __future__ import annotations
 
-import builtins
-import marshal
 import math
 import numbers
 import os
 from itertools import accumulate
-from operator import mul
+from operator import add, mul
 from typing import NamedTuple
 
 from .partitions import Partition
@@ -43,9 +41,10 @@ def character_ratio(p: Partition) -> numbers.Rational:
     """
     from fractions import Fraction
 
-    if p.n < 2:
+    n = p.n  # the sum of the parts, taken once
+    if n < 2:
         raise ValueError("character ratio requires n >= 2 (no transpositions exist below)")
-    return Fraction(eigenvalue(p), p.n * (p.n - 1) // 2)
+    return Fraction(eigenvalue(p), n * (n - 1) // 2)
 
 
 def eigenvalue_upper_bound(p: Partition) -> int:
@@ -94,21 +93,19 @@ class Spectrum(NamedTuple):
 #: Below this n a spectrum is folded in-process whatever ``threads`` asks for.
 #: Whole-process wall time of ``tnspec spectrum N`` in fresh interpreters on a 2-core
 #: box, two forked workers against the serial fold, 12 alternating pairs per n and
-#: set, six sets. At n = 36, 38, 40, 42 and 44 the forked fold won 10, 8, 5, 7 and 5
-#: pairs in set 1, 5, 5, 6, 11 and 11 in set 2, 8, 8, 10, 12 and 11 in set 3, 6, 8,
-#: 11, 12 and 11 in set 4, 8, 12, 12, 10 and 10 in set 5 and 9, 12, 12, 10 and 12 in
-#: set 6; below 36 (sets 1-3) at most 8, and at 46..52 (sets 4-6) at least 11. No n
-#: up to 44 won the median and at least 9 of 12 pairs in all six sets: set 1 never
-#: did (it lost the median at 40 and 44, in a slow spell: its forked median at 44 was
-#: 0.269 s against 0.140-0.162 s in the other sets), and set 2 did from 42. Sets 1-3
-#: disagreed (none, 42 and 40), so sets 4-6 were run, and the floor is the least n
-#: from which each of those three met that rule (40, 38 and 36). Re-measure it
-#: whenever ``_fold`` changes.
+#: set. The floor is the least n at and above which the forked fold won the median
+#: and at least 9 of 12 pairs at every n measured. Six sets on the E-table kernel
+#: gave 40 (``BENCH_etable_fold.json``). Three sets on this kernel, at each n = 36..44,
+#: gave 39, 41 and 39: the forked fold won 3, 3 and 9 pairs at n = 36, 5, 6 and 5 at
+#: 38, 11, 9 and 10 at 39, 12, 7 and 12 at 40, 12, 9 and 10 at 41, and at least 10 at
+#: 42..44 (``BENCH_lean_fold.json``). The sets moved the floor both ways, so it stays.
+#: Re-measure it whenever ``_fold`` changes.
 PARALLEL_MIN_N = 40
 
-#: The largest n ``spectrum`` folds. At n = 300 the walk is 149 frames deep, down
-#: the tail 1^148 (1^149 is a leaf), and the n(n - 1) + 1 buckets of at most n! each
-#: hold about 33 MB; the fold cannot finish there, as p(300) is about 9e15.
+#: The largest n ``spectrum`` folds. At n = 300 the walk is 148 frames deep, down
+#: the tail 1^147 (1^148 is a pre-leaf), and the two accumulators of n(n - 1) + 1
+#: counts below n! each hold at most about 55 MB; the fold cannot finish there, as
+#: p(300) is about 9e15.
 FOLD_MAX_N = 300
 
 
@@ -117,11 +114,13 @@ def spectrum(n: int, *, threads: int = 1) -> Spectrum:
 
     Folds degree(p)^2 into one bucket per eigenvalue over all partitions of n.
     Conjugation keeps the degree and negates the eigenvalue, so the fold visits
-    only the partitions whose first part is at least their length. Each adds
-    its degree^2 at +eigenvalue and, when its first part exceeds its length,
-    also at -eigenvalue on behalf of its conjugate. A partition whose first
-    part equals its length has a conjugate of the same kind, visited in its
-    own right, so it adds at +eigenvalue only.
+    only the partitions whose first part is at least their length, and each
+    adds its degree^2 once. One whose first part exceeds its length adds to a
+    ``strict`` accumulator, which is added at +eigenvalue and, on behalf of the
+    conjugates, at -eigenvalue once, when the buckets are built. A partition
+    whose first part equals its length has a conjugate of the same kind,
+    visited in its own right, so it adds to a ``square`` accumulator, added at
+    +eigenvalue only.
 
     The partitions are built bottom-up by a depth-first walk over their
     tails, the rows below the first: a node is a tail, its children put one
@@ -133,8 +132,10 @@ def spectrum(n: int, *, threads: int = 1) -> Spectrum:
     carries n!/H(mu) and a table of E, each partition's degree is that share
     times E(t)/(t + L)!, and a child's table is the parent's shifted by one
     and multiplied by one linear factor. A child whose first row has no room
-    for a row of its own is a leaf, and is folded in its parent's loop with
-    no call; at n = 44 that is 78% of the 39,453 partitions visited.
+    for a row of its own is a leaf, and a child whose children are all leaves
+    is a pre-leaf. Both are folded in their parent's loop with no call, a
+    pre-leaf's leaves reading that parent's table; at n = 44 only 2,743 of the
+    39,453 partitions visited are calls of their own.
 
     In-process the walk is one tree, rooted at the empty tail. With
     ``threads`` > 1 and n at least ``PARALLEL_MIN_N`` it is cut into shards by
@@ -143,12 +144,14 @@ def spectrum(n: int, *, threads: int = 1) -> Spectrum:
     processes: the caller and the workers it forks, none forked when that is 1.
     They drain one queue of shards, largest subtrees first, so an idle worker
     takes the next shard; each worker moves itself off the caller's CPU, as a
-    forked process may otherwise stay on its parent's. The usable CPUs are
-    those the process's affinity mask allows, not every CPU of the machine:
-    pinned to one CPU, two workers lost to the serial fold at n = 56 in 8 of 10
-    alternating pairs. Where ``os.fork`` is missing there is one, and every
-    fold runs in-process. Bucket addition is commutative and associative, so
-    the result is identical to the serial one.
+    forked process may otherwise stay on its parent's. Every process folds into
+    one accumulator pair of its own, and the caller adds each worker's pair into
+    its own once; the module ``forked`` does that, and is imported only then.
+    The usable CPUs are those the process's affinity mask allows, not every CPU
+    of the machine: pinned to one CPU, two workers lost to the serial fold at
+    n = 56 in 8 of 10 alternating pairs. Where ``os.fork`` is missing there is
+    one, and every fold runs in-process. Bucket addition is commutative and
+    associative, so the result is identical to the serial one.
 
     An n below 1 or above ``FOLD_MAX_N`` raises ValueError before any fold, and
     so do ``multiplicity`` and ``top_eigenvalues``.
@@ -159,8 +162,18 @@ def spectrum(n: int, *, threads: int = 1) -> Spectrum:
     # a fold that forks no worker is one shard, the whole walk from the empty tail
     shards = _shards(n) if threads > 1 and n >= PARALLEL_MIN_N else [(0, 0)]
     workers = min(threads, _usable_cpus(), len(shards))
-    buckets = _fold(n, (0, 0)) if workers == 1 else _fold_forked(n, shards, workers)
-    entries = tuple(sorted(buckets.items(), reverse=True))
+    top = n * (n - 1) // 2  # index i of an accumulator counts the eigenvalue i - top
+    strict, square = [0] * (2 * top + 1), [0] * (2 * top + 1)
+    if workers == 1:
+        _fold(n, (0, 0), strict, square)
+    else:
+        from .forked import fold_forked
+
+        fold_forked(lambda root: _fold(n, root, strict, square), shards, workers, (strict, square))
+    # from the largest value down; a strict count at index i also counts the conjugates
+    # at the mirror index 2 top - i
+    buckets = map(add, reversed(square), map(add, reversed(strict), strict))
+    entries = tuple((value, mult) for value, mult in zip(range(top, -top - 1, -1), buckets) if mult)
     return Spectrum(n=n, entries=entries)
 
 
@@ -208,105 +221,6 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _fold_forked(n: int, shards: list[tuple[int, int]], workers: int) -> dict[int, int]:
-    """The buckets of all ``shards``, folded by the caller and ``workers - 1`` forked children.
-
-    The shards' indices wait in one queue pipe, 2 bytes each in ``_shards``' order; at
-    n = 300 they take 2,386 bytes, one atomic write. Every process, the caller too, reads
-    one index at a time and folds that shard until the pipe is empty, so an idle worker
-    takes the next shard, largest subtrees first. Each child first moves itself onto the
-    usable CPUs but the caller's: on a 2-core box whose scheduler left a forked child on
-    its parent's CPU, ``tnspec spectrum N`` with the move beat it without in 35 and then
-    36 of 36 fresh-process pairs, 12 at each of n = 38, 41 and 44. A child sends its
-    buckets on a pipe of its own as one ``marshal`` blob and ends with ``os._exit``,
-    which flushes no buffer it shares with the caller. A child that raises sends the name
-    of the nearest built-in class of its exception and the message instead, and exits 1
-    with no traceback; the caller raises that built-in type. The caller reads each pipe
-    to EOF before it reaps the child, as one blob can outgrow the pipe's 64 KiB buffer
-    (all the buckets of n = 56 take 70.9 KB, of n = 44 34.5 KB), and it kills and reaps
-    every child that is left when it raises itself, so no child outlives the call. A
-    child holds no read end of any result pipe, so when the caller is killed its write
-    fails instead of blocking, and it takes no more shards once it has a new parent.
-    """
-    buckets: dict[int, int] = {}
-
-    def add(partial):
-        for value, mult in partial.items():
-            buckets[value] = buckets.get(value, 0) + mult
-
-    def drain():  # a child stops once it has a new parent; the caller never does
-        while caller in (os.getpid(), os.getppid()) and (index := os.read(queue, 2)):
-            add(_fold(n, shards[int.from_bytes(index, "little")]))
-
-    caller, others = os.getpid(), _other_cpus()
-    queue, feed = os.pipe()
-    os.write(feed, b"".join(i.to_bytes(2, "little") for i in range(len(shards))))
-    os.close(feed)
-    children = {}  # pid: the read end of its result pipe
-    try:
-        for _ in range(workers - 1):
-            read, write = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                status = 1
-                try:
-                    os.close(read)  # else a write to a dead caller blocks forever
-                    for pipe in children.values():
-                        pipe.close()
-                    if others:  # a forked child starts on its parent's CPU and may stay there
-                        try:
-                            os.sched_setaffinity(0, others)
-                        except OSError:  # none of them is online: fold where it is
-                            pass
-                    try:
-                        drain()
-                        blob, code = marshal.dumps(buckets), 0
-                    except BaseException as exc:
-                        kind = next(k for k in type(exc).__mro__ if k.__module__ == "builtins")
-                        blob, code = marshal.dumps((kind.__name__, str(exc))), 1
-                    with open(write, "wb") as pipe:
-                        pipe.write(blob)
-                    status = code
-                finally:
-                    os._exit(status)
-            os.close(write)
-            children[pid] = open(read, "rb")
-        drain()
-        for pid, pipe in list(children.items()):
-            blob = pipe.read()
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            del children[pid]
-            pipe.close()
-            if status == 0:
-                add(marshal.loads(blob))
-            elif status == 1 and blob:
-                name, message = marshal.loads(blob)
-                raise getattr(builtins, name)(message)
-            else:
-                raise ChildProcessError(
-                    f"fold worker {pid} ended with status {status} and sent no result"
-                )
-    finally:
-        os.close(queue)
-        for pid, pipe in children.items():  # left only when the call raises
-            from signal import SIGKILL
-
-            pipe.close()
-            os.kill(pid, SIGKILL)
-            os.waitpid(pid, 0)
-    return buckets
-
-
-def _other_cpus() -> set[int]:
-    """The usable CPUs but the one this process runs on, where Linux's ``/proc`` names it."""
-    try:
-        with open("/proc/self/stat", "rb") as stat:
-            cpu = int(stat.read().rsplit(b")", 1)[1].split()[36])  # field 39, "processor"
-    except OSError:
-        return set()
-    return os.sched_getaffinity(0) - {cpu}
-
-
 def _shards(n: int) -> list[tuple[int, int]]:
     """The bottom runs (s, m) of the tails ``_fold`` visits, smallest tail s*m first.
 
@@ -325,8 +239,12 @@ def _shards(n: int) -> list[tuple[int, int]]:
     return keys
 
 
-def _fold(n: int, root: tuple[int, int]) -> dict[int, int]:
-    """The buckets ``spectrum`` folds from the partitions of n in the subtree at ``root``.
+def _fold(n: int, root: tuple[int, int], strict: list[int], square: list[int]) -> None:
+    """Add the partitions of n in the subtree at ``root`` into ``strict`` and ``square``.
+
+    Each accumulator counts degree^2 per eigenvalue v at index v + C(n, 2), and each
+    partition is one addition: to ``strict`` when its first part exceeds its length, a
+    count that ``spectrum`` also adds at -v for the conjugate, else to ``square``.
 
     A tail mu of size S and length L is carried as G = n!/H(mu), H(mu) its hook
     product, with its content sum c(mu), its top row low = mu_1 and a table of
@@ -339,18 +257,23 @@ def _fold(n: int, root: tuple[int, int]) -> dict[int, int]:
     It also moves every box of mu one row down, so c(nu) = c(mu) - S + C(r, 2); the
     partition visited at mu has the eigenvalue c(mu) - S + C(n - S, 2).
 
-    A child row r leaves a first row n - S - r of at least r and L + 2, and the child is
-    a leaf, with no room for a row of its own, where 3r > n - S or 2r > n - S - L - 3. The
-    leaves are the longest child rows, each folded in its parent's loop, with no call and
-    no table, as d = G E(r) (n - S - 2r + 1) E(n - S - r + 1) / ((r + L)! (n - S - r + L + 1)!).
-    Every division is a checked ``divmod``: a remainder raises ArithmeticError
-    naming the partition whose hook product does not divide n!. The root (s, m) is
-    the rectangle s^m, its table from x = s and its children rows longer than s
-    (from ``start``; any other node's children start at its ``low``); (0, 0) roots
+    A child row r leaves a first row n - S - r of at least r and L + 2. The child is a
+    leaf, with no room for a row of its own, where 3r > n - S or 2r > n - S - L - 3, and
+    a pre-leaf, whose child rows are all leaves, where 4r > n - S or 3r > n - S - L - 4.
+    Both are the longest child rows, folded in their parent's loop with no call and no
+    table: the partition (n - S - r, r, mu) has
+    d = G E(r) (n - S - 2r + 1) E(n - S - r + 1) / ((r + L)! (n - S - r + L + 1)!), and a
+    pre-leaf's leaf (t, r', r, mu) reads E_nu straight off the parent's table, as
+    d = G_nu E_nu(r') (t - r' + 1) E_nu(t + 1) / ((r' + L + 1)! (t + L + 2)!) with
+    G_nu = G E(r)/(r + L)!. At n = 44 that leaves 2,743 calls for the 8,819 nodes with
+    children. Every division is a checked ``divmod``: a remainder raises ArithmeticError
+    naming the partition whose hook product does not divide n! (the rows folded in the
+    loop are named through ``inexact``'s ``rows``, not pushed onto ``tail``). The root
+    (s, m) is the rectangle s^m, its table from x = s and its children rows longer than
+    s (from ``start``; any other node's children start at its ``low``); (0, 0) roots
     the whole walk.
     """
     fact = _factorials(n)
-    buckets: dict[int, int] = {}
     tail = []  # the rows below the current node's first row, bottom first, for messages
 
     def inexact(top, *rows):
@@ -365,14 +288,13 @@ def _fold(n: int, root: tuple[int, int]) -> dict[int, int]:
             raise inexact(top)
         content -= size  # every box of the tail sits one row below the first
         value = content + top * (top - 1) // 2
-        square = deg * deg
-        buckets[value] = buckets.get(value, 0) + square
-        if top > length + 1:  # first part longer than the length: also the conjugate
-            buckets[-value] = buckets.get(-value, 0) + square
+        sums = strict if top > length + 1 else square
+        sums[value] += deg * deg
         # every visit has top >= length + 1, so split <= high + 1: no internal child passes high
         high = min(top // 2, top - length - 2)
         split = min(top // 3, (top - (length + 1) - 2) // 2) + 1
-        for row in range(start, split):
+        inner = min(top // 4, (top - (length + 1) - 3) // 3) + 1
+        for row in range(start, inner):
             child, remainder = divmod(share * table[row - low], fact[row + length])
             if remainder:
                 raise inexact(row)
@@ -382,7 +304,7 @@ def _fold(n: int, root: tuple[int, int]) -> dict[int, int]:
                   list(map(mul, range(1, top - 2 * row + 2), shifted)))
             tail.pop()
         content -= size  # and every box of a leaf's tail one row further down
-        for row in range(max(start, split), high + 1):
+        for row in range(max(start, inner), high + 1):
             rest = top - row
             deg, remainder = divmod(
                 share * table[row - low] * (rest - row + 1) * table[rest + 1 - low],
@@ -391,10 +313,25 @@ def _fold(n: int, root: tuple[int, int]) -> dict[int, int]:
             if remainder:
                 raise inexact(rest, row)
             value = content + row * (row - 3) // 2 + rest * (rest - 1) // 2
-            square = deg * deg
-            buckets[value] = buckets.get(value, 0) + square
-            if rest > length + 2:  # the leaf's first part longer than its length
-                buckets[-value] = buckets.get(-value, 0) + square
+            sums = strict if row < top - length - 2 else square
+            sums[value] += deg * deg
+            if row < split:  # a pre-leaf, whose child rows are all leaves
+                child, remainder = divmod(share * table[row - low], fact[row + length])
+                if remainder:
+                    raise inexact(row)
+                shift = content - size + row * (row - 5) // 2
+                for leaf in range(row, min(rest // 2, rest - length - 3) + 1):
+                    first = rest - leaf
+                    deg, remainder = divmod(
+                        child * ((leaf + 1 - row) * (first - leaf + 1) * (first + 2 - row))
+                        * table[leaf + 1 - low] * table[first + 2 - low],
+                        fact[leaf + length + 1] * fact[first + length + 2],
+                    )
+                    if remainder:
+                        raise inexact(first, row, leaf)
+                    value = shift + leaf * (leaf - 3) // 2 + first * (first - 1) // 2
+                    sums = strict if leaf < rest - length - 3 else square
+                    sums[value] += deg * deg
 
     # the rectangle s^m: hooks i + j for rows i < m and 1 <= j <= s, E(x) = prod_k (x + k - s)
     # and content sum m C(s, 2) - s C(m, 2)
@@ -405,8 +342,7 @@ def _fold(n: int, root: tuple[int, int]) -> dict[int, int]:
         raise ArithmeticError(f"hook product does not divide {n}! for {Partition([s] * m)}")
     table = [math.prod(range(x - s + 1, x - s + m + 1)) for x in range(s, n - size + 1)]
     tail.extend([s] * m)
-    visit(size, m, share, size * (s - m) // 2, s, s + 1, table)
-    return buckets
+    visit(size, m, share, size * (s - m) // 2 + n * (n - 1) // 2, s, s + 1, table)
 
 
 def _factorials(n: int) -> list[int]:

@@ -820,6 +820,18 @@ class TestLazyImports:
     def test_loads_only_what_the_command_runs(self, argv, expected, child_env):
         assert self.loaded_after(argv, child_env) == expected
 
+    def test_a_fold_that_forks_nothing_leaves_the_forked_fold_unloaded(self, child_env):
+        # spectrum 30 folds in-process, below PARALLEL_MIN_N, so it never compiles forked.py
+        script = (
+            "import sys\nfrom tnspectrum.cli import main\nmain(['spectrum', '30'])\n"
+            "print('tnspectrum.forked' in sys.modules)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=child_env
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "False"
+
 
 BIG = 10**30
 COMMANDS = ("spectrum", "mult", "eig", "top", "witness", "tables", "verify", "oracle")

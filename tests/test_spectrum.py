@@ -34,9 +34,15 @@ partitions_st = st.builds(
 )
 
 spectrum_module = importlib.import_module("tnspectrum.spectrum")
+forked_module = importlib.import_module("tnspectrum.forked")
 FOLD_MAX_N = spectrum_module.FOLD_MAX_N
 #: the sizes past n = 30 that the closed forms and the walk moments are checked at
 LARGE_NS = [*range(38, 45), 50, 60]
+
+
+def accumulators(n):
+    """Empty ``strict`` and ``square`` accumulators for ``_fold``, one count per eigenvalue."""
+    return [0] * (n * (n - 1) + 1), [0] * (n * (n - 1) + 1)
 
 
 def plain_fold(n):
@@ -56,18 +62,18 @@ def pools(monkeypatch):
     it forked. A fork outside a forked fold fails the test that made it.
     """
     built = SimpleNamespace(sizes=[])
-    fork, fold_forked = os.fork, spectrum_module._fold_forked
+    fork, fold_forked = os.fork, forked_module.fold_forked
 
     def recording_fork():
         built.sizes[-1] += 1
         return fork()
 
-    def recording_fold_forked(n, shards, workers):
+    def recording_fold_forked(fold, shards, workers, sums):
         built.sizes.append(1)
-        return fold_forked(n, shards, workers)
+        return fold_forked(fold, shards, workers, sums)
 
     monkeypatch.setattr(os, "fork", recording_fork)
-    monkeypatch.setattr(spectrum_module, "_fold_forked", recording_fold_forked)
+    monkeypatch.setattr(forked_module, "fold_forked", recording_fold_forked)
     monkeypatch.setattr(spectrum_module.os, "cpu_count", lambda: 4)
     monkeypatch.setattr(
         spectrum_module.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False
@@ -107,9 +113,9 @@ def fold_log(monkeypatch, tmp_path):
     path = tmp_path / "folds"
     fold = spectrum_module._fold
 
-    def logging_fold(n, root):
+    def logging_fold(n, root, strict, square):
         append_line(path, f"{os.getpid()} {n} {root[0]} {root[1]}")
-        return fold(n, root)
+        return fold(n, root, strict, square)
 
     def read():
         lines = path.read_text().splitlines() if path.exists() else []
@@ -256,16 +262,18 @@ class TestSpectrum:
 
     @pytest.mark.parametrize(
         "n, k, root, named",
-        [(8, 8, (2, 2), "2, 2"), (7, 5, (2, 2), "3, 2, 2"), (9, 9, (1, 1), "2, 1"),
-         (6, 6, (1, 1), "3, 2, 1")],
-        ids=["shard-root", "node", "child-tail", "leaf"],
+        [(8, 8, (2, 2), "2, 2"), (7, 5, (2, 2), "3, 2, 2"), (9, 9, (0, 0), "1, 1"),
+         (6, 6, (1, 1), "3, 2, 1"), (7, 7, (0, 0), "1, 1"), (6, 6, (0, 0), "3, 2, 1")],
+        ids=["shard-root", "node", "child-tail", "leaf", "pre-leaf-tail", "pre-leaf-leaf"],
     )
     def test_each_division_is_checked(self, monkeypatch, n, k, root, named):
         # with k! read as k! + 1, the first division that goes wrong is the root's n!/H(s^m),
-        # a node's own partition, a child tail's n!/H(nu) and a leaf folded in its parent's loop
+        # a node's own partition, a child tail's n!/H(nu), a leaf (or a pre-leaf's own
+        # partition) folded in its parent's loop, a pre-leaf's n!/H(nu) there, and a leaf of
+        # that pre-leaf, read off the parent's table
         inexact_factorial(monkeypatch, k)
         with pytest.raises(ArithmeticError, match=rf"does not divide {n}! for Partition\({named}\)$"):
-            spectrum_module._fold(n, root)
+            spectrum_module._fold(n, root, *accumulators(n))
 
     @pytest.mark.parametrize("threads", [2, 3])
     def test_pooled_shards_match_plain_fold(self, pools, monkeypatch, threads):
@@ -345,12 +353,29 @@ class TestSpectrum:
     def test_shards_cover_the_walk_once(self, n):
         # (0, 0) is the empty rectangle: its children start at row 1, so it
         # roots the whole walk from the empty tail
-        fold = spectrum_module._fold
-        merged = {}
+        whole, merged = accumulators(n), accumulators(n)
+        spectrum_module._fold(n, (0, 0), *whole)
         for shard in spectrum_module._shards(n):
-            for value, mult in fold(n, shard).items():
-                merged[value] = merged.get(value, 0) + mult
-        assert fold(n, (0, 0)) == merged
+            spectrum_module._fold(n, shard, *merged)
+        assert whole == merged
+
+    def test_visit_calls_at_44(self):
+        # the kernel's shape: only a node with a grandchild that has children of its own is
+        # a call; a pre-leaf, whose children are all leaves, and a leaf are folded in their
+        # parent's loop, so 2,743 calls fold n = 44, whose walk has 8,819 nodes with children
+        path, visits = spectrum_module.__file__, 0
+
+        def profile(frame, event, arg):
+            nonlocal visits
+            code = frame.f_code
+            visits += event == "call" and (code.co_filename, code.co_name) == (path, "visit")
+
+        sys.setprofile(profile)
+        try:
+            spectrum_module._fold(44, (0, 0), *accumulators(44))
+        finally:
+            sys.setprofile(None)
+        assert visits == 2743
 
     def test_smallest_tail_first(self):
         # the pool's queue hands out the shards in this order, largest subtrees first;
@@ -362,9 +387,12 @@ class TestSpectrum:
 
     @pytest.mark.parametrize("n", range(1, 31))
     def test_one_row_shard(self, n):
-        # the empty rectangle n^0 is the partition (n) alone; at n = 1 both keys are 0
-        top = n * (n - 1) // 2
-        assert spectrum_module._fold(n, (n, 0)) == {top: 1, -top: 1}
+        # the empty rectangle n^0 is the partition (n) alone, index 2 C(n, 2) of the strict
+        # accumulator; at n = 1 it is (1), whose first part equals its length
+        strict, square = accumulators(n)
+        spectrum_module._fold(n, (n, 0), strict, square)
+        alone = [0] * (n * (n - 1)) + [1]
+        assert (strict, square) == ((alone, [0] * len(alone)) if n > 1 else ([0], [1]))
 
 
 class Folding(Exception):
@@ -374,7 +402,7 @@ class Folding(Exception):
 class TestFoldCeiling:
     @pytest.fixture
     def unfolded(self, monkeypatch):
-        def fold(n, root):
+        def fold(n, root, strict, square):
             raise Folding(n)
 
         monkeypatch.setattr(spectrum_module, "_fold", fold)
@@ -395,8 +423,8 @@ class TestFoldCeiling:
             spectrum(FOLD_MAX_N)
 
     def test_recursion_margin(self):
-        # the walk at the ceiling is 150 visit frames deep, down the tail 1^149 it
-        # takes first, and needs 154 frames above this one; a limit 200 frames
+        # the walk at the ceiling is 148 visit frames deep, down the tail 1^147 it
+        # takes first, and needs 150 frames above this one; a limit 200 frames
         # above it leaves the deadline, not a RecursionError, to stop the fold
         class Deadline(Exception):
             pass
@@ -450,13 +478,12 @@ class TestForkedFold:
         caller, (started, start) = os.getpid(), os.pipe()
         waited = []
 
-        def fold(n, root):
+        def fold(n, root, strict, square):
             if os.getpid() != caller:
                 os.write(start, b".")
                 raise Unfoldable(f"no room for {root}")
             if not waited:  # for at most 10 s: a fold that forks nothing fails, not hangs
                 waited.append(select.select([started], [], [], 10)[0])
-            return {}
 
         monkeypatch.setattr(spectrum_module, "PARALLEL_MIN_N", 1)
         monkeypatch.setattr(spectrum_module, "_fold", fold)
@@ -489,19 +516,20 @@ class TestForkedFold:
             os.waitpid(-1, os.WNOHANG)
 
     def test_result_larger_than_a_pipe_buffer(self, pools, monkeypatch):
-        # a child's blob of 2**14 buckets outgrows the 64 KiB pipe buffer, so the caller must
-        # read it to EOF before it waits for the child; a 20 s deadline turns a deadlock
-        # into a failure
+        # a child's blob of 133 counts of 10**3000 each outgrows the 64 KiB pipe buffer, so
+        # the caller must read it to EOF before it waits for the child; a 20 s deadline turns
+        # a deadlock into a failure
         class Deadline(Exception):
             pass
 
         def expire(signum, frame):
             raise Deadline
 
+        def fold(n, root, strict, square):
+            square[:] = [mult + 10**3000 for mult in square]
+
         monkeypatch.setattr(spectrum_module, "PARALLEL_MIN_N", 1)
-        monkeypatch.setattr(
-            spectrum_module, "_fold", lambda n, root: dict.fromkeys(range(2**14), 10**20)
-        )
+        monkeypatch.setattr(spectrum_module, "_fold", fold)
         handler = signal.signal(signal.SIGALRM, expire)
         try:
             signal.setitimer(signal.ITIMER_REAL, 20)
@@ -510,13 +538,13 @@ class TestForkedFold:
             signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, handler)
         shards = len(spectrum_module._shards(12))
-        assert spec.entries == tuple((v, shards * 10**20) for v in reversed(range(2**14)))
+        assert spec.entries == tuple((v, shards * 10**3000) for v in range(66, -67, -1))
         assert pools.sizes == [2]
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_worker_ends_when_its_caller_is_killed(self, child_env, workers):
-        # the caller sleeps once it has forked, so each worker's blob of 2**14 buckets
-        # outgrows the 64 KiB pipe buffer; then the caller is killed. Only the workers
+        # the caller sleeps once it has forked, so each worker's blob of 133 counts of
+        # 10**3000 outgrows the 64 KiB pipe buffer; then the caller is killed. Only the workers
         # hold the write end of `ended`, so EOF there means they have all ended, reaped
         # or not.
         ended, hold = os.pipe()
@@ -537,7 +565,9 @@ class TestForkedFold:
             "            time.sleep(60)\n"
             "    return pid\n"
             "os.fork = forked\n"
-            "module._fold = lambda n, root: dict.fromkeys(range(2**14), 10**20)\n"
+            "def fold(n, root, strict, square):\n"
+            "    square[:] = [10**3000] * len(square)\n"
+            "module._fold = fold\n"
             "module.PARALLEL_MIN_N = 1\n"
             "spectrum(12, threads=workers)\n"
         )
@@ -601,7 +631,7 @@ class TestForkedFold:
             append_line(path, f"{os.getpid()} {pid} {' '.join(map(str, sorted(cpus)))}")
 
         monkeypatch.setattr(spectrum_module, "PARALLEL_MIN_N", 1)
-        monkeypatch.setattr(spectrum_module, "_other_cpus", lambda: {1, 2})
+        monkeypatch.setattr(forked_module, "other_cpus", lambda: {1, 2})
         monkeypatch.setattr(os, "sched_setaffinity", logging_move, raising=False)
         monkeypatch.setattr(os, "fork", recording_fork)
         assert spectrum(30, threads=3) == spectrum(30)
@@ -611,17 +641,17 @@ class TestForkedFold:
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads Linux's /proc")
     def test_other_cpus_are_the_usable_ones_but_one(self):
-        usable, others = os.sched_getaffinity(0), spectrum_module._other_cpus()
+        usable, others = os.sched_getaffinity(0), forked_module.other_cpus()
         assert others < usable and len(usable - others) == 1
 
     def test_other_cpus_read_the_processor_field(self, monkeypatch):
         # the command name in parentheses may hold ") " itself; field 39 is the CPU
         fields = ["S", *map(str, range(4, 39)), "2", *map(str, range(40, 53))]
         stat = f"123 (a) b) {' '.join(fields)}\n".encode()
-        monkeypatch.setattr(spectrum_module, "open", lambda path, mode: io.BytesIO(stat),
+        monkeypatch.setattr(forked_module, "open", lambda path, mode: io.BytesIO(stat),
                             raising=False)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
-        assert spectrum_module._other_cpus() == {0, 1, 3}
+        assert forked_module.other_cpus() == {0, 1, 3}
 
     def test_no_fork_folds_in_process(self, pools, fold_log, monkeypatch):
         monkeypatch.setattr(spectrum_module, "PARALLEL_MIN_N", 1)
