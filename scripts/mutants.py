@@ -109,8 +109,28 @@ MUTANTS = [
            'except ArithmeticError as exc:',
            'tests/test_cli.py'),
     Mutant('subcommand-usage', 'src/tnspectrum/cli.py',
-           'if extras:\n            self.error(',
-           'if False:\n            self.error(',
+           'if extras:\n                self.error(',
+           'if False:\n                self.error(',
+           'tests/test_cli.py'),
+    Mutant('reader-unknown-flag', 'src/tnspectrum/cli.py',
+           'keywords = options.get(flag)',
+           'keywords = options.get(flag, {"dest": flag})',
+           'tests/test_cli.py'),
+    Mutant('reader-int-for-type', 'src/tnspectrum/cli.py',
+           'read[dest], words = keywords["type"](words[0]), words[1:]',
+           'read[dest], words = int(words[0]), words[1:]',
+           'tests/test_cli.py'),
+    Mutant('reader-extra-positional', 'src/tnspectrum/cli.py',
+           'if words or len(flags) % 2:',
+           'if len(flags) % 2:',
+           'tests/test_cli.py'),
+    Mutant('reader-dash-value', 'src/tnspectrum/cli.py',
+           'if keywords is None or text.startswith("-"):',
+           'if keywords is None:',
+           'tests/test_cli.py'),
+    Mutant('reader-max-n-dropped', 'src/tnspectrum/cli.py',
+           'read[keywords["dest"]] = value',
+           'read[keywords["dest"]] = value if flag != "--max-n" else DEFAULT_MAX_N',
            'tests/test_cli.py'),
     Mutant('mult-json-payload', 'src/tnspectrum/cli.py',
            '"multiplicity": str(mult)}',
@@ -141,7 +161,7 @@ MUTANTS = [
            'row_len - j + conj[j] - t',
            'tests/test_acceptance.py'),
     Mutant('cpu-move-skipped', 'src/tnspectrum/forked.py',
-           'os.sched_setaffinity(0, others)',
+           'os.sched_setaffinity(pid, others)',
            'pass',
            'tests/test_spectrum.py'),
     Mutant('transitivity-proof-skipped', 'src/tnspectrum/oracle.py',

@@ -17,14 +17,18 @@ callers use ``main(argv)``, which returns the exit status.
 
 Start-up imports only what every command needs. ``json``, the oracle and the
 witness constructions are imported by the code that uses them, so a command
-loads no module it does not run.
+loads no module it does not run. ``argparse`` too is imported only when it is
+needed: ``main`` first reads the argv shape that scripts write, the subcommand,
+then exactly its positionals, then options spelled in full, each with its value,
+through the same type functions argparse would call. Help, ``--version``, usage
+errors and every other spelling go to ``build_parser`` and argparse alone.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
+from types import SimpleNamespace
 from typing import NamedTuple, NoReturn
 
 from . import __version__
@@ -80,14 +84,18 @@ ONE_MULTIPLICITIES = {
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
+        from argparse import ArgumentTypeError
+
+        raise ArgumentTypeError("must be a positive integer")
     return value
 
 
 def _oracle_n(text: str) -> int:
     value = int(text)
     if not ORACLE_MIN_N <= value <= ORACLE_MAX_N:
-        raise argparse.ArgumentTypeError(
+        from argparse import ArgumentTypeError
+
+        raise ArgumentTypeError(
             f"oracle supports {ORACLE_MIN_N} <= n <= {ORACLE_MAX_N} only (n! vertices)"
         )
     return value
@@ -354,91 +362,137 @@ def cmd_oracle(args) -> Output:
     )
 
 
-class _Subcommand(argparse.ArgumentParser):
-    """A subcommand's parser: an argument it does not know ends in its own usage error.
+#: The options every subcommand takes; each names its ``dest``, which the argv reader sets.
+SHARED_OPTIONS = {
+    "--format": {
+        "dest": "format",
+        "choices": ("text", "json", "csv"),
+        "default": "text",
+        "help": "output format",
+    },
+    "--max-n": {
+        "dest": "max_n",
+        "type": _positive_int,
+        "default": DEFAULT_MAX_N,
+        "help": "partition-enumeration resource guard",
+    },
+}
 
-    The root parser would report it, with the root's usage, after the subcommand returns.
-    """
+_POSITIVE = {"type": _positive_int}
+_INTEGER = {"type": int}
 
-    def parse_known_args(self, args=None, namespace=None):
-        namespace, extras = super().parse_known_args(args, namespace)
-        if extras:
-            self.error(f"unrecognized arguments: {' '.join(extras)}")
-        return namespace, extras
+#: Each subcommand, in ``--help`` order: its function, its help line, and its positionals
+#: and its own options, each mapped to the keywords of its ``add_argument`` call.
+#: ``build_parser`` and the argv reader both read this.
+COMMANDS = {
+    "spectrum": (cmd_spectrum, "full spectrum with exact multiplicities", {"n": _POSITIVE}, {}),
+    "mult": (cmd_mult, "multiplicity of one eigenvalue", {"n": _POSITIVE, "value": _INTEGER}, {}),
+    "eig": (
+        cmd_eig,
+        "eigenvalue data for one partition",
+        {"parts": {"type": int, "nargs": "+", "metavar": "part"}},
+        {},
+    ),
+    "top": (cmd_top, "largest distinct eigenvalues", {"n": _POSITIVE, "count": _POSITIVE}, {}),
+    "witness": (
+        cmd_witness,
+        "closed-form witness partition for a small eigenvalue",
+        {"n": _POSITIVE, "target": _INTEGER},
+        {},
+    ),
+    "tables": (cmd_tables, "recompute the golden zero/one multiplicity tables", {}, {}),
+    "verify": (cmd_verify, "per-n verification matrix up to n_max", {"n_max": _POSITIVE}, {}),
+    "oracle": (
+        cmd_oracle,
+        f"brute-force graph cross-check ({ORACLE_MIN_N} <= n <= {ORACLE_MAX_N})",
+        {"n": {"type": _oracle_n}},
+        {
+            "--dump-edges": {
+                "dest": "dump_edges",
+                "metavar": "PATH",
+                "help": "write the edge list to PATH "
+                "(zero-based ranks, one 'u v' pair per line, u < v)",
+            }
+        },
+    ),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    """The ``argparse`` parser of ``tnspec``, built from ``COMMANDS`` and ``SHARED_OPTIONS``."""
+    import argparse
+
+    class _Subcommand(argparse.ArgumentParser):
+        """A subcommand's parser: an argument it does not know ends in its own usage error.
+
+        The root parser would report it, with the root's usage, after the subcommand returns.
+        """
+
+        def parse_known_args(self, args=None, namespace=None):
+            namespace, extras = super().parse_known_args(args, namespace)
+            if extras:
+                self.error(f"unrecognized arguments: {' '.join(extras)}")
+            return namespace, extras
+
     shared = argparse.ArgumentParser(add_help=False)  # the options every subcommand takes
-    shared.add_argument(
-        "--format", choices=("text", "json", "csv"), default="text", help="output format"
-    )
-    shared.add_argument(
-        "--max-n",
-        dest="max_n",
-        type=_positive_int,
-        default=DEFAULT_MAX_N,
-        help="partition-enumeration resource guard",
-    )
+    for option, keywords in SHARED_OPTIONS.items():
+        shared.add_argument(option, **keywords)
     parser = argparse.ArgumentParser(
         prog="tnspec",
         description="Exact spectra of transposition graphs.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
-
-    p = sub.add_parser("spectrum", parents=[shared], help="full spectrum with exact multiplicities")
-    p.add_argument("n", type=_positive_int)
-    p.set_defaults(func=cmd_spectrum)
-
-    p = sub.add_parser("mult", parents=[shared], help="multiplicity of one eigenvalue")
-    p.add_argument("n", type=_positive_int)
-    p.add_argument("value", type=int)
-    p.set_defaults(func=cmd_mult)
-
-    p = sub.add_parser("eig", parents=[shared], help="eigenvalue data for one partition")
-    p.add_argument("parts", type=int, nargs="+", metavar="part")
-    p.set_defaults(func=cmd_eig)
-
-    p = sub.add_parser("top", parents=[shared], help="largest distinct eigenvalues")
-    p.add_argument("n", type=_positive_int)
-    p.add_argument("count", type=_positive_int)
-    p.set_defaults(func=cmd_top)
-
-    p = sub.add_parser(
-        "witness", parents=[shared], help="closed-form witness partition for a small eigenvalue"
-    )
-    p.add_argument("n", type=_positive_int)
-    p.add_argument("target", type=int)
-    p.set_defaults(func=cmd_witness)
-
-    p = sub.add_parser(
-        "tables", parents=[shared], help="recompute the golden zero/one multiplicity tables"
-    )
-    p.set_defaults(func=cmd_tables)
-
-    p = sub.add_parser("verify", parents=[shared], help="per-n verification matrix up to n_max")
-    p.add_argument("n_max", type=_positive_int)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser(
-        "oracle",
-        parents=[shared],
-        help=f"brute-force graph cross-check ({ORACLE_MIN_N} <= n <= {ORACLE_MAX_N})",
-    )
-    p.add_argument("n", type=_oracle_n)
-    p.add_argument(
-        "--dump-edges",
-        metavar="PATH",
-        help="write the edge list to PATH (zero-based ranks, one 'u v' pair per line, u < v)",
-    )
-    p.set_defaults(func=cmd_oracle)
-
+    for name, (func, help_line, positionals, options) in COMMANDS.items():
+        p = sub.add_parser(name, parents=[shared], help=help_line)
+        for argument, keywords in (*positionals.items(), *options.items()):
+            p.add_argument(argument, **keywords)
+        p.set_defaults(func=func)
     return parser
+
+
+def read_argv(argv: list[str]) -> SimpleNamespace | None:
+    """What ``build_parser().parse_args(argv)`` returns, for the argv shape scripts write.
+
+    That shape is the subcommand, then exactly its positionals, then options spelled in
+    full, each followed by its value, and no token after the subcommand that starts with
+    ``-`` but an option's name. Any other argv, or a value that its type function or
+    ``choices`` refuses, reads as ``None``, and argparse reports it or parses it instead.
+    """
+    try:
+        func, _, positionals, own = COMMANDS[argv[0]]
+        rest = argv[1:]
+        split = next((i for i, token in enumerate(rest) if token.startswith("-")), len(rest))
+        words, flags = rest[:split], rest[split:]
+        read = {"command": argv[0], "func": func}
+        for dest, keywords in positionals.items():
+            if not words:
+                return None
+            if keywords.get("nargs") == "+":  # every word left
+                read[dest], words = [keywords["type"](word) for word in words], []
+            else:
+                read[dest], words = keywords["type"](words[0]), words[1:]
+        if words or len(flags) % 2:
+            return None
+        options = {**SHARED_OPTIONS, **own}
+        read.update((keywords["dest"], keywords.get("default")) for keywords in options.values())
+        for flag, text in zip(flags[::2], flags[1::2]):
+            keywords = options.get(flag)
+            if keywords is None or text.startswith("-"):
+                return None
+            value = keywords.get("type", str)(text)
+            if value not in keywords.get("choices", (value,)):
+                return None
+            read[keywords["dest"]] = value
+    except Exception:  # noqa: BLE001 - argparse reports the error, or raises it, as before
+        return None
+    return SimpleNamespace(**read)
 
 
 def main(argv=None) -> int:
     """Run one command and render its output, or its error record, in ``--format``."""
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = read_argv(argv) or build_parser().parse_args(argv)
     # argv parses under the int-to-str digit limit; degrees and sums of parts may exceed it
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)

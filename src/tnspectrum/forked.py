@@ -22,25 +22,27 @@ def fold_forked(
 ) -> None:
     """Call ``fold(shard)`` for every shard, on the caller and ``workers - 1`` forked children.
 
-    ``fold`` adds into the lists ``sums``, the caller's in the caller and a copy of them
-    in each child, and the caller adds each child's ``sums`` into its own once. The
-    shards' indices wait in one queue pipe, 2 bytes each in the order given; at n = 300
-    they take 2,386 bytes, one atomic write. Every process, the caller too, reads one
-    index at a time and folds that shard until the pipe is empty, so an idle worker takes
-    the next shard, largest subtrees first. Each child first moves itself onto the usable
-    CPUs but the caller's: on a 2-core box whose scheduler left a forked child on its
-    parent's CPU, ``tnspec spectrum N`` with the move beat it without in 35 and then 36 of
-    36 fresh-process pairs, 12 at each of n = 38, 41 and 44. A child sends its ``sums`` on
-    a pipe of its own as one ``marshal`` blob and ends with ``os._exit``, which flushes no
-    buffer it shares with the caller. A child that raises sends the name of the nearest
-    built-in class of its exception and the message instead, and exits 1 with no
-    traceback; the caller raises that built-in type. The caller reads each pipe to EOF
-    before it reaps the child, as one blob can outgrow the pipe's 64 KiB buffer (the
-    whole fold's accumulators take 67.8 KB at n = 56 and 35.0 KB at n = 44), and it
-    kills and reaps every child that is left when it raises itself, so no child outlives
-    the call. A child holds no read end of any result pipe, so when the caller is killed
-    its write fails instead of blocking, and it takes no more shards once it has a new
-    parent.
+    ``fold`` adds into the lists ``sums``, the caller's in the caller and a copy of them in
+    each child, and the caller adds each child's ``sums`` into its own once. The shards'
+    indices wait in one queue pipe, 2 bytes each in the order given; at n = 300 they take
+    2,386 bytes, one atomic write. Every process, the caller too, reads one index at a time
+    and folds that shard until the pipe is empty, so an idle worker takes the next shard,
+    largest subtrees first. Right after each fork the caller moves the child onto the usable
+    CPUs but its own: on a 2-core box whose scheduler left a forked child on its parent's
+    CPU, ``tnspec spectrum N`` with the move beat it without in 35 and then 36 of 36
+    fresh-process pairs, 12 at each of n = 38, 41 and 44. A child that moved itself could
+    not run the move until the scheduler preempted its parent on the shared CPU: in 12 runs
+    at each of n = 40 and 44 its first shard started a median 3.6 and 4.5 ms after the fold
+    began, and 1.9 ms at both when the caller moves it. A child sends its ``sums`` on a pipe
+    of its own as one ``marshal`` blob and ends with ``os._exit``, which flushes no buffer
+    it shares with the caller. A child that raises sends the name of the nearest built-in
+    class of its exception and the message instead, and exits 1 with no traceback; the
+    caller raises that built-in type. The caller reads each pipe to EOF before it reaps the
+    child, as one blob can outgrow the pipe's 64 KiB buffer (the whole fold's accumulators
+    take 67.8 KB at n = 56 and 35.0 KB at n = 44), and it kills and reaps every child that
+    is left when it raises itself, so no child outlives the call. A child holds no read end
+    of any result pipe, so when the caller is killed its write fails instead of blocking,
+    and it takes no more shards once it has a new parent.
     """
 
     def drain():  # a child stops once it has a new parent; the caller never does
@@ -62,11 +64,6 @@ def fold_forked(
                     os.close(read)  # else a write to a dead caller blocks forever
                     for pipe in children.values():
                         pipe.close()
-                    if others:  # a forked child starts on its parent's CPU and may stay there
-                        try:
-                            os.sched_setaffinity(0, others)
-                        except OSError:  # none of them is online: fold where it is
-                            pass
                     try:
                         drain()
                         blob, code = marshal.dumps(sums), 0
@@ -78,6 +75,11 @@ def fold_forked(
                     status = code
                 finally:
                     os._exit(status)
+            if others:  # a forked child starts on its parent's CPU and may stay there
+                try:
+                    os.sched_setaffinity(pid, others)
+                except OSError:  # none of them is online, or the child has ended
+                    pass
             os.close(write)
             children[pid] = open(read, "rb")
         drain()

@@ -143,10 +143,10 @@ def spectrum(n: int, *, threads: int = 1) -> Spectrum:
     rows above them, and folded by min(threads, usable CPUs, shard count)
     processes: the caller and the workers it forks, none forked when that is 1.
     They drain one queue of shards, largest subtrees first, so an idle worker
-    takes the next shard; each worker moves itself off the caller's CPU, as a
-    forked process may otherwise stay on its parent's. Every process folds into
-    one accumulator pair of its own, and the caller adds each worker's pair into
-    its own once; the module ``forked`` does that, and is imported only then.
+    takes the next shard; the caller moves each worker off its own CPU right
+    after the fork, as a forked process may otherwise stay on its parent's.
+    Every process folds into one accumulator pair of its own, and the caller
+    adds each worker's pair into its own once; the module ``forked`` does that, and is imported only then.
     The usable CPUs are those the process's affinity mask allows, not every CPU
     of the machine: pinned to one CPU, two workers lost to the serial fold at
     n = 56 in 8 of 10 alternating pairs. Where ``os.fork`` is missing there is

@@ -599,6 +599,101 @@ class TestParserSurface:
         assert capsys.readouterr() == ("tnspec 0.1.0\n", "")
 
 
+class TestArgvReader:
+    """``read_argv`` reads the argv shape that scripts write as argparse reads it, and leaves
+    every other argv to argparse: where it returns a namespace, ``parse_args`` returns an
+    equal one."""
+
+    #: (argv, whether the reader reads it): the usual shapes, then unusual spellings
+    SPELLINGS = [
+        (["mult", "8", "0"], True),
+        (["eig", "5", "3", "1", "--format", "json"], True),
+        (["tables", "--max-n", "20", "--format", "csv"], True),
+        (["oracle", "4", "--dump-edges", "edges.txt", "--max-n", "6"], True),
+        (["oracle", "4", "--dump-edges", ""], True),
+        (["spectrum", "6", "--format", "json", "--format", "csv"], True),  # the last one holds
+        (["mult", " 8", "1_0"], True),
+        (["mult", "\u0663", "0"], True),  # ARABIC-INDIC DIGIT THREE
+        (["spectrum", "6", "--form", "json"], False),
+        (["spectrum", "6", "--format=json"], False),
+        (["spectrum", "--", "6"], False),
+        (["spectrum", "6", "--"], False),
+        (["spectrum", "--format", "json", "6"], False),
+        (["eig", "3", "--format", "json", "1"], False),
+        (["mult", "8", "-3"], False),
+        (["spectrum", "6", "--max-n", "-3"], False),
+        (["oracle", "4", "--dump-edges", "-x"], False),
+        (["oracle", "4", "--dump-edges", "--format"], False),
+        (["-h"], False),
+        (["spectrum", "-h"], False),
+        (["--version"], False),
+        (["spectrum", "6", "--bogus"], False),
+        (["spectrum", "6", "--bogus", "1"], False),
+        (["mult", "8", "0", "9"], False),
+        (["mult", "8"], False),
+        (["eig"], False),
+        (["spectrum", "6", "--max-n"], False),
+        (["spectrum", "6", "--format", "xml"], False),
+        (["spectrum", "0"], False),
+        (["spectrum", "6", "--max-n", "0"], False),
+        (["oracle", "7"], False),
+        (["spectrum", ""], False),
+        (["spectrum", "1" * 5000], False),  # above the int-to-str digit limit
+        (["bogus"], False),
+        ([], False),
+    ]
+
+    @staticmethod
+    def agree(parser, argv):
+        """Whether the reader reads ``argv``; where it does, argparse reads it the same."""
+        read = cli.read_argv(list(argv))
+        if read is None:
+            return False
+        try:
+            parsed = parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"the reader read {argv!r}, which argparse refuses")
+        assert vars(read) == vars(parsed), argv
+        return True
+
+    @pytest.mark.parametrize(
+        "argv, read", SPELLINGS, ids=[" ".join(argv)[:40] or "no argv" for argv, _ in SPELLINGS]
+    )
+    def test_spelling(self, argv, read):
+        assert self.agree(build_parser(), argv) == read
+
+    def test_seeded_draws(self):
+        parser, rng = build_parser(), random.Random(2204_03153)
+        argvs = [
+            *TestInputContract.KNOWN_GOOD,
+            *(TestInputContract.draw(rng) for _ in range(TestInputContract.CASES)),
+        ]
+        # the reader reads all 8 known-good argv and 168 of the 600 draws
+        assert sum(self.agree(parser, argv) for argv in argvs) >= 8 + 150
+
+    def test_table_is_the_parsers(self):
+        root = build_parser()
+        (sub,) = (a for a in root._actions if isinstance(a, argparse._SubParsersAction))
+        assert list(sub.choices) == list(cli.COMMANDS)
+        for name, parser in sub.choices.items():
+            func, _, positionals, options = cli.COMMANDS[name]
+            assert [
+                (a.dest, a.type, a.nargs) for a in parser._actions if not a.option_strings
+            ] == [
+                (dest, keywords["type"], keywords.get("nargs"))
+                for dest, keywords in positionals.items()
+            ]
+            assert {
+                tuple(a.option_strings): (a.dest, a.type, a.choices, a.default)
+                for a in parser._actions
+                if a.option_strings and a.dest != "help"
+            } == {
+                (flag,): (k["dest"], k.get("type"), k.get("choices"), k.get("default"))
+                for flag, k in {**cli.SHARED_OPTIONS, **options}.items()
+            }
+            assert parser.get_default("func") is func
+
+
 class TestOptionErrors:
     """An argument a parser does not know ends in that parser's usage error, status 2."""
 
@@ -756,10 +851,14 @@ class TestLazyImports:
     """Start-up loads only what every command runs: ``oracle`` alone loads the oracle,
     ``witness`` and ``verify`` the witness constructions, ``eig`` ``fractions``,
     ``--format json`` ``json``, and nothing loads ``concurrent.futures``, ``dataclasses``
-    or ``inspect``. Importing the package, bare or by ``*``, loads none of the watched
-    modules."""
+    or ``inspect``. A well-formed argv loads no ``argparse`` (nor its ``gettext`` and
+    ``locale``); help and usage errors do. Importing the package, bare or by ``*``, loads
+    none of the watched modules."""
 
     WATCHED = (
+        "argparse",
+        "gettext",
+        "locale",
         "numpy",
         "concurrent.futures",
         "dataclasses",
@@ -819,6 +918,11 @@ class TestLazyImports:
     )
     def test_loads_only_what_the_command_runs(self, argv, expected, child_env):
         assert self.loaded_after(argv, child_env) == expected
+
+    @pytest.mark.parametrize("argv", [["--help"], ["spectrum", "6", "--bogus"]], ids=" ".join)
+    def test_help_and_usage_errors_load_argparse(self, argv, child_env):
+        call = f"try:\n    main({argv!r})\nexcept SystemExit:\n    pass\n"
+        assert "argparse" in self.loaded_by(f"from tnspectrum.cli import main\n{call}", child_env)
 
     def test_a_fold_that_forks_nothing_leaves_the_forked_fold_unloaded(self, child_env):
         # spectrum 30 folds in-process, below PARALLEL_MIN_N, so it never compiles forked.py

@@ -1,3 +1,4 @@
+import errno
 import importlib
 import io
 import math
@@ -517,8 +518,8 @@ class TestForkedFold:
 
     def test_result_larger_than_a_pipe_buffer(self, pools, monkeypatch):
         # a child's blob of 133 counts of 10**3000 each outgrows the 64 KiB pipe buffer, so
-        # the caller must read it to EOF before it waits for the child; a 20 s deadline turns
-        # a deadlock into a failure
+        # the caller must read it to EOF before it waits for the child; a 3 s deadline, well
+        # above the 0.03 s the healthy fold takes, turns a deadlock into a failure
         class Deadline(Exception):
             pass
 
@@ -532,7 +533,7 @@ class TestForkedFold:
         monkeypatch.setattr(spectrum_module, "_fold", fold)
         handler = signal.signal(signal.SIGALRM, expire)
         try:
-            signal.setitimer(signal.ITIMER_REAL, 20)
+            signal.setitimer(signal.ITIMER_REAL, 3)
             spec = spectrum(12, threads=2)
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0)
@@ -627,7 +628,7 @@ class TestForkedFold:
             children.append(pid)
             return pid
 
-        def logging_move(pid, cpus):  # pid 0 is the process that asks
+        def logging_move(pid, cpus):  # the process that asks, then the one it moves
             append_line(path, f"{os.getpid()} {pid} {' '.join(map(str, sorted(cpus)))}")
 
         monkeypatch.setattr(spectrum_module, "PARALLEL_MIN_N", 1)
@@ -636,8 +637,20 @@ class TestForkedFold:
         monkeypatch.setattr(os, "fork", recording_fork)
         assert spectrum(30, threads=3) == spectrum(30)
         assert pools.sizes == [3]
-        moves = sorted(line.split(" ", 1) for line in path.read_text().splitlines())
-        assert moves == sorted([str(pid), "0 1 2"] for pid in children)  # none in the caller
+        moves = path.read_text().splitlines()
+        # the caller moves each child, and no child moves itself
+        assert moves == [f"{os.getpid()} {pid} 1 2" for pid in children]
+
+    def test_a_move_that_fails_is_skipped(self, pools, monkeypatch):
+        # a child can end before the caller moves it (ESRCH); the fold goes on without it
+        def ended(pid, cpus):
+            raise ProcessLookupError(errno.ESRCH, "No such process")
+
+        monkeypatch.setattr(spectrum_module, "PARALLEL_MIN_N", 1)
+        monkeypatch.setattr(forked_module, "other_cpus", lambda: {1})
+        monkeypatch.setattr(os, "sched_setaffinity", ended, raising=False)
+        assert spectrum(30, threads=2).entries == plain_fold(30)
+        assert pools.sizes == [2]
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads Linux's /proc")
     def test_other_cpus_are_the_usable_ones_but_one(self):
