@@ -52,7 +52,7 @@ MUTANTS = [
            'note = "" if mult else " (not an eigenvalue)"',
            'note = ""',
            'tests/test_cli.py'),
-    Mutant('ratio-text', 'src/tnspectrum/cli.py',
+    Mutant('ratio-text', 'src/tnspectrum/commands.py',
            'else f"{ratio.numerator}/{ratio.denominator}"',
            'else f"{ratio.denominator}/{ratio.numerator}"',
            'tests/test_cli.py'),
@@ -60,19 +60,19 @@ MUTANTS = [
            'except ValueError as exc:\n        raise CommandError(args.n, str(exc), 1)',
            'except ValueError as exc:\n        raise CommandError(args.n, str(exc), 2)',
            'tests/test_cli.py'),
-    Mutant('witness-exit-1-to-2', 'src/tnspectrum/cli.py',
+    Mutant('witness-exit-1-to-2', 'src/tnspectrum/commands.py',
            'except NoWitnessError as exc:\n        raise CommandError(args.n, str(exc), 1)',
            'except NoWitnessError as exc:\n        raise CommandError(args.n, str(exc), 2)',
            'tests/test_cli.py'),
-    Mutant('tables-verdict', 'src/tnspectrum/cli.py',
+    Mutant('tables-verdict', 'src/tnspectrum/commands.py',
            '"result: all cells PASS" if all_pass',
            '"result: all cells pass" if all_pass',
            'tests/test_cli.py'),
-    Mutant('verify-floor', 'src/tnspectrum/cli.py',
+    Mutant('verify-floor', 'src/tnspectrum/commands.py',
            'if args.n_max < 4:',
            'if args.n_max < 3:',
            'tests/test_cli.py'),
-    Mutant('agree', 'src/tnspectrum/cli.py',
+    Mutant('agree', 'src/tnspectrum/commands.py',
            'verdict = "AGREE" if report.agreement',
            'verdict = "AGREES" if report.agreement',
            'tests/test_cli.py'),
@@ -84,15 +84,15 @@ MUTANTS = [
            'f"{name} exceeds --max-n {args.max_n}"',
            'f"{name} is over --max-n {args.max_n}"',
            'tests/test_cli.py'),
-    Mutant('edge-line-format', 'src/tnspectrum/cli.py',
+    Mutant('edge-line-format', 'src/tnspectrum/commands.py',
            'f"{u} {v}\\n" for u, v in edge_list(graph)',
            'f"{u},{v}\\n" for u, v in edge_list(graph)',
            'tests/test_cli.py'),
-    Mutant('eig-text', 'src/tnspectrum/cli.py',
+    Mutant('eig-text', 'src/tnspectrum/commands.py',
            'f"  eigenvalue       {value}"',
            'f"  eigenvalue {value}"',
            'tests/test_cli.py'),
-    Mutant('witness-verdict', 'src/tnspectrum/cli.py',
+    Mutant('witness-verdict', 'src/tnspectrum/commands.py',
            'verdict = "verified" if report.verified',
            'verdict = "ok" if report.verified',
            'tests/test_cli.py'),
@@ -104,13 +104,18 @@ MUTANTS = [
            'json.dumps(record, sort_keys=True)',
            'json.dumps(record)',
            'tests/test_cli.py'),
-    Mutant('dump-oserror-mapping', 'src/tnspectrum/cli.py',
+    Mutant('dump-oserror-mapping', 'src/tnspectrum/commands.py',
            'except (OSError, ArithmeticError) as exc:',
            'except ArithmeticError as exc:',
            'tests/test_cli.py'),
-    Mutant('subcommand-usage', 'src/tnspectrum/cli.py',
+    Mutant('subcommand-usage', 'src/tnspectrum/commands.py',
            'if extras:\n                self.error(',
            'if False:\n                self.error(',
+           'tests/test_cli.py'),
+    # at module level, after the names that commands.py imports from cli.py
+    Mutant('commands-imported-eagerly', 'src/tnspectrum/cli.py',
+           'def run() -> NoReturn:',
+           'from . import commands\n\n\ndef run() -> NoReturn:',
            'tests/test_cli.py'),
     Mutant('reader-unknown-flag', 'src/tnspectrum/cli.py',
            'keywords = options.get(flag)',
@@ -136,7 +141,7 @@ MUTANTS = [
            '"multiplicity": str(mult)}',
            '"multiplicity": mult}',
            'tests/test_cli.py'),
-    Mutant('oracle-json-payload', 'src/tnspectrum/cli.py',
+    Mutant('oracle-json-payload', 'src/tnspectrum/commands.py',
            '"max_deviation": 0.0,  # the graph',
            '"max_deviation": 0,  # the graph',
            'tests/test_cli.py'),
@@ -180,7 +185,7 @@ MUTANTS = [
            'if any(proof):',
            'if False:',
            'tests/test_oracle.py'),
-    Mutant('edge-dump-after-proof', 'src/tnspectrum/cli.py',
+    Mutant('edge-dump-after-proof', 'src/tnspectrum/commands.py',
            'if args.dump_edges:  # before the proof, so a graph it rejects is still written',
            'if args.dump_edges and numeric_spectrum(graph):',
            'tests/test_cli.py'),
@@ -317,11 +322,11 @@ MUTANTS = [
            'return 10 * k + 4',
            'return 10 * k + 3',
            'tests/test_witnesses.py'),
-    Mutant('verify-fourth-skip', 'src/tnspectrum/cli.py',
+    Mutant('verify-fourth-skip', 'src/tnspectrum/commands.py',
            'if n <= 6',
            'if n <= 5',
            'tests/test_cli.py'),
-    Mutant('verify-witness-one-skip', 'src/tnspectrum/cli.py',
+    Mutant('verify-witness-one-skip', 'src/tnspectrum/commands.py',
            'witness_one = "SKIP"',
            'witness_one = "PASS"',
            'tests/test_cli.py'),
@@ -337,19 +342,19 @@ MUTANTS = [
            '0 if all(checks.values()) else 1,',
            '0,',
            'tests/test_cli.py'),
-    Mutant('tables-mismatch-verdict', 'src/tnspectrum/cli.py',
+    Mutant('tables-mismatch-verdict', 'src/tnspectrum/commands.py',
            'else "result: MISMATCH"',
            'else "result: mismatch"',
            'tests/test_cli.py'),
-    Mutant('verify-failures-verdict', 'src/tnspectrum/cli.py',
+    Mutant('verify-failures-verdict', 'src/tnspectrum/commands.py',
            'else "FAILURES found"',
            'else "failures found"',
            'tests/test_cli.py'),
-    Mutant('oracle-disagree-verdict', 'src/tnspectrum/cli.py',
+    Mutant('oracle-disagree-verdict', 'src/tnspectrum/commands.py',
            'else "DISAGREE"',
            'else "DISAGREES"',
            'tests/test_cli.py'),
-    Mutant('witness-failed-verdict', 'src/tnspectrum/cli.py',
+    Mutant('witness-failed-verdict', 'src/tnspectrum/commands.py',
            'else "FAILED"',
            'else "failed"',
            'tests/test_cli.py'),

@@ -12,12 +12,14 @@ import random
 import signal
 import subprocess
 import sys
+import tokenize
 
 import pytest
 
 from tnspectrum import Partition, Spectrum, multiplicity, spectrum
-from tnspectrum import cli
-from tnspectrum.cli import ONE_MULTIPLICITIES, ZERO_MULTIPLICITIES, build_parser, main
+from tnspectrum import cli, commands
+from tnspectrum.cli import main
+from tnspectrum.commands import ONE_MULTIPLICITIES, ZERO_MULTIPLICITIES, build_parser
 from tnspectrum.spectrum import FOLD_MAX_N
 from tnspectrum.witnesses import WitnessReport
 
@@ -57,6 +59,13 @@ def forbidden(name):
         raise AssertionError(f"{name} was called")
 
     return query
+
+
+def patch_query(monkeypatch, name, stand_in):
+    """Replace the query ``name`` in ``cli`` and ``commands``, wherever a command calls it."""
+    for module in (cli, commands):
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, stand_in)
 
 
 class TestSpectrumCommand:
@@ -107,7 +116,7 @@ class TestEigCommand:
         def too_large(part):
             raise MemoryError
 
-        monkeypatch.setattr("tnspectrum.cli.degree", too_large)
+        monkeypatch.setattr("tnspectrum.commands.degree", too_large)
         code, out, _ = run(
             capsys, "eig", "1000000000000", "--max-n", "2000000000000", "--format", "json"
         )
@@ -167,7 +176,7 @@ class TestFoldCeiling:
             raise AssertionError(f"folded n = {n} above the ceiling")
 
         for query in ("spectrum", "multiplicity", "top_eigenvalues"):
-            monkeypatch.setattr(f"tnspectrum.cli.{query}", never)
+            patch_query(monkeypatch, query, never)
 
     @pytest.mark.parametrize("n", [FOLD_MAX_N + 1, E19])
     @pytest.mark.parametrize(
@@ -313,8 +322,8 @@ class TestTablesCommand:
             asked.append((n, value))
             return multiplicity(n, value, **kwargs)
 
-        monkeypatch.setattr("tnspectrum.cli.multiplicity", counting_multiplicity)
-        monkeypatch.setattr("tnspectrum.cli.spectrum", forbidden("spectrum"))
+        monkeypatch.setattr("tnspectrum.commands.multiplicity", counting_multiplicity)
+        monkeypatch.setattr("tnspectrum.commands.spectrum", forbidden("spectrum"))
         code, _, _ = run(capsys, "tables")
         assert code == 0
         cells = [(n, 0) for n in ZERO_MULTIPLICITIES] + [(n, 1) for n in ONE_MULTIPLICITIES]
@@ -341,7 +350,7 @@ class TestOneQueryPerCommand:
         expected = run(capsys, *argv)
         for other in ("spectrum", "multiplicity", "top_eigenvalues"):
             if other != query:
-                monkeypatch.setattr(f"tnspectrum.cli.{other}", forbidden(other))
+                patch_query(monkeypatch, other, forbidden(other))
         assert run(capsys, *argv) == expected
 
 
@@ -408,7 +417,7 @@ class TestOracleCommand:
             handle.write = lambda text: writes.append(text) or write(text)
             return handle
 
-        monkeypatch.setattr(cli, "open", recording_open, raising=False)
+        monkeypatch.setattr(commands, "open", recording_open, raising=False)
         path = tmp_path / "edges.txt"
         assert run(capsys, "oracle", "5", "--dump-edges", str(path))[0] == 0
         assert len(writes) == 1
@@ -427,10 +436,11 @@ class TestFailedChecks:
             ("tnspectrum.cli.spectrum",
              lambda n, **kwargs: Spectrum(3, ((3, 1), (1, 1), (0, 2), (-2, 2))),
              ["spectrum", "3"], [f"  {'symmetric_about_zero':<34} FAIL"]),
-            ("tnspectrum.cli.multiplicity", lambda n, value: 0, ["tables"], ["result: MISMATCH"]),
-            ("tnspectrum.cli.spectrum", lambda n: Spectrum(n, spectrum(n).entries[::-1]),
+            ("tnspectrum.commands.multiplicity", lambda n, value: 0, ["tables"],
+             ["result: MISMATCH"]),
+            ("tnspectrum.commands.spectrum", lambda n: Spectrum(n, spectrum(n).entries[::-1]),
              ["verify", "4"], ["result: FAILURES found for n = 4..4"]),
-            ("tnspectrum.cli.spectrum", lambda n: Spectrum(2, ((1, 2),)), ["oracle", "2"],
+            ("tnspectrum.commands.spectrum", lambda n: Spectrum(2, ((1, 2),)), ["oracle", "2"],
              ["numeric vs exact spectrum: DISAGREE (max deviation 0.000e+00)",
               "  eigenvalue 1: exact multiplicity 2, numeric 1",
               "  eigenvalue -1: exact multiplicity 0, numeric 1"]),
@@ -676,7 +686,7 @@ class TestArgvReader:
         (sub,) = (a for a in root._actions if isinstance(a, argparse._SubParsersAction))
         assert list(sub.choices) == list(cli.COMMANDS)
         for name, parser in sub.choices.items():
-            func, _, positionals, options = cli.COMMANDS[name]
+            _, _, positionals, options = cli.COMMANDS[name]
             assert [
                 (a.dest, a.type, a.nargs) for a in parser._actions if not a.option_strings
             ] == [
@@ -691,7 +701,7 @@ class TestArgvReader:
                 (flag,): (k["dest"], k.get("type"), k.get("choices"), k.get("default"))
                 for flag, k in {**cli.SHARED_OPTIONS, **options}.items()
             }
-            assert parser.get_default("func") is func
+            assert parser.get_default("func") is cli.command_function(name)
 
 
 class TestOptionErrors:
@@ -851,9 +861,11 @@ class TestLazyImports:
     """Start-up loads only what every command runs: ``oracle`` alone loads the oracle,
     ``witness`` and ``verify`` the witness constructions, ``eig`` ``fractions``,
     ``--format json`` ``json``, and nothing loads ``concurrent.futures``, ``dataclasses``
-    or ``inspect``. A well-formed argv loads no ``argparse`` (nor its ``gettext`` and
-    ``locale``); help and usage errors do. Importing the package, bare or by ``*``, loads
-    none of the watched modules."""
+    or ``inspect``. The five commands besides ``spectrum``, ``mult`` and ``top`` load
+    ``tnspectrum.commands``, which holds them. A well-formed argv loads no ``argparse``
+    (nor its ``gettext`` and ``locale``); help and usage errors do, and with it
+    ``tnspectrum.commands``, which builds the parser. Importing the package, bare or by
+    ``*``, loads none of the watched modules."""
 
     WATCHED = (
         "argparse",
@@ -866,6 +878,7 @@ class TestLazyImports:
         "json",
         "fractions",
         "decimal",
+        "tnspectrum.commands",
         "tnspectrum.oracle",
         "tnspectrum.witnesses",
     )
@@ -898,23 +911,36 @@ class TestLazyImports:
 
     @pytest.mark.parametrize(
         "argv",
-        [["mult", "8", "0"], ["spectrum", "6"], ["spectrum", "44"], ["top", "8", "3"],
-         ["tables"]],
+        [["mult", "8", "0"], ["spectrum", "6"], ["spectrum", "44"], ["top", "8", "3"]],
         ids=" ".join,
     )
     def test_other_folds_load_none_of_the_watched_modules(self, argv, child_env):
         assert self.loaded_after(argv, child_env) == set()
 
+    def test_fold_commands_leave_the_commands_unloaded(self, child_env):
+        # each fold command in each format, and an error record, in one interpreter
+        calls = [
+            *(
+                [*argv, "--format", fmt]
+                for argv in (["mult", "8", "0"], ["spectrum", "6"], ["top", "8", "3"])
+                for fmt in ("text", "json", "csv")
+            ),
+            ["spectrum", "81"],
+        ]
+        code = "".join(f"assert main({argv!r}) == {2 if '81' in argv else 0}\n" for argv in calls)
+        assert self.loaded_by(f"from tnspectrum.cli import main\n{code}", child_env) == {"json"}
+
     @pytest.mark.parametrize(
         "argv, expected",
         [
-            (["eig", "4", "2", "1"], {"fractions", "decimal"}),
+            (["eig", "4", "2", "1"], {"tnspectrum.commands", "fractions", "decimal"}),
             (["mult", "8", "0", "--format", "json"], {"json"}),
-            (["witness", "14", "1"], {"tnspectrum.witnesses"}),
-            (["verify", "6"], {"tnspectrum.witnesses"}),
-            (["oracle", "4"], {"tnspectrum.oracle"}),
+            (["witness", "14", "1"], {"tnspectrum.commands", "tnspectrum.witnesses"}),
+            (["verify", "6"], {"tnspectrum.commands", "tnspectrum.witnesses"}),
+            (["oracle", "4"], {"tnspectrum.commands", "tnspectrum.oracle"}),
+            (["tables"], {"tnspectrum.commands"}),
         ],
-        ids=["eig", "json", "witness", "verify", "oracle"],
+        ids=["eig", "json", "witness", "verify", "oracle", "tables"],
     )
     def test_loads_only_what_the_command_runs(self, argv, expected, child_env):
         assert self.loaded_after(argv, child_env) == expected
@@ -922,7 +948,8 @@ class TestLazyImports:
     @pytest.mark.parametrize("argv", [["--help"], ["spectrum", "6", "--bogus"]], ids=" ".join)
     def test_help_and_usage_errors_load_argparse(self, argv, child_env):
         call = f"try:\n    main({argv!r})\nexcept SystemExit:\n    pass\n"
-        assert "argparse" in self.loaded_by(f"from tnspectrum.cli import main\n{call}", child_env)
+        loaded = self.loaded_by(f"from tnspectrum.cli import main\n{call}", child_env)
+        assert {"argparse", "tnspectrum.commands"} <= loaded
 
     def test_a_fold_that_forks_nothing_leaves_the_forked_fold_unloaded(self, child_env):
         # spectrum 30 folds in-process, below PARALLEL_MIN_N, so it never compiles forked.py
@@ -935,6 +962,41 @@ class TestLazyImports:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.splitlines()[-1] == "False"
+
+
+def code_tokens(path):
+    """The tokens of a Python source file that carry code: no comment, line break, indent,
+    dedent, encoding or end marker."""
+    layout = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+              tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
+    with open(path, "rb") as source:
+        return sum(token.type not in layout for token in tokenize.tokenize(source.readline))
+
+
+class TestFoldPathSize:
+    """What a fold command compiles. With no bytecode cache, as under
+    ``PYTHONDONTWRITEBYTECODE=1``, every call compiles each package module it loads, so
+    code that a fold loads but never runs costs every fold call."""
+
+    #: The bound on the code tokens of the package modules that ``python -m tnspectrum
+    #: spectrum 44`` loads, the forked fold aside. It measured 4,108 once the five other
+    #: commands and the parser moved to ``commands.py``, and 5,647 before.
+    FOLD_PATH_MAX_TOKENS = 4200
+
+    def test_spectrum_compiles_within_the_bound(self, child_env):
+        script = (
+            "import sys\nimport tnspectrum.__main__\nfrom tnspectrum.cli import main\n"
+            "main(['spectrum', '44'])\n"
+            "print(sorted((name, module.__file__) for name, module in sys.modules.items()\n"
+            "    if name.partition('.')[0] == 'tnspectrum' and name != 'tnspectrum.forked'))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=child_env
+        )
+        assert result.returncode == 0, result.stderr
+        loaded = ast.literal_eval(result.stdout.splitlines()[-1])
+        tokens = {name: code_tokens(path) for name, path in loaded}
+        assert sum(tokens.values()) <= self.FOLD_PATH_MAX_TOKENS, tokens
 
 
 BIG = 10**30
