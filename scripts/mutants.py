@@ -300,6 +300,18 @@ MUTANTS = [
            '// 2 - (k - 1) * last\n',
            '// 2 - (k - 1) * last + 1\n',
            'tests/test_spectrum.py'),
+    Mutant('queue-pipe-failure-propagates', 'src/tnspectrum/forked.py',
+           '        for shard in shards:\n            fold(shard)\n        return\n',
+           '        raise\n',
+           'tests/test_spectrum.py'),
+    Mutant('fork-failure-propagates', 'src/tnspectrum/forked.py',
+           'os.close(write)\n                break\n',
+           'os.close(write)\n                raise\n',
+           'tests/test_spectrum.py'),
+    Mutant('failed-fork-leaks-pipe', 'src/tnspectrum/forked.py',
+           '                os.close(read)\n                os.close(write)\n                break\n',
+           '                break\n',
+           'tests/test_spectrum.py'),
     Mutant('waitpid-before-read', 'src/tnspectrum/forked.py',
            'blob = pipe.read()\n            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])',
            'status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])\n            blob = pipe.read()',
@@ -418,7 +430,7 @@ def main(argv=None):
     with tempfile.TemporaryDirectory(prefix="mutants-") as scratch:
         copy = Path(scratch) / "checkout"
         shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
-            ".git", "__pycache__", ".pytest_cache", ".hypothesis", ".perfbench-*"))
+            ".git", "__pycache__", ".pytest_cache", ".perfbench-*"))
         for m in chosen:
             if m.perf_only:
                 print(f"{m.name:36} perf-only   not run: {m.perf_only}", flush=True)

@@ -43,6 +43,11 @@ def fold_forked(
     is left when it raises itself, so no child outlives the call. A child holds no read end
     of any result pipe, so when the caller is killed its write fails instead of blocking,
     and it takes no more shards once it has a new parent.
+
+    A failed ``os.pipe`` or ``os.fork`` (an ``OSError``, such as EMFILE or EAGAIN) ends the
+    forking: without a queue the caller folds every shard itself, and otherwise the caller
+    and the children already forked drain it. Bucket addition commutes, so the sums are the
+    same.
     """
 
     def drain():  # a child stops once it has a new parent; the caller never does
@@ -50,14 +55,27 @@ def fold_forked(
             fold(shards[int.from_bytes(index, "little")])
 
     caller, others = os.getpid(), other_cpus()
-    queue, feed = os.pipe()
+    try:
+        queue, feed = os.pipe()
+    except OSError:  # no queue to share: the caller folds every shard itself
+        for shard in shards:
+            fold(shard)
+        return
     os.write(feed, b"".join(i.to_bytes(2, "little") for i in range(len(shards))))
     os.close(feed)
     children = {}  # pid: the read end of its result pipe
     try:
         for _ in range(workers - 1):
-            read, write = os.pipe()
-            pid = os.fork()
+            try:
+                read, write = os.pipe()
+            except OSError:  # out of descriptors: the processes already running drain the queue
+                break
+            try:
+                pid = os.fork()
+            except OSError:  # out of processes or memory: likewise, once this pipe is closed
+                os.close(read)
+                os.close(write)
+                break
             if pid == 0:
                 status = 1
                 try:

@@ -1,11 +1,13 @@
 import functools
+import itertools
+import math
 import os
 import pathlib
 import signal
 
 import pytest
 
-from tnspectrum import spectrum
+from tnspectrum import Partition, spectrum
 
 SRC = pathlib.Path(__file__).parents[1] / "src"
 #: Seconds a test may run before it fails: above the longest timeout a test sets itself, 120 s.
@@ -16,9 +18,9 @@ DEADLINE_S = 180
 def deadline():
     """Fail a test still running after ``DEADLINE_S``, so a hang ends in a named failure.
 
-    The timer fires again every ``DEADLINE_S``, which also cuts a Hypothesis replay of a
-    hung example. Forked children and subprocesses do not inherit it. A test that arms
-    ``ITIMER_REAL`` itself replaces this timer, and puts this handler back when it is done.
+    The timer fires again every ``DEADLINE_S``. Forked children and subprocesses do not
+    inherit it. A test that arms ``ITIMER_REAL`` itself replaces this timer, and puts this
+    handler back when it is done.
     """
 
     def expire(signum, frame):
@@ -29,6 +31,23 @@ def deadline():
     yield
     signal.setitimer(signal.ITIMER_REAL, 0)
     signal.signal(signal.SIGALRM, handler)
+
+
+@pytest.fixture(scope="session")
+def box_partitions():
+    """Every partition with 1 to 8 parts, each at most 10, sorted by (n, parts).
+
+    Built from ``itertools``' nonincreasing tuples, so it does not rest on
+    ``enumerate_partitions``. In this order a property checked over the box fails first at a
+    smallest partition that breaks it.
+    """
+    box = sorted(
+        (Partition(parts) for k in range(1, 9)
+         for parts in itertools.combinations_with_replacement(range(10, 0, -1), k)),
+        key=lambda p: (p.n, p),
+    )
+    assert len(box) == math.comb(18, 8) - 1 == 43_757
+    return box
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,7 @@
 """The public surface: each public module's ``__all__`` is exactly its public names, their
 annotations resolve, every public function's parameter names are pinned below, and no
-module of the package or its tests imports numpy, which ``pyproject.toml`` no longer lists."""
+module of the package, its tests or its scripts imports numpy or hypothesis, which
+``pyproject.toml`` no longer lists."""
 
 import ast
 import inspect
@@ -106,10 +107,21 @@ def test_parameter_kinds_are_pinned():
             assert parameter.kind == expected, (name, parameter.name)
 
 
-def test_nothing_imports_numpy():
+def importers(package):
+    """Each ``path:line`` under ``src/``, ``tests/`` or ``scripts/`` that imports ``package``."""
     root = pathlib.Path(__file__).parents[1]
-    for path in [*(root / "src").rglob("*.py"), *(root / "tests").rglob("*.py")]:
+    for path in [*(root / "src").rglob("*.py"), *(root / "tests").rglob("*.py"),
+                 *(root / "scripts").rglob("*.py")]:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, (ast.Import, ast.ImportFrom)):  # a from-import's module, too
                 modules = [getattr(node, "module", None) or "", *(a.name for a in node.names)]
-                assert "numpy" not in {m.split(".")[0] for m in modules}, f"{path}:{node.lineno}"
+                if package in {m.split(".")[0] for m in modules}:
+                    yield f"{path}:{node.lineno}"
+
+
+def test_nothing_imports_numpy():
+    assert list(importers("numpy")) == []
+
+
+def test_nothing_imports_hypothesis():
+    assert list(importers("hypothesis")) == []

@@ -10,9 +10,7 @@ import sys
 from fractions import Fraction
 from types import SimpleNamespace
 
-import hypothesis.strategies as st
 import pytest
-from hypothesis import given
 
 from tnspectrum import (
     Partition,
@@ -28,11 +26,7 @@ from tnspectrum import (
     spectrum,
     top_eigenvalues,
 )
-
-partitions_st = st.builds(
-    lambda parts: Partition(sorted(parts, reverse=True)),
-    st.lists(st.integers(min_value=1, max_value=10), min_size=1, max_size=8),
-)
+from tnspectrum.cli import main
 
 spectrum_module = importlib.import_module("tnspectrum.spectrum")
 forked_module = importlib.import_module("tnspectrum.forked")
@@ -104,6 +98,31 @@ def append_line(path, line):
         os.close(fd)
 
 
+def fail_call(monkeypatch, name, call):
+    """Make call number ``call`` of ``os.<name>`` raise as the OS does when it is out of
+    processes (``fork``) or descriptors (``pipe``); the other calls run. Returns the calls made.
+    """
+    real, calls = getattr(os, name), []
+    code = errno.EAGAIN if name == "fork" else errno.EMFILE
+
+    def failing():
+        calls.append(name)
+        if len(calls) == call:
+            raise OSError(code, os.strerror(code))
+        return real()
+
+    monkeypatch.setattr(os, name, failing)
+    return calls
+
+
+def open_fds():
+    """The descriptors this process holds open, where Linux's ``/proc`` lists them; else None."""
+    try:
+        return set(os.listdir("/proc/self/fd"))
+    except OSError:
+        return None
+
+
 @pytest.fixture
 def fold_log(monkeypatch, tmp_path):
     """Log each ``_fold`` call, in whichever process makes it, to a file opened with O_APPEND.
@@ -146,13 +165,13 @@ class TestEigenvalue:
         assert eigenvalue(Partition((4,))) == 6
         assert eigenvalue(Partition((1,))) == 0
 
-    @given(partitions_st)
-    def test_conjugation_negates_property(self, p):
-        assert eigenvalue(conjugate(p)) == -eigenvalue(p)
+    def test_conjugation_negates_property(self, box_partitions):
+        for p in box_partitions:
+            assert eigenvalue(conjugate(p)) == -eigenvalue(p), p
 
-    @given(partitions_st)
-    def test_magnitude_capped_by_transposition_count(self, p):
-        assert abs(eigenvalue(p)) <= p.n * (p.n - 1) // 2
+    def test_magnitude_capped_by_transposition_count(self, box_partitions):
+        for p in box_partitions:
+            assert abs(eigenvalue(p)) <= p.n * (p.n - 1) // 2, p
 
     @pytest.mark.parametrize("n", range(1, 21))
     def test_murnaghan_nakayama_at_a_transposition(self, n):
@@ -196,9 +215,9 @@ class TestUpperBound:
             twice = (n - last) * (n - last + 1) + last * (last - 2 * k + 1)
             assert 2 * eigenvalue_upper_bound(p) == twice
 
-    @given(partitions_st)
-    def test_bound_property(self, p):
-        assert eigenvalue(p) <= eigenvalue_upper_bound(p)
+    def test_bound_property(self, box_partitions):
+        for p in box_partitions:
+            assert eigenvalue(p) <= eigenvalue_upper_bound(p), p
 
 
 class TestSpectrum:
@@ -665,6 +684,34 @@ class TestForkedFold:
                             raising=False)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
         assert forked_module.other_cpus() == {0, 1, 3}
+
+    @pytest.mark.parametrize("name, call", [("fork", 1), ("fork", 2), ("pipe", 1), ("pipe", 2),
+                                            ("pipe", 3)])
+    def test_failed_fork_or_pipe_folds_the_rest(self, monkeypatch, name, call):
+        # pipe call 1 is the queue; pipe call k + 1 and fork call k are child k's. Nothing is
+        # tried after the failure, no descriptor is left open and no child is left unreaped
+        serial = spectrum(30)
+        monkeypatch.setattr(spectrum_module, "PARALLEL_MIN_N", 1)
+        monkeypatch.setattr(spectrum_module, "_usable_cpus", lambda: 4)
+        fds, calls = open_fds(), fail_call(monkeypatch, name, call)
+        assert spectrum(30, threads=4) == serial
+        assert len(calls) == call
+        assert open_fds() == fds
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_failed_fork_still_answers_the_cli(self, monkeypatch, capsys):
+        # one child is forked, the second fork fails, and the record is the serial one
+        monkeypatch.setattr(spectrum_module, "_usable_cpus", lambda: 1)
+        assert main(["spectrum", "44", "--format", "json"]) == 0
+        serial = capsys.readouterr()
+        monkeypatch.setattr(spectrum_module, "_usable_cpus", lambda: 4)
+        calls = fail_call(monkeypatch, "fork", 2)
+        assert main(["spectrum", "44", "--format", "json"]) == 0
+        assert capsys.readouterr() == serial
+        assert len(calls) == 2
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_no_fork_folds_in_process(self, pools, fold_log, monkeypatch):
         monkeypatch.setattr(spectrum_module, "PARALLEL_MIN_N", 1)
