@@ -9,24 +9,26 @@ identical invocations produce byte-identical bytes.
 Each ``cmd_*`` returns an ``Output`` holding its JSON payload, CSV rows and
 text lines, or raises ``CommandError`` for a documented failure. ``main`` is
 the one place that picks the format, builds the JSON record and prints, so
-every command's result and error take the same path.
+every command's result and error take the same path. A ``MemoryError`` from the
+command or from rendering its output ends in ``error: out of memory`` on stderr and
+status 2, whatever the format.
 
-``run`` is the process entry of ``tnspec`` and ``python -m tnspectrum``: it calls
-``main`` and ends the process once the output is flushed. Library and test
+``run`` is the process entry of ``tnspec`` and ``python -m tnspectrum``, the only two:
+it calls ``main`` and ends the process once the output is flushed. Library and test
 callers use ``main(argv)``, which returns the exit status.
 
 Start-up imports only what every command needs, and this module holds only what
 the three fold commands ``spectrum``, ``mult`` and ``top`` run. The other five
 commands and ``build_parser`` live in ``tnspectrum.commands``, which ``main``
 imports only to run one of them or to parse with argparse; ``COMMANDS`` names
-each command's function and ``command_function`` finds it. ``json``, the oracle
-and the witness constructions are imported by the code that uses them, so a
-command loads no module it does not run. ``argparse`` too is imported only when
-it is needed: ``main`` first reads the argv shape that scripts write, the
-subcommand, then exactly its positionals, then options spelled in full, each
-with its value, through the same type functions argparse would call. Help,
-``--version``, usage errors and every other spelling go to ``build_parser`` and
-argparse alone.
+each command's function, and ``main`` runs the one that ``command_function``
+finds. ``json``, the oracle and the witness constructions are imported by the
+code that uses them, so a command loads no module it does not run. ``argparse``
+too is imported only when it is needed: ``main`` first reads the argv shape that
+scripts write, the subcommand, then exactly its positionals, then options spelled
+in full, each with its value, through the same type functions argparse would
+call. Help, ``--version``, usage errors and every other spelling go to
+``build_parser`` and argparse alone.
 """
 
 from __future__ import annotations
@@ -243,7 +245,7 @@ def read_argv(argv: list[str]) -> SimpleNamespace | None:
             read[keywords["dest"]] = value
     except Exception:  # noqa: BLE001 - argparse reports the error, or raises it, as before
         return None
-    return SimpleNamespace(**read, func=command_function(argv[0]))
+    return SimpleNamespace(**read)
 
 
 def main(argv=None) -> int:
@@ -259,7 +261,7 @@ def main(argv=None) -> int:
     sys.set_int_max_str_digits(0)
     try:
         try:
-            out = args.func(args)
+            out = command_function(args.command)(args)
         except CommandError as exc:
             n, message, code = exc.args
             payload, status = {"message": message}, "error"
@@ -279,6 +281,10 @@ def main(argv=None) -> int:
         if stream is not None:  # None when the process started with the descriptor closed
             stream.write(text + "\n")  # one write, however many lines
         return code
+    except MemoryError:  # from the command or its rendering: no record is built
+        if sys.stderr is not None:
+            sys.stderr.write("error: out of memory\n")
+        return 2
     finally:
         sys.set_int_max_str_digits(limit)
 
@@ -306,8 +312,3 @@ def run() -> NoReturn:
                 pass
         os._exit(2)
     os._exit(code)
-
-
-if __name__ == "__main__":  # python -m tnspectrum.cli: ``commands`` imports this module
-    sys.modules["tnspectrum.cli"] = sys.modules[__name__]
-    run()

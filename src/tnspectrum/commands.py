@@ -17,7 +17,6 @@ from .cli import (
     Output,
     _check_max_n,
     _pass,
-    command_function,
 )
 from .partitions import Partition, degree, enumerate_partitions
 from .spectrum import (
@@ -269,5 +268,4 @@ def build_parser():
         p = sub.add_parser(name, parents=[shared], help=help_line)
         for argument, keywords in (*positionals.items(), *options.items()):
             p.add_argument(argument, **keywords)
-        p.set_defaults(func=command_function(name))
     return parser

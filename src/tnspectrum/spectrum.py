@@ -95,11 +95,13 @@ class Spectrum(NamedTuple):
 #: box, two forked workers against the serial fold, 12 alternating pairs per n and
 #: set. The floor is the least n at and above which the forked fold won the median
 #: and at least 9 of 12 pairs at every n measured. Six sets on the E-table kernel
-#: gave 40 (``BENCH_etable_fold.json``). Three sets on this kernel, at each n = 36..44,
-#: gave 39, 41 and 39: the forked fold won 3, 3 and 9 pairs at n = 36, 5, 6 and 5 at
-#: 38, 11, 9 and 10 at 39, 12, 7 and 12 at 40, 12, 9 and 10 at 41, and at least 10 at
-#: 42..44 (``BENCH_lean_fold.json``). The sets moved the floor both ways, so it stays.
-#: Re-measure it whenever ``_fold`` changes.
+#: gave 40 (``BENCH_etable_fold.json``). Three sets on the lean kernel, at each
+#: n = 36..44, gave 39, 41 and 39 (``BENCH_lean_fold.json``). Three sets on this kernel,
+#: whose calls fold their children's partitions in one loop, gave 42, 43 and 38: the
+#: forked fold won 6, 8 and 3 pairs at n = 36, 6, 10 and 10 at 39, 10, 8 and 10 at 40,
+#: 7, 9 and 11 at 41, 11, 8 and 12 at 42, and at least 11 at 43 and 44
+#: (``BENCH_one_loop_fold.json``). Each time the sets moved the floor both ways, so it
+#: stays. Re-measure it whenever ``_fold`` changes.
 PARALLEL_MIN_N = 40
 
 #: The largest n ``spectrum`` folds. At n = 300 the walk is 148 frames deep, down
@@ -124,18 +126,20 @@ def spectrum(n: int, *, threads: int = 1) -> Spectrum:
 
     The partitions are built bottom-up by a depth-first walk over their
     tails, the rows below the first: a node is a tail, its children put one
-    more row, no shorter than the tail's top row, on top of it, and it yields
-    the one partition of n whose first row is n minus the tail's size. Adding
-    a row on top changes no hook below it, and by Frobenius' beta-number form
-    of the hook formula the first row t over a tail mu of length L has the
+    more row, no shorter than the tail's top row, on top of it, and it stands
+    for the one partition of n whose first row is n minus the tail's size.
+    Adding a row on top changes no hook below it, and by Frobenius' beta-number
+    form of the hook formula the first row t over a tail mu of length L has the
     hook product (t + L)!/E(t), E(x) = prod_k (x + k - mu_k). So a node
     carries n!/H(mu) and a table of E, each partition's degree is that share
     times E(t)/(t + L)!, and a child's table is the parent's shifted by one
-    and multiplied by one linear factor. A child whose first row has no room
-    for a row of its own is a leaf, and a child whose children are all leaves
-    is a pre-leaf. Both are folded in their parent's loop with no call, a
-    pre-leaf's leaves reading that parent's table; at n = 44 only 2,743 of the
-    39,453 partitions visited are calls of their own.
+    and multiplied by one linear factor. A call folds its children's
+    partitions in one loop, and the root's own partition is folded once,
+    before the walk. A child whose first row has no room for a row of its own
+    is a leaf, and a child whose children are all leaves is a pre-leaf, whose
+    leaves the same loop folds from the parent's table; any other child is a
+    call. At n = 44 only 2,743 of the 39,453 partitions visited are calls of
+    their own.
 
     In-process the walk is one tree, rooted at the empty tail. With
     ``threads`` > 1 and n at least ``PARALLEL_MIN_N`` it is cut into shards by
@@ -251,60 +255,47 @@ def _fold(n: int, root: tuple[int, int], strict: list[int], square: list[int]) -
     E(x) = prod_{k=1..L} (x + k - mu_k) for low <= x <= n - S. By Frobenius'
     beta-number form of the hook formula, the first row t of the partition (t, mu)
     has the hook product (t + L)!/E(t), so the partition has the degree
-    G E(t)/(t + L)!. The partition visited at mu, with first row n - S, thus has
-    d = G E(n - S)/(n - S + L)!. A child row r put on top gives the tail
-    nu = (r, mu) with G E(r)/(r + L)! and the table E_nu(x) = (x + 1 - r) E(x + 1).
-    It also moves every box of mu one row down, so c(nu) = c(mu) - S + C(r, 2); the
-    partition visited at mu has the eigenvalue c(mu) - S + C(n - S, 2).
+    G E(t)/(t + L)!. A child row r put on top gives the tail nu = (r, mu) with
+    G_nu = G E(r)/(r + L)! and the table E_nu(x) = (x + 1 - r) E(x + 1). It also moves
+    every box of mu one row down, so c(nu) = c(mu) - S + C(r, 2).
 
-    A child row r leaves a first row n - S - r of at least r and L + 2. The child is a
-    leaf, with no room for a row of its own, where 3r > n - S or 2r > n - S - L - 3, and
-    a pre-leaf, whose child rows are all leaves, where 4r > n - S or 3r > n - S - L - 4.
-    Both are the longest child rows, folded in their parent's loop with no call and no
-    table: the partition (n - S - r, r, mu) has
-    d = G E(r) (n - S - 2r + 1) E(n - S - r + 1) / ((r + L)! (n - S - r + L + 1)!), and a
-    pre-leaf's leaf (t, r', r, mu) reads E_nu straight off the parent's table, as
-    d = G_nu E_nu(r') (t - r' + 1) E_nu(t + 1) / ((r' + L + 1)! (t + L + 2)!) with
-    G_nu = G E(r)/(r + L)!. At n = 44 that leaves 2,743 calls for the 8,819 nodes with
-    children. Every division is a checked ``divmod``: a remainder raises ArithmeticError
-    naming the partition whose hook product does not divide n! (the rows folded in the
-    loop are named through ``inexact``'s ``rows``, not pushed onto ``tail``). The root
-    (s, m) is the rectangle s^m, its table from x = s and its children rows longer than
-    s (from ``start``; any other node's children start at its ``low``); (0, 0) roots
-    the whole walk.
+    A call at mu never folds its own partition: one loop over its child rows r folds
+    each child's partition (n - S - r, r, mu), with
+    d = G E(r) (n - S - 2r + 1) E(n - S - r + 1) / ((r + L)! (n - S - r + L + 1)!), and
+    eigenvalue c(mu) - 2S + C(r, 2) - r + C(n - S - r, 2). A child row leaves a first row
+    n - S - r of at least r and L + 2. The child is a leaf, with no room for a row of its
+    own, where 3r > n - S or 2r > n - S - L - 3, and the loop is done with it. Otherwise
+    it divides out G_nu once. A pre-leaf, whose child rows are all leaves, where
+    4r > n - S or 3r > n - S - L - 4, has its leaves (t, r', r, mu) folded there too,
+    reading E_nu straight off the parent's table, as
+    d = G_nu E_nu(r') (t - r' + 1) E_nu(t + 1) / ((r' + L + 1)! (t + L + 2)!); any other
+    child is a call. At n = 44 that leaves 2,743 calls for the 8,819 nodes with children.
+
+    The root (s, m) is the rectangle s^m, its table from x = s and its child rows
+    longer than s (from ``start``; any other call's children start at its ``low``); its
+    own partition (n - s m, s^m) is folded once, before the walk. (0, 0) roots the
+    whole walk. Every division is a checked ``divmod``: a remainder raises
+    ArithmeticError naming the partition whose hook product does not divide n! (the
+    rows folded in a loop are named through ``inexact``'s ``rows``, not pushed onto
+    ``tail``).
     """
     fact = _factorials(n)
-    tail = []  # the rows below the current node's first row, bottom first, for messages
+    tail = []  # the rows below the current call's child rows, bottom first, for messages
 
     def inexact(top, *rows):
         return ArithmeticError(
             f"hook product does not divide {n}! for {_completed(top, [*tail, *rows])}"
         )
 
+    # ``content`` is c(mu) + C(n, 2) less S: every box of the tail one row down
     def visit(size, length, share, content, low, start, table):
         top = n - size
-        deg, remainder = divmod(share * table[top - low], fact[top + length])
-        if remainder:
-            raise inexact(top)
-        content -= size  # every box of the tail sits one row below the first
-        value = content + top * (top - 1) // 2
-        sums = strict if top > length + 1 else square
-        sums[value] += deg * deg
-        # every visit has top >= length + 1, so split <= high + 1: no internal child passes high
+        content -= size  # and every box of a child's tail one row further down
+        # every call has top >= length + 1, so split <= high + 1: no child with children passes high
         high = min(top // 2, top - length - 2)
         split = min(top // 3, (top - (length + 1) - 2) // 2) + 1
         inner = min(top // 4, (top - (length + 1) - 3) // 3) + 1
-        for row in range(start, inner):
-            child, remainder = divmod(share * table[row - low], fact[row + length])
-            if remainder:
-                raise inexact(row)
-            shifted = table[row + 1 - low:top - row + 2 - low]  # E(x + 1) for x = row..top - row
-            tail.append(row)
-            visit(size + row, length + 1, child, content + row * (row - 1) // 2, row, row,
-                  list(map(mul, range(1, top - 2 * row + 2), shifted)))
-            tail.pop()
-        content -= size  # and every box of a leaf's tail one row further down
-        for row in range(max(start, inner), high + 1):
+        for row in range(start, high + 1):
             rest = top - row
             deg, remainder = divmod(
                 share * table[row - low] * (rest - row + 1) * table[rest + 1 - low],
@@ -315,10 +306,18 @@ def _fold(n: int, root: tuple[int, int], strict: list[int], square: list[int]) -
             value = content + row * (row - 3) // 2 + rest * (rest - 1) // 2
             sums = strict if row < top - length - 2 else square
             sums[value] += deg * deg
-            if row < split:  # a pre-leaf, whose child rows are all leaves
+            if row < split:  # the child has child rows of its own
                 child, remainder = divmod(share * table[row - low], fact[row + length])
                 if remainder:
                     raise inexact(row)
+                if row < inner:
+                    shifted = table[row + 1 - low:top - row + 2 - low]  # E(x + 1), x = row..rest
+                    tail.append(row)
+                    visit(size + row, length + 1, child, content + row * (row - 3) // 2, row, row,
+                          list(map(mul, range(1, top - 2 * row + 2), shifted)))
+                    tail.pop()
+                    continue
+                # a pre-leaf, whose child rows are all leaves
                 shift = content - size + row * (row - 5) // 2
                 for leaf in range(row, min(rest // 2, rest - length - 3) + 1):
                     first = rest - leaf
@@ -336,13 +335,19 @@ def _fold(n: int, root: tuple[int, int], strict: list[int], square: list[int]) -
     # the rectangle s^m: hooks i + j for rows i < m and 1 <= j <= s, E(x) = prod_k (x + k - s)
     # and content sum m C(s, 2) - s C(m, 2)
     s, m = root
-    size = s * m
+    size, top = s * m, n - s * m
     share, remainder = divmod(fact[n], math.prod(i + j for i in range(m) for j in range(1, s + 1)))
     if remainder:
         raise ArithmeticError(f"hook product does not divide {n}! for {Partition([s] * m)}")
-    table = [math.prod(range(x - s + 1, x - s + m + 1)) for x in range(s, n - size + 1)]
+    table = [math.prod(range(x - s + 1, x - s + m + 1)) for x in range(s, top + 1)]
     tail.extend([s] * m)
-    visit(size, m, share, size * (s - m) // 2 + n * (n - 1) // 2, s, s + 1, table)
+    deg, remainder = divmod(share * table[top - s], fact[top + m])
+    if remainder:
+        raise inexact(top)
+    content = size * (s - m) // 2 + n * (n - 1) // 2 - size
+    sums = strict if top > m + 1 else square
+    sums[content + top * (top - 1) // 2] += deg * deg
+    visit(size, m, share, content, s, s + 1, table)
 
 
 def _factorials(n: int) -> list[int]:

@@ -288,9 +288,9 @@ class TestSpectrum:
     )
     def test_each_division_is_checked(self, monkeypatch, n, k, root, named):
         # with k! read as k! + 1, the first division that goes wrong is the root's n!/H(s^m),
-        # a node's own partition, a child tail's n!/H(nu), a leaf (or a pre-leaf's own
-        # partition) folded in its parent's loop, a pre-leaf's n!/H(nu) there, and a leaf of
-        # that pre-leaf, read off the parent's table
+        # the root's own partition, a child tail's n!/H(nu), a child's partition folded in
+        # its parent's loop, a pre-leaf's n!/H(nu) there, and a leaf of that pre-leaf, read
+        # off the parent's table
         inexact_factorial(monkeypatch, k)
         with pytest.raises(ArithmeticError, match=rf"does not divide {n}! for Partition\({named}\)$"):
             spectrum_module._fold(n, root, *accumulators(n))
@@ -380,9 +380,10 @@ class TestSpectrum:
         assert whole == merged
 
     def test_visit_calls_at_44(self):
-        # the kernel's shape: only a node with a grandchild that has children of its own is
-        # a call; a pre-leaf, whose children are all leaves, and a leaf are folded in their
-        # parent's loop, so 2,743 calls fold n = 44, whose walk has 8,819 nodes with children
+        # the kernel's shape: a call folds its children's partitions, and the root's own
+        # partition is folded once, before the walk; only a node with a grandchild that has
+        # children of its own is a call, and a pre-leaf's leaves are folded in its parent's
+        # loop, so 2,743 calls fold n = 44, whose walk has 8,819 nodes with children
         path, visits = spectrum_module.__file__, 0
 
         def profile(frame, event, arg):
@@ -731,33 +732,44 @@ def transposition_walks(n, steps):
     one way per pair, a fixed point and an L-cycle in L ways, and cycles of
     lengths a and b in a * b ways; it splits an L-cycle into lengths a and L - a
     in L ways (L / 2 when a = L - a), a part of length 1 being a fixed point.
-    A permutation with c cycles is n - c transpositions from the identity, so a
-    type with n - c above the steps left can no longer close a walk and is
-    dropped. The identity is the only permutation of its type, so its count is
-    the closed-walk count at every vertex.
+    Each type's successors, with their ways and their distance from the identity,
+    are worked out on its first visit and kept. A permutation with c cycles is
+    n - c transpositions from the identity, so a type farther than the steps left
+    can no longer close a walk and is dropped. The identity is the only
+    permutation of its type, so its count is the closed-walk count at every vertex.
     """
+    successors = {}  # (fixed, cycles) -> [(type, ways, distance)], filled on the first visit
+
+    def moves(fixed, cycles):
+        ways = {}
+
+        def add(fixed, cycles, count):
+            if count:
+                key = (fixed, tuple(sorted(cycles)))
+                ways[key] = ways.get(key, 0) + count
+
+        add(fixed - 2, cycles + (2,), fixed * (fixed - 1) // 2)
+        for i, length in enumerate(cycles):
+            rest = cycles[:i] + cycles[i + 1:]
+            add(fixed - 1, rest + (length + 1,), fixed * length)
+            for j in range(i + 1, len(cycles)):
+                add(fixed, rest[:j - 1] + rest[j:] + (length + cycles[j],), length * cycles[j])
+            for a in range(1, length // 2 + 1):
+                pieces = tuple(k for k in (a, length - a) if k > 1)
+                ways_to_cut = length if 2 * a < length else length // 2
+                add(fixed + 2 - len(pieces), rest + pieces, ways_to_cut)
+        return [(key, count, n - key[0] - len(key[1])) for key, count in ways.items()]
+
     counts = {(n, ()): 1}
     closed = [1]
     for left in range(steps - 1, -1, -1):
         following = {}
-
-        def add(fixed, cycles, walks):
-            if walks and n - fixed - len(cycles) <= left:
-                key = (fixed, tuple(sorted(cycles)))
-                following[key] = following.get(key, 0) + walks
-
-        for (fixed, cycles), walks in counts.items():
-            add(fixed - 2, cycles + (2,), walks * fixed * (fixed - 1) // 2)
-            for i, length in enumerate(cycles):
-                rest = cycles[:i] + cycles[i + 1:]
-                add(fixed - 1, rest + (length + 1,), walks * fixed * length)
-                for j in range(i + 1, len(cycles)):
-                    add(fixed, rest[:j - 1] + rest[j:] + (length + cycles[j],),
-                        walks * length * cycles[j])
-                for a in range(1, length // 2 + 1):
-                    pieces = tuple(k for k in (a, length - a) if k > 1)
-                    ways = length if 2 * a < length else length // 2
-                    add(fixed + 2 - len(pieces), rest + pieces, walks * ways)
+        for key, walks in counts.items():
+            if key not in successors:
+                successors[key] = moves(*key)
+            for successor, ways, distance in successors[key]:
+                if distance <= left:
+                    following[successor] = following.get(successor, 0) + walks * ways
         counts = following
         closed.append(counts.get((n, ()), 0))
     return closed
@@ -771,7 +783,7 @@ class TestWalkCountMoments:
     multiplicity; one more moment is checked on top.
     """
 
-    @pytest.mark.parametrize("n", range(1, 13))
+    @pytest.mark.parametrize("n", range(1, 19))
     def test_every_moment(self, n):
         steps = n * (n - 1) + 1
         walks = transposition_walks(n, steps)
@@ -779,9 +791,9 @@ class TestWalkCountMoments:
         for k in range(steps + 1):
             assert sum(m * v**k for v, m in entries) == math.factorial(n) * walks[k], k
 
-    @pytest.mark.parametrize("n", [*range(13, 31), *LARGE_NS])
+    @pytest.mark.parametrize("n", [*range(19, 31), *LARGE_NS])
     def test_low_moments(self, n, spectra_up_to_30, large_spectra):
-        # past n = 12 the moments 0..24 only: too few to fix every multiplicity,
+        # past n = 18 the moments 0..24 only: too few to fix every multiplicity,
         # but each one is still an exact check of the whole spectrum
         walks = transposition_walks(n, 24)
         entries = (spectra_up_to_30.get(n) or large_spectra(n)).entries
