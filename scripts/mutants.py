@@ -301,20 +301,29 @@ MUTANTS = [
            '// 2 - (k - 1) * last + 1\n',
            'tests/test_spectrum.py'),
     Mutant('queue-pipe-failure-propagates', 'src/tnspectrum/forked.py',
-           '        for shard in shards:\n            fold(shard)\n        return\n',
-           '        raise\n',
+           'every shard itself, below\n        pass\n',
+           'every shard itself, below\n        raise\n',
            'tests/test_spectrum.py'),
     Mutant('fork-failure-propagates', 'src/tnspectrum/forked.py',
-           'os.close(write)\n                break\n',
-           'os.close(write)\n                raise\n',
+           'os.close(write)\n                    break\n',
+           'os.close(write)\n                    raise\n',
            'tests/test_spectrum.py'),
     Mutant('failed-fork-leaks-pipe', 'src/tnspectrum/forked.py',
-           '                os.close(read)\n                os.close(write)\n                break\n',
-           '                break\n',
+           '                    os.close(read)\n                    os.close(write)\n'
+           '                    break\n',
+           '                    break\n',
            'tests/test_spectrum.py'),
     Mutant('waitpid-before-read', 'src/tnspectrum/forked.py',
-           'blob = pipe.read()\n            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])',
-           'status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])\n            blob = pipe.read()',
+           'blob = pipe.read()\n                status = os.waitpid(pid, 0)[1]',
+           'status = os.waitpid(pid, 0)[1]\n                blob = pipe.read()',
+           'tests/test_spectrum.py'),
+    Mutant('failed-child-ignored', 'src/tnspectrum/forked.py',
+           'folds every shard\n                    break\n',
+           'folds every shard\n                    continue\n',
+           'tests/test_spectrum.py'),
+    Mutant('failed-child-sums-kept', 'src/tnspectrum/forked.py',
+           '    for mine in sums:\n        mine[:] = [0] * len(mine)\n',
+           '',
            'tests/test_spectrum.py'),
     Mutant('balanced-hook-region', 'src/tnspectrum/witnesses.py',
            'inner[0] if inner else 0) + 1',

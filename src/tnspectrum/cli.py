@@ -81,7 +81,7 @@ class CommandError(Exception):
 
 
 def _check_max_n(args, n: int, name: str | None = None, fold: bool = False) -> None:
-    """The resource guard of every command that enumerates partitions of ``n``, or folds them."""
+    """The ``--max-n`` guard of every command; with ``fold``, the fold ceiling too."""
     name = name or f"n = {n}"
     if n > args.max_n:
         raise CommandError(n, f"{name} exceeds --max-n {args.max_n}", 2)
