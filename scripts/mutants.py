@@ -6,10 +6,8 @@ The checkout is copied once into a temporary directory (``TMPDIR`` chooses where
 each mutant is applied to the copy alone and ``pytest -x`` runs its test files there,
 under a deadline of ``DEADLINE_S`` seconds. One line per mutant says killed (with the
 first failing test), survived, timed out or no verdict (pytest ended otherwise), and
-the time taken. A perf-only mutant keeps every output and only changes how the
-program gets there, so it is listed with its evidence and not run. The last line
-counts the mutants killed, not killed and perf-only. The exit status is 1 if any
-mutant was not killed, 2 if an old text is stale.
+the time taken. The last line counts the mutants killed and not killed. The exit
+status is 1 if any mutant was not killed, 2 if an old text is stale.
 
 Usage: python scripts/mutants.py [NAME ...]
 """
@@ -39,8 +37,7 @@ class Mutant(NamedTuple):
     file: str  # relative to the repository root
     old: str
     new: str
-    tests: str  # the test files that must kill it, space-separated
-    perf_only: str | None = None  # the evidence that it changes no output, if it cannot be killed
+    tests: str = "tests/test_spectrum.py"  # the test files that must kill it, space-separated
 
 
 MUTANTS = [
@@ -171,8 +168,7 @@ MUTANTS = [
            'tests/test_acceptance.py'),
     Mutant('cpu-move-skipped', 'src/tnspectrum/forked.py',
            'os.sched_setaffinity(pid, others)',
-           'pass',
-           'tests/test_spectrum.py'),
+           'pass'),
     Mutant('transitivity-proof-skipped', 'src/tnspectrum/oracle.py',
            'for relabel in ((1, 0, *range(2, n)), (*range(1, n), 0)):',
            'for relabel in ():',
@@ -195,136 +191,128 @@ MUTANTS = [
            'tests/test_cli.py'),
     Mutant('leaf-split-child-length', 'src/tnspectrum/spectrum.py',
            '(top - (length + 1) - 2) // 2) + 1',
-           '(top - (length + 2) - 2) // 2) + 1',
-           'tests/test_spectrum.py'),
+           '(top - (length + 2) - 2) // 2) + 1'),
     Mutant('leaf-split-recurses-into-leaves', 'src/tnspectrum/spectrum.py',
            '(top - (length + 1) - 2) // 2) + 1',
-           '(top - (length + 0) - 2) // 2) + 1',
-           'tests/test_spectrum.py',
-           'BENCH_lean_fold.json mutants: same buckets for n = 1..40 and the same 2,743 visit '
-           'calls at n = 44; a leaf row at the raised split only divides out its unused '
-           'n!/H(nu), 9,544 such divisions for 8,818'),
+           '(top - (length + 0) - 2) // 2) + 1'),
     Mutant('table-factor', 'src/tnspectrum/spectrum.py',
            'map(mul, range(1, top - 2 * row + 2)',
-           'map(mul, range(0, top - 2 * row + 1)',
-           'tests/test_spectrum.py'),
+           'map(mul, range(0, top - 2 * row + 1)'),
     Mutant('leaf-conjugate-guard', 'src/tnspectrum/spectrum.py',
            'sums = strict if row < top - length - 2 else square',
-           'sums = strict if row <= top - length - 2 else square',
-           'tests/test_spectrum.py'),
+           'sums = strict if row <= top - length - 2 else square'),
     Mutant('node-conjugate-guard', 'src/tnspectrum/spectrum.py',
            'sums = strict if top > m + 1 else square',
-           'sums = strict if top >= m + 1 else square',
-           'tests/test_spectrum.py'),
+           'sums = strict if top >= m + 1 else square'),
     Mutant('pre-leaf-leaf-conjugate-guard', 'src/tnspectrum/spectrum.py',
            'sums = strict if leaf < rest - length - 3 else square',
-           'sums = strict if leaf <= rest - length - 3 else square',
-           'tests/test_spectrum.py'),
+           'sums = strict if leaf <= rest - length - 3 else square'),
     Mutant('pre-leaf-test-minus-one', 'src/tnspectrum/spectrum.py',
            '(top - (length + 1) - 3) // 3) + 1',
-           '(top - (length + 1) - 3) // 3)',
-           'tests/test_spectrum.py'),
+           '(top - (length + 1) - 3) // 3)'),
     Mutant('pre-leaf-test-plus-one', 'src/tnspectrum/spectrum.py',
            '(top - (length + 1) - 3) // 3) + 1',
-           '(top - (length + 1) - 3) // 3) + 2',
-           'tests/test_spectrum.py'),
+           '(top - (length + 1) - 3) // 3) + 2'),
     Mutant('pre-leaf-leaves-skipped', 'src/tnspectrum/spectrum.py',
            'if row < split:',
-           'if row < split - 1:',
-           'tests/test_spectrum.py'),
+           'if row < split - 1:'),
     Mutant('pre-leaf-content-shift', 'src/tnspectrum/spectrum.py',
            'shift = content - size + row * (row - 5) // 2',
-           'shift = content + row * (row - 5) // 2',
-           'tests/test_spectrum.py'),
+           'shift = content + row * (row - 5) // 2'),
     Mutant('mirror-dropped', 'src/tnspectrum/spectrum.py',
            'map(add, reversed(strict), strict)',
-           'reversed(strict)',
-           'tests/test_spectrum.py'),
+           'reversed(strict)'),
     Mutant('child-range', 'src/tnspectrum/spectrum.py',
            'high = min(top // 2, top - length - 2)',
-           'high = min(top // 2, top - length - 3)',
-           'tests/test_spectrum.py'),
+           'high = min(top // 2, top - length - 3)'),
     Mutant('leaf-content-shift', 'src/tnspectrum/spectrum.py',
            'content -= size  # and every box',
-           'content -= 0  # and every box',
-           'tests/test_spectrum.py'),
+           'content -= 0  # and every box'),
     Mutant('root-division-unchecked', 'src/tnspectrum/spectrum.py',
            'if remainder:\n        raise ArithmeticError(f"hook',
-           'if False:\n        raise ArithmeticError(f"hook',
-           'tests/test_spectrum.py'),
+           'if False:\n        raise ArithmeticError(f"hook'),
     Mutant('node-division-unchecked', 'src/tnspectrum/spectrum.py',
            'if remainder:\n        raise inexact(top)',
-           'if False:\n        raise inexact(top)',
-           'tests/test_spectrum.py'),
+           'if False:\n        raise inexact(top)'),
     Mutant('tail-division-unchecked', 'src/tnspectrum/spectrum.py',
            'if remainder:\n                    raise inexact(row)',
-           'if False:\n                    raise inexact(row)',
-           'tests/test_spectrum.py'),
+           'if False:\n                    raise inexact(row)'),
     Mutant('leaf-division-unchecked', 'src/tnspectrum/spectrum.py',
            'if remainder:\n                raise inexact(rest, row)',
-           'if False:\n                raise inexact(rest, row)',
-           'tests/test_spectrum.py'),
+           'if False:\n                raise inexact(rest, row)'),
     Mutant('pre-leaf-leaf-division-unchecked', 'src/tnspectrum/spectrum.py',
            'if remainder:\n                        raise inexact(first, row, leaf)',
-           'if False:\n                        raise inexact(first, row, leaf)',
-           'tests/test_spectrum.py'),
+           'if False:\n                        raise inexact(first, row, leaf)'),
     Mutant('shard-sort-reversed', 'src/tnspectrum/spectrum.py',
            'keys.sort(key=lambda key: (key[0] * key[1], key[0]))',
-           'keys.sort(key=lambda key: (key[0] * key[1], key[0]), reverse=True)',
-           'tests/test_spectrum.py'),
+           'keys.sort(key=lambda key: (key[0] * key[1], key[0]), reverse=True)'),
     Mutant('parallel-floor-minus-one', 'src/tnspectrum/spectrum.py',
            'PARALLEL_MIN_N = 40',
-           'PARALLEL_MIN_N = 39',
-           'tests/test_spectrum.py'),
+           'PARALLEL_MIN_N = 39'),
     Mutant('parallel-floor-plus-one', 'src/tnspectrum/spectrum.py',
            'PARALLEL_MIN_N = 40',
-           'PARALLEL_MIN_N = 41',
-           'tests/test_spectrum.py'),
+           'PARALLEL_MIN_N = 41'),
     Mutant('fold-ceiling-plus-one', 'src/tnspectrum/spectrum.py',
            'if n > FOLD_MAX_N:',
-           'if n > FOLD_MAX_N + 1:',
-           'tests/test_spectrum.py'),
+           'if n > FOLD_MAX_N + 1:'),
     Mutant('invariant-top-value-only', 'src/tnspectrum/spectrum.py',
            'pairs[0] == (self.n * (self.n - 1) // 2, 1)',
-           'pairs[0][0] == self.n * (self.n - 1) // 2',
-           'tests/test_spectrum.py'),
+           'pairs[0][0] == self.n * (self.n - 1) // 2'),
     Mutant('support-content-shift', 'src/tnspectrum/spectrum.py',
            '<< (top - 1) * size',
-           '<< (top - 1) * (size - top)',
-           'tests/test_spectrum.py'),
+           '<< (top - 1) * (size - top)'),
     Mutant('support-top-from-two', 'src/tnspectrum/spectrum.py',
            'for top in range(1, size + 1):',
-           'for top in range(2, size + 1):',
-           'tests/test_spectrum.py'),
+           'for top in range(2, size + 1):'),
     Mutant('upper-bound-plus-one', 'src/tnspectrum/spectrum.py',
            '// 2 - (k - 1) * last\n',
-           '// 2 - (k - 1) * last + 1\n',
-           'tests/test_spectrum.py'),
-    Mutant('queue-pipe-failure-propagates', 'src/tnspectrum/forked.py',
-           'every shard itself, below\n        pass\n',
-           'every shard itself, below\n        raise\n',
-           'tests/test_spectrum.py'),
+           '// 2 - (k - 1) * last + 1\n'),
     Mutant('fork-failure-propagates', 'src/tnspectrum/forked.py',
-           'os.close(write)\n                    break\n',
-           'os.close(write)\n                    raise\n',
-           'tests/test_spectrum.py'),
+           'except OSError:  # every failure of the forked fold',
+           'except ():  # every failure of the forked fold'),
     Mutant('failed-fork-leaks-pipe', 'src/tnspectrum/forked.py',
            '                    os.close(read)\n                    os.close(write)\n'
-           '                    break\n',
-           '                    break\n',
-           'tests/test_spectrum.py'),
+           '                    raise\n',
+           '                    raise\n'),
     Mutant('waitpid-before-read', 'src/tnspectrum/forked.py',
            'blob = pipe.read()\n                status = os.waitpid(pid, 0)[1]',
-           'status = os.waitpid(pid, 0)[1]\n                blob = pipe.read()',
-           'tests/test_spectrum.py'),
+           'status = os.waitpid(pid, 0)[1]\n                blob = pipe.read()'),
     Mutant('failed-child-ignored', 'src/tnspectrum/forked.py',
-           'folds every shard\n                    break\n',
-           'folds every shard\n                    continue\n',
-           'tests/test_spectrum.py'),
+           'if status:  # it ended before its sums arrived',
+           'if False:  # it ended before its sums arrived'),
     Mutant('failed-child-sums-kept', 'src/tnspectrum/forked.py',
-           '    for mine in sums:\n        mine[:] = [0] * len(mine)\n',
-           '',
-           'tests/test_spectrum.py'),
+           '        for mine in sums:\n            mine[:] = [0] * len(mine)\n',
+           ''),
+    Mutant('reaped-child-raises', 'src/tnspectrum/forked.py',
+           'except OSError:  # reaped already\n                    pass',
+           'except OSError:  # reaped already\n                    raise'),
+    Mutant('failed-move-ends-the-fork', 'src/tnspectrum/forked.py',
+           'or the child has ended\n                        pass',
+           'or the child has ended\n                        raise'),
+    Mutant('failed-fork-not-refolded', 'src/tnspectrum/spectrum.py',
+           'if not folded:',
+           'if workers == 1:'),
+    Mutant('caller-folds-nothing', 'src/tnspectrum/forked.py',
+           'drain()\n            for pid, pipe in',
+           'for pid, pipe in'),
+    Mutant('reaped-child-killed', 'src/tnspectrum/forked.py',
+           'del children[pid]',
+           'pass'),
+    Mutant('left-child-not-killed', 'src/tnspectrum/forked.py',
+           'os.kill(pid, SIGKILL)',
+           'pass'),
+    Mutant('caller-runs-the-child', 'src/tnspectrum/forked.py',
+           'if pid == 0:',
+           'if pid != 0:'),
+    Mutant('child-keeps-its-read-end', 'src/tnspectrum/forked.py',
+           'os.close(read)  # else a write',
+           'pass  # else a write'),
+    Mutant('raising-child-runs-on', 'src/tnspectrum/forked.py',
+           'finally:\n                        os._exit(1)',
+           'finally:\n                        pass'),
+    Mutant('no-proc-raises', 'src/tnspectrum/forked.py',
+           'except OSError:\n        return set()',
+           'except OSError:\n        pass'),
     Mutant('balanced-hook-region', 'src/tnspectrum/witnesses.py',
            'inner[0] if inner else 0) + 1',
            'inner[0] if inner else 0) - 1',
@@ -439,19 +427,15 @@ def main(argv=None):
     with tempfile.TemporaryDirectory(prefix="mutants-") as scratch:
         copy = Path(scratch) / "checkout"
         shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
-            ".git", "__pycache__", ".pytest_cache", ".perfbench-*"))
+            ".git", "__pycache__", ".pytest_cache", ".hypothesis", ".benchmarks", ".perfbench-*"))
         for m in chosen:
-            if m.perf_only:
-                print(f"{m.name:36} perf-only   not run: {m.perf_only}", flush=True)
-                continue
             start = time.monotonic()
             outcome, first = run(m, copy)
             killed += outcome == "killed"
             failed += outcome != "killed"
             seconds = time.monotonic() - start
             print(f"{m.name:36} {outcome:10} {seconds:6.1f} s  {first}", flush=True)
-    perf_only = len(chosen) - killed - failed
-    print(f"{killed} killed, {failed} not killed, {perf_only} perf-only not run")
+    print(f"{killed} killed, {failed} not killed")
     return 1 if failed else 0
 
 

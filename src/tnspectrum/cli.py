@@ -1,4 +1,4 @@
-"""Command-line front end: spectra, witnesses, golden tables, verification, oracle.
+"""Command-line front end: the argv reader, the renderer and the fold commands.
 
 Output formats: text (human-readable), json (one record per invocation with
 schema {command, n, payload, status}), csv (exactly one header line plus data

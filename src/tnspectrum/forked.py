@@ -18,7 +18,7 @@ def fold_forked(
     shards: list[tuple[int, int]],
     workers: int,
     sums: tuple[list[int], ...],
-) -> None:
+) -> bool:
     """Call ``fold(shard)`` for every shard, on the caller and ``workers - 1`` forked children.
 
     ``fold`` adds into the lists ``sums``, the caller's in the caller and a copy of them in
@@ -41,12 +41,13 @@ def fold_forked(
     any result pipe, so when the caller is killed its write fails instead of blocking, and
     it takes no more shards once it has a new parent.
 
-    A failed ``os.pipe`` or ``os.fork`` (an ``OSError``, such as EMFILE or EAGAIN) ends the
-    forking, and the caller and the children already forked drain the queue. Bucket
-    addition commutes, so whatever the children did not send back the caller folds again:
-    with no queue pipe, or once a child has raised or ended without its sums (it sends
-    nothing and prints no traceback), the caller clears ``sums`` and folds every shard
-    itself.
+    Every failure takes one path. It may be a failed ``os.pipe``, ``os.fork``, ``os.read``
+    or ``os.waitpid`` (an ``OSError``: EMFILE, EAGAIN, or ECHILD where SIGCHLD is ignored,
+    as the system then reaps each child itself), or a child that raises or ends without its
+    sums (it sends nothing and prints no traceback). The caller then kills and reaps the
+    children left, where one reaped already is no error, zeroes ``sums`` and returns False,
+    and ``spectrum`` folds the whole walk in-process: bucket addition commutes, so the
+    answer is the same. Otherwise it returns True, once every child's sums have arrived.
     """
 
     def drain():  # a child stops once it has a new parent; the caller never does
@@ -56,24 +57,18 @@ def fold_forked(
     caller, others = os.getpid(), other_cpus()
     try:
         queue, feed = os.pipe()
-    except OSError:  # no queue to share: the caller folds every shard itself, below
-        pass
-    else:
         os.write(feed, b"".join(i.to_bytes(2, "little") for i in range(len(shards))))
         os.close(feed)
         children = {}  # pid: the read end of its result pipe
         try:
             for _ in range(workers - 1):
-                try:
-                    read, write = os.pipe()
-                except OSError:  # out of descriptors: the running processes drain the queue
-                    break
+                read, write = os.pipe()
                 try:
                     pid = os.fork()
-                except OSError:  # out of processes or memory: likewise, once this pipe is closed
+                except BaseException:  # the call fails with this child's pipe closed
                     os.close(read)
                     os.close(write)
-                    break
+                    raise
                 if pid == 0:  # a child sends its sums, or nothing if it fails
                     try:
                         os.close(read)  # else a write to a dead caller blocks forever
@@ -98,22 +93,24 @@ def fold_forked(
                 status = os.waitpid(pid, 0)[1]
                 del children[pid]
                 pipe.close()
-                if status:  # it ended before its sums arrived: the caller folds every shard
-                    break
+                if status:  # it ended before its sums arrived
+                    raise ChildProcessError
                 for mine, theirs in zip(sums, marshal.loads(blob)):
                     mine[:] = map(add, mine, theirs)
-            else:  # every child's sums arrived
-                return
         finally:
             os.close(queue)
-            for pid, pipe in children.items():  # left when the call raises or a child failed
+            for pid, pipe in children.items():  # left when the call raises
                 pipe.close()
-                os.kill(pid, SIGKILL)
-                os.waitpid(pid, 0)
-    for mine in sums:
-        mine[:] = [0] * len(mine)
-    for shard in shards:
-        fold(shard)
+                try:
+                    os.kill(pid, SIGKILL)
+                    os.waitpid(pid, 0)
+                except OSError:  # reaped already
+                    pass
+    except OSError:  # every failure of the forked fold: the caller folds the whole walk
+        for mine in sums:
+            mine[:] = [0] * len(mine)
+        return False
+    return True
 
 
 def other_cpus() -> set[int]:

@@ -9,7 +9,6 @@ spectrum is a bucket sum over all p(n) partitions.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 from itertools import accumulate
 from operator import add, mul
@@ -32,7 +31,7 @@ def eigenvalue(p: Partition) -> int:
     return content
 
 
-def character_ratio(p: Partition) -> numbers.Rational:
+def character_ratio(p: Partition):
     """Character value at a transposition over the degree, in lowest terms.
 
     Equals eigenvalue(p) divided by the number n(n-1)/2 of transpositions, as a
@@ -149,8 +148,9 @@ def spectrum(n: int, *, threads: int = 1) -> Spectrum:
     They drain one queue of shards, largest subtrees first, so an idle worker
     takes the next shard; the caller moves each worker off its own CPU right
     after the fork, as a forked process may otherwise stay on its parent's.
-    Every process folds into one accumulator pair of its own, and the caller
-    adds each worker's pair into its own once; the module ``forked`` does that, and is imported only then.
+    Every process folds into one accumulator pair of its own, and the caller adds each
+    worker's pair into its own once (module ``forked``, imported only then); if that fails
+    anywhere, the pairs are zeroed and the whole walk is folded in-process.
     The usable CPUs are those the process's affinity mask allows, not every CPU
     of the machine: pinned to one CPU, two workers lost to the serial fold at
     n = 56 in 8 of 10 alternating pairs. Where ``os.fork`` is missing there is
@@ -168,12 +168,14 @@ def spectrum(n: int, *, threads: int = 1) -> Spectrum:
     workers = min(threads, _usable_cpus(), len(shards))
     top = n * (n - 1) // 2  # index i of an accumulator counts the eigenvalue i - top
     strict, square = [0] * (2 * top + 1), [0] * (2 * top + 1)
-    if workers == 1:
-        _fold(n, (0, 0), strict, square)
-    else:
+    folded = False
+    if workers > 1:
         from .forked import fold_forked
 
-        fold_forked(lambda root: _fold(n, root, strict, square), shards, workers, (strict, square))
+        folded = fold_forked(lambda root: _fold(n, root, strict, square), shards, workers,
+                             (strict, square))
+    if not folded:  # one process, or a forked fold that failed anywhere and zeroed the sums
+        _fold(n, (0, 0), strict, square)
     # from the largest value down; a strict count at index i also counts the conjugates
     # at the mirror index 2 top - i
     buckets = map(add, reversed(square), map(add, reversed(strict), strict))

@@ -1,3 +1,4 @@
+import contextlib
 import errno
 import importlib
 import io
@@ -50,24 +51,27 @@ def plain_fold(n):
 
 
 @pytest.fixture
-def pools(monkeypatch):
+def forks(monkeypatch):
     """Record the forked folds on a machine of 4 CPUs, all usable; the forks are real.
 
     ``sizes`` lists the worker count of each forked fold: the caller and the children
-    it forked. A fork outside a forked fold fails the test that made it.
+    it forked. A fork outside a forked fold fails the test that made it. ``children`` lists
+    the children's pids in fork order, and ``kills`` the pids that ``os.kill`` signalled.
     """
-    built = SimpleNamespace(sizes=[])
-    fork, fold_forked = os.fork, forked_module.fold_forked
+    built = SimpleNamespace(sizes=[], children=[], kills=[])
+    fork, kill, fold_forked = os.fork, os.kill, forked_module.fold_forked
 
     def recording_fork():
         built.sizes[-1] += 1
-        return fork()
+        built.children.append(fork())
+        return built.children[-1]
 
     def recording_fold_forked(fold, shards, workers, sums):
         built.sizes.append(1)
         return fold_forked(fold, shards, workers, sums)
 
     monkeypatch.setattr(os, "fork", recording_fork)
+    monkeypatch.setattr(os, "kill", lambda pid, sig: built.kills.append(pid) or kill(pid, sig))
     monkeypatch.setattr(forked_module, "fold_forked", recording_fold_forked)
     monkeypatch.setattr(spectrum_module.os, "cpu_count", lambda: 4)
     monkeypatch.setattr(
@@ -98,10 +102,11 @@ def append_line(path, line):
         os.close(fd)
 
 
-def fail_call(monkeypatch, name, call):
+@contextlib.contextmanager
+def failed_call(monkeypatch, name, call):
     """Make call number ``call`` of ``os.<name>`` raise as the OS does when it is out of
-    processes (``fork``) or descriptors (``pipe``); the other calls run. Returns the calls made.
-    """
+    processes (``fork``) or descriptors (``pipe``); the other calls run, and none is made
+    after the failure."""
     real, calls = getattr(os, name), []
     code = errno.EAGAIN if name == "fork" else errno.EMFILE
 
@@ -112,10 +117,12 @@ def fail_call(monkeypatch, name, call):
         return real()
 
     monkeypatch.setattr(os, name, failing)
-    return calls
+    yield
+    assert len(calls) == call
 
 
-def kill_at_fork(monkeypatch):
+@contextlib.contextmanager
+def killed_at_fork(monkeypatch):
     """Make each child of ``os.fork`` end by SIGKILL at once, before it folds anything."""
     fork = os.fork
 
@@ -126,6 +133,47 @@ def kill_at_fork(monkeypatch):
         return pid
 
     monkeypatch.setattr(os, "fork", dying_fork)
+    yield
+
+
+@contextlib.contextmanager
+def raising_worker(monkeypatch):
+    """Make the first worker to fold a shard raise, an error that cannot be rebuilt from its
+    message alone; the caller folds nothing until it has. A worker that ran on past its end,
+    into the test, would write "!" where the caller reads."""
+    fold, caller, waited = spectrum_module._fold, os.getpid(), []
+    (started, start), (token, give) = os.pipe(), os.pipe()
+    os.write(give, b".")
+    os.set_blocking(token, False)
+
+    def failing_fold(n, root, strict, square):
+        if os.getpid() != caller:
+            with contextlib.suppress(BlockingIOError):  # one worker alone takes the token
+                os.write(start, os.read(token, 1))
+                raise UnicodeDecodeError("utf-8", b"\xff", 0, 1, f"no room for {root}")
+        elif not waited:  # for at most 10 s: a fold that forks nothing fails, not hangs
+            waited.append(select.select([started], [], [], 10)[0])
+        fold(n, root, strict, square)
+
+    monkeypatch.setattr(spectrum_module, "_fold", failing_fold)
+    try:
+        yield
+    finally:
+        if os.getpid() != caller:
+            os.write(start, b"!")
+    assert (waited, os.read(started, 2)) == ([[started]], b".")
+    for end in (started, start, token, give):
+        os.close(end)
+
+
+@contextlib.contextmanager
+def sigchld_ignored(monkeypatch):
+    """Ignore SIGCHLD, so that the system reaps each child itself and ``os.waitpid`` fails."""
+    handler = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGCHLD, handler)
 
 
 def open_fds():
@@ -308,15 +356,29 @@ class TestSpectrum:
         with pytest.raises(ArithmeticError, match=rf"does not divide {n}! for Partition\({named}\)$"):
             spectrum_module._fold(n, root, *accumulators(n))
 
+    def test_the_caller_returns_from_a_forked_fold(self, child_env):
+        # in a fresh interpreter of its own session, and before this file's first forked fold
+        # in this one: a caller that ended as a worker would end this process with status 0
+        script = (
+            "import os, importlib\nfrom tnspectrum import spectrum\n"
+            "importlib.import_module('tnspectrum.spectrum').PARALLEL_MIN_N = 1\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "print(os.getpid(), flush=True)\nspectrum(12, threads=2)\nprint(os.getpid())\n"
+        )
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                                env=child_env, start_new_session=True)
+        pids = result.stdout.split()
+        assert (result.returncode, len(pids), len(set(pids))) == (0, 2, 1)
+
     @pytest.mark.parametrize("threads", [2, 3])
-    def test_pooled_shards_match_plain_fold(self, pools, monkeypatch, threads):
+    def test_forked_shards_match_plain_fold(self, forks, monkeypatch, threads):
         monkeypatch.setattr(spectrum_module, "PARALLEL_MIN_N", 1)
         for n in range(1, 31):
             assert spectrum(n, threads=threads).entries == plain_fold(n), n
         # n = 1 and n = 2 are a single shard each and fold in-process
-        assert len(pools.sizes) == 28
+        assert len(forks.sizes) == 28
 
-    def test_pool_takes_one_shard_per_task(self, pools, fold_log, monkeypatch):
+    def test_queue_hands_out_one_shard_per_take(self, forks, fold_log, monkeypatch):
         # every shard is one take from the queue, and each worker takes its shards
         # in _shards' order, so an idle worker takes the next one
         monkeypatch.setattr(spectrum_module, "PARALLEL_MIN_N", 1)
@@ -345,7 +407,7 @@ class TestSpectrum:
         ids=["below-floor", "floor", "one-thread", "cpu-cap", "shard-cap", "mask-of-one",
              "mask-of-two", "no-mask-no-cpu-count"],
     )
-    def test_worker_count(self, pools, fold_log, monkeypatch, n, threads, floor, mask, cpus,
+    def test_worker_count(self, forks, fold_log, monkeypatch, n, threads, floor, mask, cpus,
                           processes):
         # min(threads, usable CPUs, shards) processes fold from n = PARALLEL_MIN_N on (floor
         # None keeps the real 40); the usable CPUs are the affinity mask (None: the platform
@@ -365,18 +427,18 @@ class TestSpectrum:
         shards, built = spectrum_module._shards, []
         monkeypatch.setattr(spectrum_module, "_shards", lambda n: built.append(n) or shards(n))
         assert spectrum(n, threads=threads) == serial
-        assert pools.sizes == ([processes] if processes > 1 else [])
+        assert forks.sizes == ([processes] if processes > 1 else [])
         assert built == ([n] if threads > 1 and n >= spectrum_module.PARALLEL_MIN_N else [])
         if processes == 1:
             assert fold_log() == [(os.getpid(), n, (0, 0))]
 
-    def test_queries_fold_in_process_by_default(self, pools, monkeypatch):
+    def test_queries_fold_in_process_by_default(self, forks, monkeypatch):
         # threads defaults to 1: past the size floor and with 4 usable CPUs, nothing forks
         monkeypatch.setattr(spectrum_module, "PARALLEL_MIN_N", 1)
         spectrum(12)
         multiplicity(12, 0)
         top_eigenvalues(12, 2)
-        assert pools.sizes == []
+        assert forks.sizes == []
 
     def test_rejects_bad_thread_count(self):
         with pytest.raises(ValueError):
@@ -411,8 +473,16 @@ class TestSpectrum:
             sys.setprofile(None)
         assert visits == 2743
 
+    def test_divisions_at_44(self, monkeypatch):
+        # a leaf divides out no n!/H(nu) of its own: 48,272 checked divisions fold n = 44
+        calls = []
+        monkeypatch.setattr(spectrum_module, "divmod",
+                            lambda a, b: calls.append(1) or divmod(a, b), raising=False)
+        spectrum_module._fold(44, (0, 0), *accumulators(44))
+        assert len(calls) == 48272
+
     def test_smallest_tail_first(self):
-        # the pool's queue hands out the shards in this order, largest subtrees first;
+        # the queue pipe hands out the shards in this order, largest subtrees first;
         # of two equal tails s*m the one with the shorter rows comes first
         assert spectrum_module._shards(6) == [(6, 0), (1, 1), (1, 2), (2, 1), (3, 1)]
         for n in range(1, 61):
@@ -486,64 +556,26 @@ class TestForkedFold:
     """The caller and its forked children drain one queue of shards; no child outlives the call."""
 
     @pytest.mark.parametrize("workers", [2, 4])
-    def test_every_shard_folded_once(self, pools, fold_log, large_spectra, workers):
+    def test_every_shard_folded_once(self, forks, fold_log, large_spectra, workers):
         serial = large_spectra(44)
         fold_log()  # drops the serial fold, if this test was the first to ask for it
         assert spectrum(44, threads=workers) == serial
-        assert pools.sizes == [workers]
+        assert forks.sizes == [workers]
         folds = fold_log()
         assert sorted(root for _, _, root in folds) == sorted(spectrum_module._shards(44))
         assert len({pid for pid, _, _ in folds}) <= workers
+        assert forks.kills == []  # each child was reaped once its sums arrived
 
-    def test_corrupt_hook_product_raises_in_the_caller(self, pools, monkeypatch):
+    def test_corrupt_hook_product_raises_in_the_caller(self, forks, monkeypatch):
         inexact_factorial(monkeypatch)
         with pytest.raises(ArithmeticError, match="does not divide"):
             spectrum(44, threads=2)
-        assert pools.sizes == [2]
+        assert forks.sizes == [2]
+        assert forks.kills == forks.children  # the caller's own shard raised, so it killed them
         with pytest.raises(ChildProcessError):  # every child was reaped
             os.waitpid(-1, os.WNOHANG)
 
-    def test_child_that_raises_is_folded_again(self, pools, monkeypatch, capfd):
-        # the caller folds nothing until a child has taken a shard and raised, so the child
-        # sends nothing back and the caller must fold that shard itself; the error is one
-        # that cannot be rebuilt from its message alone, and nothing is printed
-        serial, fold = spectrum(30), spectrum_module._fold
-        caller, (started, start) = os.getpid(), os.pipe()
-        waited = []
-
-        def failing_fold(n, root, strict, square):
-            if os.getpid() != caller:
-                os.write(start, b".")
-                raise UnicodeDecodeError("utf-8", b"\xff", 0, 1, f"no room for {root}")
-            if not waited:  # for at most 10 s: a fold that forks nothing fails, not hangs
-                waited.append(select.select([started], [], [], 10)[0])
-            fold(n, root, strict, square)
-
-        monkeypatch.setattr(spectrum_module, "PARALLEL_MIN_N", 1)
-        monkeypatch.setattr(spectrum_module, "_fold", failing_fold)
-        try:
-            assert spectrum(30, threads=2) == serial
-        finally:
-            os.close(started)
-            os.close(start)
-        assert waited == [[started]]
-        assert pools.sizes == [2]
-        assert capfd.readouterr() == ("", "")
-        with pytest.raises(ChildProcessError):  # every child was reaped
-            os.waitpid(-1, os.WNOHANG)
-
-    def test_child_that_dies_without_a_result(self, pools, monkeypatch):
-        # the child dies at once, so the caller drains every shard, then folds them all again
-        # once the child's sums fail to arrive: a refold that kept its sums would double them
-        serial = spectrum(30)
-        monkeypatch.setattr(spectrum_module, "PARALLEL_MIN_N", 1)
-        kill_at_fork(monkeypatch)
-        assert spectrum(30, threads=2) == serial
-        assert pools.sizes == [2]
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
-    def test_result_larger_than_a_pipe_buffer(self, pools, monkeypatch):
+    def test_result_larger_than_a_pipe_buffer(self, forks, monkeypatch):
         # a child's blob of 133 counts of 10**3000 each outgrows the 64 KiB pipe buffer, so
         # the caller must read it to EOF before it waits for the child; a 3 s deadline, well
         # above the 0.03 s the healthy fold takes, turns a deadlock into a failure
@@ -567,14 +599,15 @@ class TestForkedFold:
             signal.signal(signal.SIGALRM, handler)
         shards = len(spectrum_module._shards(12))
         assert spec.entries == tuple((v, shards * 10**3000) for v in range(66, -67, -1))
-        assert pools.sizes == [2]
+        assert forks.sizes == [2]
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_worker_ends_when_its_caller_is_killed(self, child_env, workers):
-        # the caller sleeps once it has forked, so each worker's blob of 133 counts of
-        # 10**3000 outgrows the 64 KiB pipe buffer; then the caller is killed. Only the workers
-        # hold the write end of `ended`, so EOF there means they have all ended, reaped
-        # or not.
+        # the caller sleeps once it has forked, so the blob of 133 distinct counts above
+        # 10**3000 (marshal writes a repeated object once) of a worker that has folded a shard
+        # outgrows the 64 KiB pipe buffer; once one has, the caller is killed. Only the
+        # workers hold the write end of `ended`, and write a byte there per shard, so EOF
+        # there means they have all ended, reaped or not.
         ended, hold = os.pipe()
         script = (
             "import os, sys, time, importlib\n"
@@ -594,7 +627,8 @@ class TestForkedFold:
             "    return pid\n"
             "os.fork = forked\n"
             "def fold(n, root, strict, square):\n"
-            "    square[:] = [10**3000] * len(square)\n"
+            "    square[:] = [10**3000 + i for i in range(len(square))]\n"
+            "    os.write(hold, b'.')\n"
             "module._fold = fold\n"
             "module.PARALLEL_MIN_N = 1\n"
             "spectrum(12, threads=workers)\n"
@@ -610,10 +644,13 @@ class TestForkedFold:
         try:
             forked = [int(pid) for pid in caller.stdout.readline().split()]
             assert len(forked) == workers - 1
+            assert select.select([ended], [], [], 10)[0] == [ended]
+            assert os.read(ended, 1) == b"."
             caller.kill()
             caller.wait()
-            assert select.select([ended], [], [], 10)[0] == [ended]
-            assert os.read(ended, 1) == b""
+            while (ready := select.select([ended], [], [], 10)[0]) and os.read(ended, 4096):
+                pass
+            assert ready  # EOF, not the 10 s deadline
         finally:
             if not select.select([ended], [], [], 0)[0]:  # a worker still runs
                 for pid in forked:
@@ -647,7 +684,7 @@ class TestForkedFold:
         assert (result.returncode, result.stderr) == (0, "")
         assert result.stdout == "printed before the fold\n1\n"
 
-    def test_each_child_moves_off_the_callers_cpu(self, pools, monkeypatch, tmp_path):
+    def test_each_child_moves_off_the_callers_cpu(self, forks, monkeypatch, tmp_path):
         path, fork, children = tmp_path / "moves", os.fork, []
 
         def recording_fork():
@@ -663,13 +700,14 @@ class TestForkedFold:
         monkeypatch.setattr(os, "sched_setaffinity", logging_move, raising=False)
         monkeypatch.setattr(os, "fork", recording_fork)
         assert spectrum(30, threads=3) == spectrum(30)
-        assert pools.sizes == [3]
+        assert forks.sizes == [3]
         moves = path.read_text().splitlines()
         # the caller moves each child, and no child moves itself
         assert moves == [f"{os.getpid()} {pid} 1 2" for pid in children]
 
-    def test_a_move_that_fails_is_skipped(self, pools, monkeypatch):
-        # a child can end before the caller moves it (ESRCH); the fold goes on without it
+    def test_a_move_that_fails_is_skipped(self, forks, fold_log, monkeypatch):
+        # a child can end before the caller moves it (ESRCH); the forked fold goes on without
+        # the move, and the caller never folds the whole walk itself
         def ended(pid, cpus):
             raise ProcessLookupError(errno.ESRCH, "No such process")
 
@@ -677,7 +715,8 @@ class TestForkedFold:
         monkeypatch.setattr(forked_module, "other_cpus", lambda: {1})
         monkeypatch.setattr(os, "sched_setaffinity", ended, raising=False)
         assert spectrum(30, threads=2).entries == plain_fold(30)
-        assert pools.sizes == [2]
+        assert forks.sizes == [2]
+        assert (os.getpid(), 30, (0, 0)) not in fold_log()
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads Linux's /proc")
     def test_other_cpus_are_the_usable_ones_but_one(self):
@@ -693,20 +732,40 @@ class TestForkedFold:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
         assert forked_module.other_cpus() == {0, 1, 3}
 
-    @pytest.mark.parametrize("name, call", [("fork", 1), ("fork", 2), ("pipe", 1), ("pipe", 2),
-                                            ("pipe", 3)])
-    def test_failed_fork_or_pipe_folds_the_rest(self, monkeypatch, name, call):
-        # pipe call 1 is the queue; pipe call k + 1 and fork call k are child k's. Nothing is
-        # tried after the failure, no descriptor is left open and no child is left unreaped
+    def test_other_cpus_without_proc(self, monkeypatch):
+        # no CPU is named, so no child is moved
+        def missing(path, mode):
+            raise FileNotFoundError(errno.ENOENT, "No such file or directory", path)
+
+        monkeypatch.setattr(forked_module, "open", missing, raising=False)
+        assert forked_module.other_cpus() == set()
+
+    @pytest.mark.parametrize("failure", [
+        pytest.param(lambda patch: failed_call(patch, "pipe", 1), id="pipe-1"),
+        pytest.param(lambda patch: failed_call(patch, "pipe", 2), id="pipe-2"),
+        pytest.param(lambda patch: failed_call(patch, "pipe", 3), id="pipe-3"),
+        pytest.param(lambda patch: failed_call(patch, "fork", 1), id="fork-1"),
+        pytest.param(lambda patch: failed_call(patch, "fork", 2), id="fork-2"),
+        pytest.param(raising_worker, id="worker-raises"),
+        pytest.param(killed_at_fork, id="worker-killed-at-fork"),
+        pytest.param(sigchld_ignored, id="sigchld-ignored"),
+    ])
+    def test_any_failure_folds_the_whole_walk_in_process(self, forks, fold_log, monkeypatch,
+                                                         capfd, failure):
+        # pipe call 1 is the queue; pipe call k + 1 and fork call k are child k's. Whatever
+        # failed, the caller kills and reaps every child left, closes every pipe end, zeroes
+        # its sums and folds the whole walk itself: sums it kept would be counted twice
         serial = spectrum(30)
+        fold_log()
         monkeypatch.setattr(spectrum_module, "PARALLEL_MIN_N", 1)
-        monkeypatch.setattr(spectrum_module, "_usable_cpus", lambda: 4)
-        fds, calls = open_fds(), fail_call(monkeypatch, name, call)
-        assert spectrum(30, threads=4) == serial
-        assert len(calls) == call
-        assert open_fds() == fds
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+        with failure(monkeypatch):
+            fds = open_fds()
+            assert spectrum(30, threads=4) == serial
+            assert fold_log()[-1] == (os.getpid(), 30, (0, 0))
+            assert open_fds() == fds
+            with pytest.raises(ChildProcessError):  # no child is left
+                os.waitpid(-1, os.WNOHANG)
+        assert capfd.readouterr() == ("", "")
 
     def test_failed_fork_still_answers_the_cli(self, monkeypatch, capsys):
         # one child is forked, the second fork fails, and the record is the serial one;
@@ -715,23 +774,36 @@ class TestForkedFold:
         assert main(["spectrum", "44", "--format", "json"]) == 0
         serial = capsys.readouterr()
         monkeypatch.setattr(spectrum_module, "_usable_cpus", lambda: 4)
-        calls = fail_call(monkeypatch, "fork", 2)
-        assert main(["spectrum", "44", "--format", "json"]) == 0
+        with failed_call(monkeypatch, "fork", 2):
+            assert main(["spectrum", "44", "--format", "json"]) == 0
         assert capsys.readouterr() == serial
-        assert len(calls) == 2
-        kill_at_fork(monkeypatch)  # every child dies before it sends its sums
-        assert main(["spectrum", "44", "--format", "json"]) == 0
+        with killed_at_fork(monkeypatch):  # every child dies before it sends its sums
+            assert main(["spectrum", "44", "--format", "json"]) == 0
         assert capsys.readouterr() == serial
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    def test_no_fork_folds_in_process(self, pools, fold_log, monkeypatch):
+    def test_cli_answers_with_sigchld_ignored(self, child_env, capsys, monkeypatch):
+        # SIGCHLD ignored by a parent stays ignored through exec; then the system reaps each
+        # worker itself, and the caller's waitpid fails with ECHILD
+        monkeypatch.setattr(spectrum_module, "_usable_cpus", lambda: 1)
+        assert main(["spectrum", "44", "--format", "csv"]) == 0
+        two_cpus = "import os; os.sched_getaffinity = lambda pid: {0, 1}"
+        result = subprocess.run(
+            [sys.executable, "-c", f"{two_cpus}; from tnspectrum.cli import run; run()",
+             "spectrum", "44", "--format", "csv"],
+            capture_output=True, text=True, env=child_env,
+            preexec_fn=lambda: signal.signal(signal.SIGCHLD, signal.SIG_IGN),
+        )
+        assert (result.returncode, result.stdout, result.stderr) == (0, capsys.readouterr().out, "")
+
+    def test_no_fork_folds_in_process(self, forks, fold_log, monkeypatch):
         monkeypatch.setattr(spectrum_module, "PARALLEL_MIN_N", 1)
         monkeypatch.delattr(os, "fork")
         assert spectrum_module._usable_cpus() == 1
         assert spectrum(30, threads=4).entries == plain_fold(30)
         assert fold_log() == [(os.getpid(), 30, (0, 0))]
-        assert pools.sizes == []
+        assert forks.sizes == []
 
 
 def transposition_walks(n, steps):
