@@ -268,24 +268,27 @@ MUTANTS = [
            '// 2 - (k - 1) * last\n',
            '// 2 - (k - 1) * last + 1\n'),
     Mutant('fork-failure-propagates', 'src/tnspectrum/forked.py',
-           'except OSError:  # every failure of the forked fold',
-           'except ():  # every failure of the forked fold'),
+           'except (OSError, EOFError, ValueError):  # every failure',
+           'except (EOFError, ValueError):  # every failure'),
+    Mutant('cut-blob-propagates', 'src/tnspectrum/forked.py',
+           'except (OSError, EOFError, ValueError):  # every failure',
+           'except OSError:  # every failure'),
     Mutant('failed-fork-leaks-pipe', 'src/tnspectrum/forked.py',
            '                    os.close(read)\n                    os.close(write)\n'
            '                    raise\n',
            '                    raise\n'),
     Mutant('waitpid-before-read', 'src/tnspectrum/forked.py',
-           'blob = pipe.read()\n                status = os.waitpid(pid, 0)[1]',
-           'status = os.waitpid(pid, 0)[1]\n                blob = pipe.read()'),
+           'blobs = [pipe.read() for pipe in children.values()]',
+           'blobs = [os.waitpid(pid, 0) and pipe.read() for pid, pipe in children.items()]'),
     Mutant('failed-child-ignored', 'src/tnspectrum/forked.py',
-           'if status:  # it ended before its sums arrived',
-           'if False:  # it ended before its sums arrived'),
+           'for blob in blobs:',
+           'for blob in filter(None, blobs):'),
     Mutant('failed-child-sums-kept', 'src/tnspectrum/forked.py',
            '        for mine in sums:\n            mine[:] = [0] * len(mine)\n',
            ''),
     Mutant('reaped-child-raises', 'src/tnspectrum/forked.py',
-           'except OSError:  # reaped already\n                    pass',
-           'except OSError:  # reaped already\n                    raise'),
+           'where SIGCHLD is ignored\n                    pass',
+           'where SIGCHLD is ignored\n                    raise'),
     Mutant('failed-move-ends-the-fork', 'src/tnspectrum/forked.py',
            'or the child has ended\n                        pass',
            'or the child has ended\n                        raise'),
@@ -293,11 +296,11 @@ MUTANTS = [
            'if not folded:',
            'if workers == 1:'),
     Mutant('caller-folds-nothing', 'src/tnspectrum/forked.py',
-           'drain()\n            for pid, pipe in',
-           'for pid, pipe in'),
+           'drain()\n            blobs = [',
+           'blobs = ['),
     Mutant('reaped-child-killed', 'src/tnspectrum/forked.py',
-           'del children[pid]',
-           'pass'),
+           'if blobs is None:  # the call raised',
+           'if True:  # the call raised'),
     Mutant('left-child-not-killed', 'src/tnspectrum/forked.py',
            'os.kill(pid, SIGKILL)',
            'pass'),

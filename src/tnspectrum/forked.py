@@ -34,20 +34,20 @@ def fold_forked(
     at each of n = 40 and 44 its first shard started a median 3.6 and 4.5 ms after the fold
     began, and 1.9 ms at both when the caller moves it. A child sends its ``sums`` on a pipe
     of its own as one ``marshal`` blob and ends with ``os._exit``, which flushes no buffer
-    it shares with the caller. The caller reads each pipe to EOF before it reaps the child,
+    it shares with the caller. The caller reads every pipe to EOF before it reaps any child,
     as one blob can outgrow the pipe's 64 KiB buffer (the whole fold's accumulators take
-    67.8 KB at n = 56 and 35.0 KB at n = 44), and it kills and reaps every child that is
-    left when it stops reading, so no child outlives the call. A child holds no read end of
-    any result pipe, so when the caller is killed its write fails instead of blocking, and
-    it takes no more shards once it has a new parent.
+    67.8 KB at n = 56 and 35.0 KB at n = 44). Then it reaps every child, killing it first
+    only if the call raised before that, so no child outlives the call. A child holds no
+    read end of any result pipe, so when the caller is killed its write fails instead of
+    blocking, and it takes no more shards once it has a new parent.
 
-    Every failure takes one path. It may be a failed ``os.pipe``, ``os.fork``, ``os.read``
-    or ``os.waitpid`` (an ``OSError``: EMFILE, EAGAIN, or ECHILD where SIGCHLD is ignored,
-    as the system then reaps each child itself), or a child that raises or ends without its
-    sums (it sends nothing and prints no traceback). The caller then kills and reaps the
-    children left, where one reaped already is no error, zeroes ``sums`` and returns False,
-    and ``spectrum`` folds the whole walk in-process: bucket addition commutes, so the
-    answer is the same. Otherwise it returns True, once every child's sums have arrived.
+    A child counts when its whole blob decodes, whatever its exit status, and one reaped
+    already is no error: where SIGCHLD is ignored, ``os.waitpid`` fails with ECHILD and the
+    forked answer is kept. Every failure takes one path: a failed ``os.pipe``, ``os.fork``
+    or ``os.read`` (an ``OSError``: EMFILE or EAGAIN), or a child that raises or ends before
+    its blob is whole (it prints no traceback, and its empty or cut blob raises ``EOFError``
+    or ``ValueError``). The caller zeroes ``sums`` and returns False, and ``spectrum`` folds
+    the whole walk in-process: bucket addition commutes, so the answer is the same.
     """
 
     def drain():  # a child stops once it has a new parent; the caller never does
@@ -59,7 +59,7 @@ def fold_forked(
         queue, feed = os.pipe()
         os.write(feed, b"".join(i.to_bytes(2, "little") for i in range(len(shards))))
         os.close(feed)
-        children = {}  # pid: the read end of its result pipe
+        children, blobs = {}, None  # pid: the read end of its result pipe; then their blobs
         try:
             for _ in range(workers - 1):
                 read, write = os.pipe()
@@ -88,25 +88,21 @@ def fold_forked(
                 os.close(write)
                 children[pid] = open(read, "rb")
             drain()
-            for pid, pipe in list(children.items()):
-                blob = pipe.read()
-                status = os.waitpid(pid, 0)[1]
-                del children[pid]
-                pipe.close()
-                if status:  # it ended before its sums arrived
-                    raise ChildProcessError
-                for mine, theirs in zip(sums, marshal.loads(blob)):
-                    mine[:] = map(add, mine, theirs)
+            blobs = [pipe.read() for pipe in children.values()]
         finally:
             os.close(queue)
-            for pid, pipe in children.items():  # left when the call raises
+            for pid, pipe in children.items():
                 pipe.close()
                 try:
-                    os.kill(pid, SIGKILL)
+                    if blobs is None:  # the call raised before every blob was read
+                        os.kill(pid, SIGKILL)
                     os.waitpid(pid, 0)
-                except OSError:  # reaped already
+                except OSError:  # reaped already, as where SIGCHLD is ignored
                     pass
-    except OSError:  # every failure of the forked fold: the caller folds the whole walk
+        for blob in blobs:  # an empty or cut blob raises EOFError or ValueError
+            for mine, theirs in zip(sums, marshal.loads(blob)):
+                mine[:] = map(add, mine, theirs)
+    except (OSError, EOFError, ValueError):  # every failure: the caller folds the whole walk
         for mine in sums:
             mine[:] = [0] * len(mine)
         return False

@@ -2,6 +2,7 @@ import contextlib
 import errno
 import importlib
 import io
+import marshal
 import math
 import os
 import select
@@ -164,6 +165,17 @@ def raising_worker(monkeypatch):
     assert (waited, os.read(started, 2)) == ([[started]], b".")
     for end in (started, start, token, give):
         os.close(end)
+
+
+@contextlib.contextmanager
+def cut_blob(monkeypatch):
+    """Make each worker send the first half of its blob, then end with status 0."""
+    def dumps(sums):
+        blob = marshal.dumps(sums)
+        return blob[:len(blob) // 2]
+
+    monkeypatch.setattr(forked_module, "marshal", SimpleNamespace(dumps=dumps, loads=marshal.loads))
+    yield
 
 
 @contextlib.contextmanager
@@ -748,13 +760,13 @@ class TestForkedFold:
         pytest.param(lambda patch: failed_call(patch, "fork", 2), id="fork-2"),
         pytest.param(raising_worker, id="worker-raises"),
         pytest.param(killed_at_fork, id="worker-killed-at-fork"),
-        pytest.param(sigchld_ignored, id="sigchld-ignored"),
+        pytest.param(cut_blob, id="worker-sends-a-cut-blob"),
     ])
     def test_any_failure_folds_the_whole_walk_in_process(self, forks, fold_log, monkeypatch,
                                                          capfd, failure):
         # pipe call 1 is the queue; pipe call k + 1 and fork call k are child k's. Whatever
-        # failed, the caller kills and reaps every child left, closes every pipe end, zeroes
-        # its sums and folds the whole walk itself: sums it kept would be counted twice
+        # failed, the caller reaps every child, closes every pipe end, zeroes its sums and
+        # folds the whole walk itself: sums it kept would be counted twice
         serial = spectrum(30)
         fold_log()
         monkeypatch.setattr(spectrum_module, "PARALLEL_MIN_N", 1)
@@ -762,6 +774,22 @@ class TestForkedFold:
             fds = open_fds()
             assert spectrum(30, threads=4) == serial
             assert fold_log()[-1] == (os.getpid(), 30, (0, 0))
+            assert open_fds() == fds
+            with pytest.raises(ChildProcessError):  # no child is left
+                os.waitpid(-1, os.WNOHANG)
+        assert capfd.readouterr() == ("", "")
+
+    def test_sigchld_ignored_keeps_the_forked_answer(self, forks, fold_log, monkeypatch, capfd):
+        # the system reaps each child itself, so the caller's waitpid fails with ECHILD; every
+        # blob arrived whole, so the children's sums count and the walk is not folded again
+        serial = spectrum(30)
+        fold_log()
+        monkeypatch.setattr(spectrum_module, "PARALLEL_MIN_N", 1)
+        with sigchld_ignored(monkeypatch):
+            fds = open_fds()
+            assert spectrum(30, threads=4) == serial
+            assert (os.getpid(), 30, (0, 0)) not in fold_log()
+            assert (forks.sizes, forks.kills) == ([4], [])
             assert open_fds() == fds
             with pytest.raises(ChildProcessError):  # no child is left
                 os.waitpid(-1, os.WNOHANG)
