@@ -9,9 +9,11 @@ identical invocations produce byte-identical bytes.
 Each ``cmd_*`` returns an ``Output`` holding its JSON payload, CSV rows and
 text lines, or raises ``CommandError`` for a documented failure. ``main`` is
 the one place that picks the format, builds the JSON record and prints, so
-every command's result and error take the same path. A ``MemoryError`` from the
-command or from rendering its output ends in ``error: out of memory`` on stderr and
-status 2, whatever the format.
+every command's result and error take the same path. Running out of memory ends in
+status 2 either way: ``cmd_eig`` and ``cmd_witness`` turn a ``MemoryError`` (or an
+``OverflowError``) into the error record ``out of memory at n = N`` in the requested
+format, and any other ``MemoryError``, from another command or from rendering its
+output, ends in the plain line ``error: out of memory`` on stderr, whatever the format.
 
 ``run`` is the process entry of ``tnspec`` and ``python -m tnspectrum``, the only two:
 it calls ``main`` and ends the process once the output is flushed. Library and test

@@ -21,8 +21,9 @@ class Partition(tuple):
     """Nonincreasing positive integer parts; ``n`` is their sum.
 
     The tuple of its parts, checked on construction; its slices are plain
-    tuples. The empty partition (n = 0) is permitted but plays no role in
-    the spectrum pipeline.
+    tuples. A part that is no ``int``, such as 2.5 or 2.0, raises ValueError.
+    The empty partition (n = 0) is permitted but plays no role in the
+    spectrum pipeline.
     """
 
     __slots__ = ()
@@ -32,7 +33,7 @@ class Partition(tuple):
         for left, right in zip(self, self[1:]):
             if left < right:
                 raise ValueError(f"parts must be nonincreasing: {tuple(self)}")
-        if self and self[-1] < 1:
+        if self and self[-1] < 1 or not all(isinstance(part, int) for part in self):
             raise ValueError(f"parts must be positive integers: {tuple(self)}")
         return self
 

@@ -1,10 +1,11 @@
 import itertools
 import math
 import random
+import types
 
 import pytest
 
-from tnspectrum import Spectrum, spectrum
+from tnspectrum import Spectrum, oracle, spectrum
 from tnspectrum.oracle import build_graph, compare, edge_list, numeric_spectrum
 
 
@@ -100,6 +101,16 @@ class TestNumericSpectrum:
         with pytest.raises(ArithmeticError, match=r"no integer in -6\.\.6$"):
             numeric_spectrum(g)
 
+    @pytest.mark.parametrize("scale", [-1, 2], ids=["negative", "inexact"])
+    def test_each_multiplicity_is_checked(self, monkeypatch, scale):
+        # no graph that passes both proofs reaches this check, so a corrupted divisor does:
+        # -1 makes every multiplicity negative, and 2 leaves a remainder
+        fake = types.SimpleNamespace(factorial=math.factorial,
+                                     prod=lambda factors: scale * math.prod(factors))
+        monkeypatch.setattr(oracle, "math", fake)
+        with pytest.raises(ArithmeticError, match="gets no non-negative integer multiplicity$"):
+            numeric_spectrum(build_graph(3))
+
     @pytest.mark.parametrize("order", [0, 1, 5, 7, 23])
     def test_vertex_count_not_a_factorial_raises(self, order):
         with pytest.raises(ValueError, match="is no n!"):
@@ -161,3 +172,6 @@ class TestEdgeList:
             swapped[i], swapped[j] = swapped[j], swapped[i]
             expected.add(tuple(sorted((rank[perm], rank[tuple(swapped)]))))
         assert edges == sorted(expected)
+
+    def test_loops_are_no_edges(self):  # build_graph makes none, but u < v excludes them
+        assert edge_list([[0, 1], [0, 1]]) == [(0, 1)]

@@ -4,6 +4,7 @@ import math
 import pickle
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -40,6 +41,11 @@ class TestPartitionType:
         with pytest.raises(ValueError):
             Partition((-1,))
 
+    @pytest.mark.parametrize("parts", [[2.5, 1.5], [2.0], [3, 1.0], [Fraction(5, 2)]])
+    def test_rejects_parts_that_are_not_integers(self, parts):
+        with pytest.raises(ValueError, match=r"^parts must be positive integers: "):
+            Partition(parts)
+
     def test_value_semantics(self):
         assert Partition((2, 1)) == Partition([2, 1])
         assert hash(Partition((2, 1))) == hash(Partition((2, 1)))
@@ -51,6 +57,10 @@ class TestPartitionType:
         assert p == (4, 2, 1) and (4, 2, 1) == p
         assert hash(p) == hash((4, 2, 1))
         assert repr(p) == "Partition(4, 2, 1)"
+
+    def test_takes_no_attributes(self):  # an immutable value, with no ``__dict__``
+        with pytest.raises(AttributeError):
+            Partition((2, 1)).extra = 1
 
     def test_slices_and_concatenations_are_plain_tuples(self):
         p = Partition((4, 2, 1))

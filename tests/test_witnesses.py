@@ -92,6 +92,26 @@ class TestConstructorsPinned:
             for lam in range(-3, 60):
                 self.check(construct, reference, n, lam)
 
+    def test_nonpositive_n_is_named(self):
+        for n in range(-3, 1):
+            with pytest.raises(ValueError, match=rf"^n must be positive, got {n}$"):
+                zero_partition(n)
+
+    @pytest.mark.parametrize(
+        "construct, n, region",
+        [(lambda_partition_odd, 7, "need n - 14 odd and n >= 31, got n = 7"),
+         (lambda_partition_even, 8, "need n - 49 odd and n >= 84, got n = 8")],
+        ids=["odd", "even"],
+    )
+    def test_lam_guard(self, construct, n, region):
+        """A lam outside 1..n is refused before any tuple is built, and lam = n reaches
+        ``_balanced_hook``, whose message names the least n of the region."""
+        for lam in (-1, 0, n + 1, 10**18):
+            with pytest.raises(ValueError, match=rf"^need 1 <= lam <= n = {n}, got lam = {lam}$"):
+                construct(n, lam)
+        with pytest.raises(ValueError, match=rf"^{region}$"):
+            construct(n, n)
+
 
 def _content_sum(parts):
     # sum of (column - row) over the boxes, computed apart from ``eigenvalue``
@@ -300,8 +320,9 @@ class TestVerifyWitness:
             report.verified = False
 
     def test_rejects_nonpositive_n(self):
-        with pytest.raises(ValueError):
-            verify_witness(0, 0)
+        for target in (0, 1):  # a ValueError of its own, not "no construction"
+            with pytest.raises(ValueError, match=r"^n must be positive, got 0$"):
+                verify_witness(0, target)
 
     def test_no_construction_distinct_from_membership(self):
         # 1 is outside every construction's region at n = 6, and no claim about
