@@ -56,7 +56,7 @@ MEMORY_LIMIT = 1 << 30
 #: is in none: an edit inside a named mutant's old text fails its check there, a kill that
 #: tests no behaviour.
 TESTS = {
-    "src/tnspectrum/__init__.py": "tests/test_api.py",
+    "src/tnspectrum/__init__.py": "tests/test_api.py tests/test_cli.py",
     "src/tnspectrum/__main__.py": "tests/test_cli.py",
     "src/tnspectrum/cli.py": "tests/test_cli.py",
     "src/tnspectrum/commands.py": "tests/test_cli.py",
@@ -259,6 +259,48 @@ EQUIVALENT = [
            "children.values():\n                            pass"),
     Mutant("a child's exit status is read by no one: its blob alone counts",
            "src/tnspectrum/forked.py", "os._exit(1)", "os._exit(2)"),
+    Mutant("a failed child's exit status is read by no one either",
+           "src/tnspectrum/forked.py", "os._exit(1)", "os._exit(0)"),
+    Mutant("a child that sent its blob ends in the finally's os._exit(1), which no one reads",
+           "src/tnspectrum/forked.py", "os._exit(0)", "pass"),
+    Mutant("a child that sent its blob may end with status 1: no one reads it",
+           "src/tnspectrum/forked.py", "os._exit(0)", "os._exit(1)"),
+    Mutant("stderr is line-buffered, and the error line ends in a newline",
+           "src/tnspectrum/cli.py", "                sys.stderr.flush()\n",
+           "                pass\n"),
+    Mutant("no CPU count: 0 usable CPUs fold in-process as 1 does, as only 2 or more fork",
+           "src/tnspectrum/spectrum.py", "os.cpu_count() or 1", "os.cpu_count() or 0"),
+    Mutant("the extra value -C(n, 2) - 1 has no bucket: zip stops at the 2 C(n, 2) + 1 sums",
+           "src/tnspectrum/spectrum.py", "range(top, -top - 1, -1)", "range(top, -top - 2, -1)"),
+    Mutant("bit 0, the column 1^size, is set by top = 1 at every size anyway",
+           "src/tnspectrum/spectrum.py", "bits, sums = 0, [0]", "bits, sums = 1, [0]"),
+    Mutant("below[size][0] is read for size 0 alone, which the initial [[1]] holds",
+           "src/tnspectrum/spectrum.py", "bits, sums = 0, [0]", "bits, sums = 0, [1]"),
+    # _fold: a call's table holds E(x) for x = low..top; the call reads it at x <= top - low + 1,
+    # its pre-leaves' leaves at x <= top - 2 low + 2, and the root its own partition at x = top.
+    # A child's E slice and factors have one entry per x = row..rest each, and ``map`` stops at
+    # the shorter, so a longer one, or a root table with E(top + 1), changes nothing read.
+    Mutant("the child's E slice ends past the parent's table, and map stops at the factors",
+           "src/tnspectrum/spectrum.py", "low:top - row + 2 - low]", "low:top + row + 2 - low]"),
+    Mutant("the child's E slice is one entry longer, and map stops at the factors",
+           "src/tnspectrum/spectrum.py", "low:top - row + 2 - low]", "low:top - row + 3 - low]"),
+    Mutant("the child's E slice is 2 low entries longer, and map stops at the factors",
+           "src/tnspectrum/spectrum.py", "low:top - row + 2 - low]", "low:top - row + 2 + low]"),
+    Mutant("4 row more factors than the slice has entries, and map stops at the slice",
+           "src/tnspectrum/spectrum.py", "range(1, top - 2 * row + 2)",
+           "range(1, top + 2 * row + 2)"),
+    Mutant("row more factors than the slice has entries, and map stops at the slice",
+           "src/tnspectrum/spectrum.py", "range(1, top - 2 * row + 2)",
+           "range(1, top - 1 * row + 2)"),
+    Mutant("2 // row <= 2 row: no fewer factors than the slice has entries, and map stops at it",
+           "src/tnspectrum/spectrum.py", "range(1, top - 2 * row + 2)",
+           "range(1, top - 2 // row + 2)"),
+    Mutant("one factor more than the slice has entries, and map stops at the slice",
+           "src/tnspectrum/spectrum.py", "range(1, top - 2 * row + 2)",
+           "range(1, top - 2 * row + 3)"),
+    Mutant("the root's table gains E(top + 1), which no read reaches",
+           "src/tnspectrum/spectrum.py", "for x in range(s, top + 1)]",
+           "for x in range(s, top + 2)]"),
     Mutant("n - size and n + size have the same parity", "src/tnspectrum/witnesses.py",
            "if (n - size) % 2 == 0", "if (n + size) % 2 == 0"),
     Mutant("n - size is odd there, so + 1 and + 2 halve to the same arm",

@@ -1,3 +1,4 @@
+import collections
 import functools
 import itertools
 import math
@@ -51,15 +52,50 @@ def box_partitions():
 
 
 @pytest.fixture(scope="session")
-def spectra_up_to_30():
-    """Exact spectra for n = 2..30, shared across the closed-form checks."""
-    return {n: spectrum(n) for n in range(2, 31)}
+def young_lattice():
+    """Young's lattice to n = 36: at index n, each λ ⊢ n as a tuple, with (f(λ), v(λ)).
+
+    Built from nothing in ``tnspectrum``, with no hook length or content: f(λ) sums f over
+    the λ less one corner on level n - 1 (the branching rule), and v(λ) = C(n, 2) χ^λ(τ)/f(λ)
+    is a checked division, χ^λ(τ) at a transposition being the sum of ± f(λ less a rim
+    domino) on level n - 2, + for a horizontal domino, - for a vertical (Murnaghan–Nakayama).
+    """
+    levels = [{(): (1, 0)}]
+    for n in range(1, 37):
+        degrees = collections.defaultdict(int)
+        for mu, (f, _) in levels[-1].items():
+            for i, row in enumerate((*mu, 0)):
+                if i == 0 or mu[i - 1] > row:  # a box fits at the end of row i
+                    degrees[mu[:i] + (row + 1,) + mu[i + 1:]] += f
+        below, level = levels[n - 2] if n > 1 else {}, {}
+        for lam, f in degrees.items():
+            rows, character = (*lam, 0, 0), 0
+            for i, row in enumerate(lam):  # a row that the domino empties is dropped
+                if row - 2 >= rows[i + 1]:  # horizontal: the last two boxes of row i
+                    character += below[lam[:i] + (row - 2,) * (row > 2) + lam[i + 1:]][0]
+                if row == rows[i + 1] > rows[i + 2]:  # vertical: those of rows i and i + 1
+                    character -= below[lam[:i] + (row - 1,) * 2 * (row > 1) + lam[i + 2:]][0]
+            value, remainder = divmod(n * (n - 1) // 2 * character, f)
+            assert not remainder, lam
+            level[lam] = f, value
+        levels.append(level)
+    return levels
+
+
+@pytest.fixture(scope="session")
+def lattice_spectra(young_lattice):
+    """At index n, ``spectrum(n).entries`` as the lattice gives it: f(λ)² summed per v(λ)."""
+    buckets = [collections.defaultdict(int) for _ in young_lattice]
+    for sums, level in zip(buckets, young_lattice):
+        for f, value in level.values():
+            sums[value] += f * f
+    return [tuple(sorted(sums.items(), reverse=True)) for sums in buckets]
 
 
 @pytest.fixture(scope="session")
 def large_spectra():
-    """``spectrum`` with each n folded once for the session, for the sizes past 30 that
-    several tests check: n = 38..44, which the spectrum-serial benchmark folds, 50 and 60."""
+    """``spectrum`` with each n folded once for the session, for the sizes that several
+    tests check: n ≤ 30, and 38..44, which the spectrum-serial benchmark folds, 50 and 60."""
     return functools.cache(spectrum)
 
 

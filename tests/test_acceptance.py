@@ -83,12 +83,12 @@ def test_criterion_3_top_two_and_hook_values():
     _report("criterion 3 (largest/second eigenvalues + hook values, n <= 30)", elapsed)
 
 
-def test_criterion_4_third_and_fourth_largest(spectra_up_to_30):
+def test_criterion_4_third_and_fourth_largest(large_spectra):
     for n in range(4, 31):
-        spec = spectra_up_to_30[n]
+        spec = large_spectra(n)
         assert spec.entries[2] == ((n - 1) * (n - 4) // 2, (n * (n - 3) // 2) ** 2)
     for n in range(7, 31):
-        spec = spectra_up_to_30[n]
+        spec = large_spectra(n)
         assert spec.entries[3] == (n * (n - 5) // 2, ((n - 1) * (n - 2) // 2) ** 2)
     _report("criterion 4 (third/fourth largest eigenvalues with multiplicities)")
 

@@ -976,6 +976,11 @@ class TestLazyImports:
         loaded = self.loaded_by(f"from tnspectrum.cli import main\n{call}", child_env)
         assert {"argparse", "tnspectrum.commands"} <= loaded
 
+    def test_main_reads_sys_argv_as_the_reader_does(self, child_env):
+        # with no argument main reads sys.argv[1:], a well-formed argv, so no argparse
+        code = "sys.argv = ['tnspec', 'mult', '8', '0']\nfrom tnspectrum.cli import main\nmain()\n"
+        assert self.loaded_by(code, child_env) == set()
+
     def test_a_fold_that_forks_nothing_leaves_the_forked_fold_unloaded(self, child_env):
         # spectrum 30 folds in-process, below PARALLEL_MIN_N, so it never compiles forked.py
         script = (

@@ -1,5 +1,4 @@
 import copy
-import functools
 import math
 import pickle
 import subprocess
@@ -187,22 +186,6 @@ class TestConjugate:
             assert conjugate(p).n == p.n, p
 
 
-@functools.cache
-def branching_degree(parts: tuple[int, ...]) -> int:
-    """Standard Young tableaux of shape ``parts``, by the branching rule.
-
-    The box holding n is a corner, so d(λ) is the sum of d over λ with one
-    corner removed; no hook length is formed.
-    """
-    if sum(parts) <= 1:
-        return 1
-    return sum(
-        branching_degree(tuple(p for p in (*parts[:i], row - 1, *parts[i + 1:]) if p))
-        for i, row in enumerate(parts)
-        if i + 1 == len(parts) or parts[i + 1] < row
-    )
-
-
 class TestDegree:
     def test_examples(self):
         assert degree(Partition((3, 1))) == 3
@@ -224,7 +207,7 @@ class TestDegree:
         with pytest.raises(ArithmeticError, match="does not divide"):
             degree(Partition((2, 1)))
 
-    @pytest.mark.parametrize("n", range(1, 21))
-    def test_branching_rule(self, n):
-        for p in enumerate_partitions(n):
-            assert degree(p) == branching_degree(tuple(p)), p
+    @pytest.mark.parametrize("n", range(1, 37))
+    def test_matches_young_lattice(self, n, young_lattice):
+        for parts, (f, _) in young_lattice[n].items():
+            assert degree(Partition(parts)) == f, parts

@@ -9,6 +9,7 @@ import select
 import signal
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -19,7 +20,6 @@ from tnspectrum import (
     Spectrum,
     character_ratio,
     conjugate,
-    degree,
     eigenvalue,
     eigenvalue_set,
     eigenvalue_upper_bound,
@@ -32,7 +32,6 @@ from tnspectrum.cli import main
 
 spectrum_module = importlib.import_module("tnspectrum.spectrum")
 forked_module = importlib.import_module("tnspectrum.forked")
-FOLD_MAX_N = spectrum_module.FOLD_MAX_N
 #: the sizes past n = 30 that the closed forms and the walk moments are checked at
 LARGE_NS = [*range(38, 45), 50, 60]
 
@@ -40,15 +39,6 @@ LARGE_NS = [*range(38, 45), 50, 60]
 def accumulators(n):
     """Empty ``strict`` and ``square`` accumulators for ``_fold``, one count per eigenvalue."""
     return [0] * (n * (n - 1) + 1), [0] * (n * (n - 1) + 1)
-
-
-def plain_fold(n):
-    """Reference spectrum: every partition folded on its own, no conjugation symmetry."""
-    buckets = {}
-    for p in enumerate_partitions(n):
-        value = eigenvalue(p)
-        buckets[value] = buckets.get(value, 0) + degree(p) ** 2
-    return tuple(sorted(buckets.items(), reverse=True))
 
 
 @pytest.fixture
@@ -220,16 +210,6 @@ def fold_log(monkeypatch, tmp_path):
     return read
 
 
-def domino_removals(p):
-    """(sign, p less the domino) for each domino on the rim of ``p``: +1 horizontal, -1 vertical."""
-    rows = [*p, 0, 0]
-    for i in range(len(p)):
-        if rows[i] - 2 >= rows[i + 1]:  # the last two boxes of row i
-            yield 1, Partition(filter(None, [*rows[:i], rows[i] - 2, *rows[i + 1:]]))
-        if rows[i] == rows[i + 1] > rows[i + 2]:  # the last boxes of rows i and i + 1
-            yield -1, Partition(filter(None, [*rows[:i], rows[i] - 1, rows[i] - 1, *rows[i + 2:]]))
-
-
 class TestEigenvalue:
     def test_examples(self):
         assert eigenvalue(Partition((2,))) == 1
@@ -246,13 +226,11 @@ class TestEigenvalue:
         for p in box_partitions:
             assert abs(eigenvalue(p)) <= p.n * (p.n - 1) // 2, p
 
-    @pytest.mark.parametrize("n", range(1, 21))
-    def test_murnaghan_nakayama_at_a_transposition(self, n):
-        # the character at a transposition is the signed sum of the degrees left by
-        # removing one rim domino, and the eigenvalue is C(n, 2) times it over the degree
-        for p in enumerate_partitions(n):
-            character = sum(sign * degree(rest) for sign, rest in domino_removals(p))
-            assert eigenvalue(p) * degree(p) == n * (n - 1) // 2 * character, p
+    @pytest.mark.parametrize("n", range(1, 37))
+    def test_matches_young_lattice(self, n, young_lattice):
+        # the lattice's level n, each partition once, with v(λ) from no content sum
+        listed = sorted((p, eigenvalue(p)) for p in enumerate_partitions(n))
+        assert listed == sorted((parts, v) for parts, (_, v) in young_lattice[n].items())
 
 
 class TestCharacterRatio:
@@ -338,9 +316,9 @@ class TestSpectrum:
         with pytest.raises(AttributeError):
             spec.entries = ()
 
-    @pytest.mark.parametrize("n", range(1, 31))
-    def test_matches_plain_fold(self, n):
-        assert spectrum(n).entries == plain_fold(n)
+    @pytest.mark.parametrize("n", range(1, 37))
+    def test_matches_young_lattice(self, n, lattice_spectra):
+        assert spectrum(n).entries == lattice_spectra[n]
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_completed_names_the_visited_partition(self, n):
@@ -356,14 +334,17 @@ class TestSpectrum:
     @pytest.mark.parametrize(
         "n, k, root, named",
         [(8, 8, (2, 2), "2, 2"), (7, 5, (2, 2), "3, 2, 2"), (9, 9, (0, 0), "1, 1"),
-         (6, 6, (1, 1), "3, 2, 1"), (7, 7, (0, 0), "1, 1"), (6, 6, (0, 0), "3, 2, 1")],
-        ids=["shard-root", "node", "child-tail", "leaf", "pre-leaf-tail", "pre-leaf-leaf"],
+         (6, 6, (1, 1), "3, 2, 1"), (7, 7, (0, 0), "1, 1"), (6, 6, (0, 0), "3, 2, 1"),
+         (8, 5, (0, 0), "3, 3, 2")],
+        ids=["shard-root", "node", "child-tail", "leaf", "pre-leaf-tail", "pre-leaf-leaf",
+             "after-a-subtree"],
     )
     def test_each_division_is_checked(self, monkeypatch, n, k, root, named):
         # with k! read as k! + 1, the first division that goes wrong is the root's n!/H(s^m),
         # the root's own partition, a child tail's n!/H(nu), a child's partition folded in
-        # its parent's loop, a pre-leaf's n!/H(nu) there, and a leaf of that pre-leaf, read
-        # off the parent's table
+        # its parent's loop, a pre-leaf's n!/H(nu) there, a leaf of that pre-leaf, read off
+        # the parent's table, and a leaf of the pre-leaf (2) in the root's loop, once the
+        # subtree at (1) has returned and taken its row off the tail that names it
         inexact_factorial(monkeypatch, k)
         with pytest.raises(ArithmeticError, match=rf"does not divide {n}! for Partition\({named}\)$"):
             spectrum_module._fold(n, root, *accumulators(n))
@@ -383,10 +364,10 @@ class TestSpectrum:
         assert (result.returncode, len(pids), len(set(pids))) == (0, 2, 1)
 
     @pytest.mark.parametrize("threads", [2, 3])
-    def test_forked_shards_match_plain_fold(self, forks, monkeypatch, threads):
+    def test_forked_shards_match_the_lattice(self, forks, monkeypatch, lattice_spectra, threads):
         monkeypatch.setattr(spectrum_module, "PARALLEL_MIN_N", 1)
         for n in range(1, 31):
-            assert spectrum(n, threads=threads).entries == plain_fold(n), n
+            assert spectrum(n, threads=threads).entries == lattice_spectra[n], n
         # n = 1 and n = 2 are a single shard each and fold in-process
         assert len(forks.sizes) == 28
 
@@ -523,20 +504,22 @@ class TestFoldCeiling:
 
         monkeypatch.setattr(spectrum_module, "_fold", fold)
 
-    @pytest.mark.parametrize("n", [FOLD_MAX_N + 1, 10**19])
+    # 300, the ceiling that README and the CLI's records state, as a literal: a test that
+    # read FOLD_MAX_N back would pass whatever its value
+    @pytest.mark.parametrize("n", [301, 10**19])
     @pytest.mark.parametrize(
         "query, rest",
         [(spectrum, ()), (multiplicity, (0,)), (top_eigenvalues, (2,)), (eigenvalue_set, ())],
         ids=["spectrum", "multiplicity", "top_eigenvalues", "eigenvalue_set"],
     )
     def test_refused_before_the_fold(self, unfolded, query, rest, n):
-        message = f"^n = {n} exceeds the fold ceiling FOLD_MAX_N = {FOLD_MAX_N}$"
+        message = f"^n = {n} exceeds the fold ceiling FOLD_MAX_N = 300$"
         with pytest.raises(ValueError, match=message):
             query(n, *rest)
 
     def test_ceiling_itself_is_folded(self, unfolded):
         with pytest.raises(Folding):
-            spectrum(FOLD_MAX_N)
+            spectrum(300)
 
     def test_recursion_margin(self):
         # the walk at the ceiling is 148 visit frames deep, down the tail 1^147 it
@@ -557,7 +540,7 @@ class TestFoldCeiling:
         try:
             signal.setitimer(signal.ITIMER_REAL, 0.5)
             with pytest.raises(Deadline):
-                spectrum(FOLD_MAX_N)
+                spectrum(300)
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0)
             sys.setrecursionlimit(limit)
@@ -717,7 +700,7 @@ class TestForkedFold:
         # the caller moves each child, and no child moves itself
         assert moves == [f"{os.getpid()} {pid} 1 2" for pid in children]
 
-    def test_a_move_that_fails_is_skipped(self, forks, fold_log, monkeypatch):
+    def test_a_move_that_fails_is_skipped(self, forks, fold_log, monkeypatch, lattice_spectra):
         # a child can end before the caller moves it (ESRCH); the forked fold goes on without
         # the move, and the caller never folds the whole walk itself
         def ended(pid, cpus):
@@ -726,7 +709,7 @@ class TestForkedFold:
         monkeypatch.setattr(spectrum_module, "PARALLEL_MIN_N", 1)
         monkeypatch.setattr(forked_module, "other_cpus", lambda: {1})
         monkeypatch.setattr(os, "sched_setaffinity", ended, raising=False)
-        assert spectrum(30, threads=2).entries == plain_fold(30)
+        assert spectrum(30, threads=2).entries == lattice_spectra[30]
         assert forks.sizes == [2]
         assert (os.getpid(), 30, (0, 0)) not in fold_log()
 
@@ -741,7 +724,9 @@ class TestForkedFold:
         stat = f"123 (a) b) {' '.join(fields)}\n".encode()
         monkeypatch.setattr(forked_module, "open", lambda path, mode: io.BytesIO(stat),
                             raising=False)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        # the mask of this process, pid 0, alone
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: {0, 1, 2, 3} if pid == 0 else set(), raising=False)
         assert forked_module.other_cpus() == {0, 1, 3}
 
     def test_other_cpus_without_proc(self, monkeypatch):
@@ -825,11 +810,11 @@ class TestForkedFold:
         )
         assert (result.returncode, result.stdout, result.stderr) == (0, capsys.readouterr().out, "")
 
-    def test_no_fork_folds_in_process(self, forks, fold_log, monkeypatch):
+    def test_no_fork_folds_in_process(self, forks, fold_log, monkeypatch, lattice_spectra):
         monkeypatch.setattr(spectrum_module, "PARALLEL_MIN_N", 1)
         monkeypatch.delattr(os, "fork")
         assert spectrum_module._usable_cpus() == 1
-        assert spectrum(30, threads=4).entries == plain_fold(30)
+        assert spectrum(30, threads=4).entries == lattice_spectra[30]
         assert fold_log() == [(os.getpid(), 30, (0, 0))]
         assert forks.sizes == []
 
@@ -903,11 +888,11 @@ class TestWalkCountMoments:
             assert sum(m * v**k for v, m in entries) == math.factorial(n) * walks[k], k
 
     @pytest.mark.parametrize("n", [*range(19, 31), *LARGE_NS])
-    def test_low_moments(self, n, spectra_up_to_30, large_spectra):
+    def test_low_moments(self, n, large_spectra):
         # past n = 18 the moments 0..24 only: too few to fix every multiplicity,
         # but each one is still an exact check of the whole spectrum
         walks = transposition_walks(n, 24)
-        entries = (spectra_up_to_30.get(n) or large_spectra(n)).entries
+        entries = large_spectra(n).entries
         for k in range(25):
             assert sum(m * v**k for v, m in entries) == math.factorial(n) * walks[k], k
 
@@ -917,14 +902,23 @@ class TestContentSumSupport:
     with no hook lengths or degrees."""
 
     @pytest.mark.parametrize("n", range(1, 31))
-    def test_support_of_every_spectrum(self, n, spectra_up_to_30):
-        spec = spectra_up_to_30[n] if n > 1 else spectrum(1)
-        assert eigenvalue_set(n) == {v for v, _ in spec.entries}
+    def test_support_of_every_spectrum(self, n, large_spectra):
+        assert eigenvalue_set(n) == {v for v, _ in large_spectra(n).entries}
 
     def test_guard(self):
         # the ceiling is in TestFoldCeiling::test_refused_before_the_fold
         with pytest.raises(ValueError, match="^n must be positive, got 0$"):
             eigenvalue_set(0)
+
+    def test_keeps_only_the_rows_that_later_sizes_read(self):
+        # below[size][t] for t <= n - size: keeping every t <= size finds the same set, and
+        # peaked at 3.33 MB at n = 100 against 1.43 MB
+        tracemalloc.start()
+        try:
+            eigenvalue_set(100)
+            assert tracemalloc.get_traced_memory()[1] < 2_000_000
+        finally:
+            tracemalloc.stop()
 
 
 class TestTopEigenvalues:
@@ -936,6 +930,10 @@ class TestTopEigenvalues:
     def test_n2(self):
         assert top_eigenvalues(2, 1) == [(1, 1)]
 
+    def test_every_distinct_eigenvalue(self):
+        # n = 4 has exactly five, and asking for all of them is no excessive count
+        assert top_eigenvalues(4, 5) == [(6, 1), (2, 9), (0, 4), (-2, 9), (-6, 1)]
+
     def test_rejects_excessive_count(self):
         with pytest.raises(ValueError):
             top_eigenvalues(2, 3)
@@ -946,10 +944,10 @@ class TestTopEigenvalues:
 class TestClosedFormsSmallRange:
     """Where the closed forms stop holding; acceptance criterion 4 checks them up to 30."""
 
-    def test_fourth_largest_formula_breaks_at_n6(self, spectra_up_to_30):
+    def test_fourth_largest_formula_breaks_at_n6(self, large_spectra):
         # (3, 3) shares the value 3 with the hook (4, 1, 1) at n = 6, so the
         # fourth-largest multiplicity exceeds the closed form there
-        spec = spectra_up_to_30[6]
+        spec = large_spectra(6)
         assert spec.entries[3][0] == 3
         assert spec.entries[3][1] == 125 != 100
 

@@ -280,7 +280,7 @@ class TestMinNForPrefix:
         with pytest.raises(NoWitnessError):
             verify_witness(least - 2, k)
 
-    def test_prefix_scan_script(self, spectra_up_to_30, child_env):
+    def test_prefix_scan_script(self, large_spectra, child_env):
         script = ROOT / "scripts" / "eigenvalue_prefix_scan.py"
         result = subprocess.run(
             [sys.executable, str(script), "--max-target", "1", "--max-n", "16"],
@@ -295,7 +295,7 @@ class TestMinNForPrefix:
         for row in rows:
             cells, _, mark = row.partition("  <- ")
             n, *present = cells.split()
-            assert present == ["+" if m in spectra_up_to_30[int(n)] else "." for m in (0, 1)]
+            assert present == ["+" if m in large_spectra(int(n)) else "." for m in (0, 1)]
             if mark:
                 marks[int(n)] = mark
         assert [int(row.split()[0]) for row in rows] == list(range(2, 17))
