@@ -7,7 +7,8 @@ The marked rows are ``min_n_for_prefix``'s bound n = 10m + 4, the even-n region
 of ``lambda_partition_even``; odd n need only 4m + 3. The test suite proves the
 exact threshold N(k) for k <= 40: N(0) = 3, N(1..3) = 13, N(4..30) = 19 and
 N(31..40) = 22. The printed matrix shows how much earlier than the marked
-bound the values appear.
+bound the values appear. A ``--max-n`` above the fold ceiling ``FOLD_MAX_N`` is
+refused before the first row, with status 2.
 
 Usage: python scripts/eigenvalue_prefix_scan.py --max-target 3 --max-n 40
 """
@@ -15,6 +16,7 @@ Usage: python scripts/eigenvalue_prefix_scan.py --max-target 3 --max-n 40
 import argparse
 
 from tnspectrum import eigenvalue_set
+from tnspectrum.spectrum import FOLD_MAX_N
 from tnspectrum.witnesses import min_n_for_prefix
 
 
@@ -23,6 +25,8 @@ def main():
     parser.add_argument("--max-target", type=int, default=3)
     parser.add_argument("--max-n", type=int, default=40)
     args = parser.parse_args()
+    if args.max_n > FOLD_MAX_N:
+        parser.error(f"--max-n {args.max_n} exceeds the fold ceiling {FOLD_MAX_N}")
 
     targets = list(range(args.max_target + 1))
     thresholds = {min_n_for_prefix(m): m for m in targets}

@@ -19,7 +19,6 @@ from .partitions import (
     conjugate,
     degree,
     enumerate_partitions,
-    partition_count,
 )
 from .spectrum import (
     Spectrum,
@@ -47,7 +46,6 @@ __all__ = [
     "eigenvalue_upper_bound",
     "enumerate_partitions",
     "multiplicity",
-    "partition_count",
     "spectrum",
     "top_eigenvalues",
 ]

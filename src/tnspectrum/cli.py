@@ -307,9 +307,8 @@ def run() -> NoReturn:
                 stream.flush()
     except OSError as exc:
         if not isinstance(exc, BrokenPipeError) and sys.stderr is not None:
-            try:
+            try:  # stderr is line-buffered, or unbuffered: the line is out before _exit
                 sys.stderr.write(f"error: {exc.strerror or exc}\n")
-                sys.stderr.flush()
             except OSError:
                 pass
         os._exit(2)

@@ -207,7 +207,7 @@ def cmd_oracle(args) -> Output:
     exact = spectrum(args.n)
     graph = build_graph(args.n)
     try:
-        if args.dump_edges:  # before the proof, so a graph it rejects is still written
+        if args.dump_edges is not None:  # before the proof: a graph it rejects is still written
             with open(args.dump_edges, "w", encoding="ascii") as handle:
                 handle.write("".join(f"{u} {v}\n" for u, v in edge_list(graph)))
         report = compare(exact, numeric_spectrum(graph))

@@ -1,4 +1,4 @@
-"""Integer partitions: enumeration, conjugation, character degrees, p(n).
+"""Integer partitions: enumeration, conjugation and character degrees.
 
 Partitions of n index the irreducible representations of the symmetric group
 on n symbols; the degree attached to a partition is n! divided by the product
@@ -48,8 +48,8 @@ class Partition(tuple):
 def enumerate_partitions(n: int) -> Iterator[Partition]:
     """Yield every partition of ``n`` exactly once, in reverse-lexicographic order.
 
-    The stream starts at (n,), ends at (1,)*n and has exactly
-    ``partition_count(n)`` items. An n below 1 raises ValueError at call time.
+    The stream starts at (n,), ends at (1,)*n and has exactly p(n) items, p(n) the
+    number of partitions of n. An n below 1 raises ValueError at call time.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
@@ -103,24 +103,3 @@ def degree(p: Partition) -> int:
         raise ArithmeticError(f"hook product {hook_product} does not divide {n}! for {p}")
     return quotient
 
-
-def partition_count(n: int) -> int:
-    """Number of partitions of ``n``, by Euler's pentagonal-number recurrence.
-
-    Independent of ``enumerate_partitions``; used to cross-check stream lengths.
-    Each call builds its own table of p(0), ..., p(n), so threads share nothing.
-    """
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    counts = [1]  # p(0)
-    for m in range(1, n + 1):
-        total = 0
-        k = 1
-        while (pent := k * (3 * k - 1) // 2) <= m:
-            sign = 1 if k % 2 else -1
-            total += sign * counts[m - pent]
-            if pent + k <= m:  # second pentagonal number, k(3k+1)/2
-                total += sign * counts[m - pent - k]
-            k += 1
-        counts.append(total)
-    return counts[n]

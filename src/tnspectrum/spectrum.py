@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import os
-from itertools import accumulate
+from itertools import accumulate, count
 from operator import add, mul
 from typing import NamedTuple
 
@@ -163,8 +163,8 @@ def spectrum(n: int, *, threads: int = 1) -> Spectrum:
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     _check_n(n)
-    # a fold that forks no worker is one shard, the whole walk from the empty tail
-    shards = _shards(n) if threads > 1 and n >= PARALLEL_MIN_N else [(0, 0)]
+    # a serial fold has no shards and so no workers: the caller walks from the empty tail
+    shards = _shards(n) if threads > 1 and n >= PARALLEL_MIN_N else ()
     workers = min(threads, _usable_cpus(), len(shards))
     top = n * (n - 1) // 2  # index i of an accumulator counts the eigenvalue i - top
     strict, square = [0] * (2 * top + 1), [0] * (2 * top + 1)
@@ -179,7 +179,7 @@ def spectrum(n: int, *, threads: int = 1) -> Spectrum:
     # from the largest value down; a strict count at index i also counts the conjugates
     # at the mirror index 2 top - i
     buckets = map(add, reversed(square), map(add, reversed(strict), strict))
-    entries = tuple((value, mult) for value, mult in zip(range(top, -top - 1, -1), buckets) if mult)
+    entries = tuple((value, mult) for value, mult in zip(count(top, -1), buckets) if mult)
     return Spectrum(n=n, entries=entries)
 
 
@@ -316,7 +316,7 @@ def _fold(n: int, root: tuple[int, int], strict: list[int], square: list[int]) -
                     shifted = table[row + 1 - low:top - row + 2 - low]  # E(x + 1), x = row..rest
                     tail.append(row)
                     visit(size + row, length + 1, child, content + row * (row - 3) // 2, row, row,
-                          list(map(mul, range(1, top - 2 * row + 2), shifted)))
+                          list(map(mul, count(1), shifted)))
                     tail.pop()
                     continue
                 # a pre-leaf, whose child rows are all leaves

@@ -72,7 +72,6 @@ PUBLIC_SIGNATURES = {
     "min_n_for_prefix": ("k",),
     "multiplicity": ("n", "value", "threads"),
     "numeric_spectrum": ("adjacency",),
-    "partition_count": ("n",),
     "spectrum": ("n", "threads"),
     "top_eigenvalues": ("n", "count", "threads"),
     "verify_witness": ("n", "target"),

@@ -434,6 +434,19 @@ class TestOracleCommand:
         }
         assert not path.exists()
 
+    def test_empty_dump_path_is_an_os_error(self, capsys, monkeypatch, tmp_path):
+        # "" names no file that can be opened, so it fails as any such path does
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run(capsys, "oracle", "3", "--dump-edges", "", "--format", "json")
+        assert code == 2
+        assert json.loads(out) == {
+            "command": "oracle",
+            "n": 3,
+            "payload": {"message": "[Errno 2] No such file or directory: ''"},
+            "status": "error",
+        }
+        assert list(tmp_path.iterdir()) == []
+
     def test_edge_dump_is_one_write(self, capsys, monkeypatch, tmp_path):
         writes = []
 
@@ -1012,7 +1025,9 @@ class TestFoldPathSize:
     #: spectrum 44`` loads, the forked fold aside. It measured 5,647 before the five other
     #: commands and the parser moved to ``commands.py``, 4,108 after, and 4,067 once each
     #: call folded its children's partitions in one loop and ``main`` alone bound each
-    #: subcommand to its function. The bound sits below 4,108, so the path cannot grow back.
+    #: subcommand to its function. It read 4,083 once ``Partition`` checked each part's type,
+    #: and 3,940 once ``partition_count`` and four bounds whose exact values no output reads
+    #: were deleted. The bound sits below 4,108, so the path cannot grow back.
     FOLD_PATH_MAX_TOKENS = 4100
 
     def test_spectrum_compiles_within_the_bound(self, child_env):

@@ -94,8 +94,9 @@ def test_the_generator_on_a_fixture(monkeypatch, tmp_path):
 def test_a_path_run_fails_on_a_survivor_outside_the_table(monkeypatch, capsys):
     monkeypatch.setattr(mutants.shutil, "copytree", lambda *args, **kwargs: None)
     monkeypatch.setattr(mutants, "run", lambda mutant, copy: ("survived", ""))
-    generated = mutants.generate("src/tnspectrum/partitions.py")
-    assert mutants.main([str(ROOT / "src/tnspectrum/partitions.py")]) == 1
+    generated = mutants.generate("src/tnspectrum/witnesses.py")
+    assert mutants.main([str(ROOT / "src/tnspectrum/witnesses.py")]) == 1
     out = capsys.readouterr().out
-    assert out.endswith(f"0 killed, 1 equivalent, {len(generated) - 1} not killed\n")
-    assert "equivalent: the table gains p(n + 1)" in out
+    assert out.endswith(f"0 killed, 2 equivalent, {len(generated) - 2} not killed\n")
+    assert "equivalent: n - size and n + size have the same parity" in out
+    assert "equivalent: n - size is odd there" in out

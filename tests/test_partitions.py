@@ -1,8 +1,6 @@
 import copy
 import math
 import pickle
-import subprocess
-import sys
 from fractions import Fraction
 
 import pytest
@@ -12,7 +10,6 @@ from tnspectrum import (
     conjugate,
     degree,
     enumerate_partitions,
-    partition_count,
 )
 
 
@@ -117,52 +114,14 @@ class TestEnumeration:
             assert prev > cur  # lexicographic on tuples
         assert all(sum(parts) == n for parts in seen)
 
-    def test_counts_match_pentagonal_recurrence_up_to_40(self):
+    def test_counts_match_coin_change_up_to_40(self):
+        ways = [1] + [0] * 40  # p(0..40), by coin change over the parts 1..40
+        for part in range(1, 41):
+            for total in range(part, 41):
+                ways[total] += ways[total - part]
+        assert ways[40] == 37338
         for n in range(1, 41):
-            assert sum(1 for _ in enumerate_partitions(n)) == partition_count(n)
-
-
-class TestPartitionCount:
-    def test_known_values(self):
-        known = {0: 1, 1: 1, 2: 2, 3: 3, 4: 5, 5: 7, 6: 11, 7: 15, 8: 22,
-                 9: 30, 10: 42, 11: 56, 20: 627, 40: 37338, 100: 190569292}
-        for n, expected in known.items():
-            assert partition_count(n) == expected
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            partition_count(-1)
-
-    def test_concurrent_first_calls_agree(self, child_env):
-        # a fresh interpreter, so the first calls of all four threads overlap;
-        # the tiny switch interval interleaves them as finely as Python allows
-        script = (
-            "import sys, threading\n"
-            "from tnspectrum import partition_count\n"
-            "n = 1500\n"
-            "ways = [1] + [0] * n  # coin change over the parts 1..n\n"
-            "for part in range(1, n + 1):\n"
-            "    for total in range(part, n + 1):\n"
-            "        ways[total] += ways[total - part]\n"
-            "sys.setswitchinterval(1e-5)\n"
-            "results = []\n"
-            "threads = [threading.Thread(target=lambda: results.append(partition_count(n)))\n"
-            "           for _ in range(4)]\n"
-            "for thread in threads:\n"
-            "    thread.start()\n"
-            "for thread in threads:\n"
-            "    thread.join()\n"
-            "print(results == [ways[n]] * 4)\n"
-        )
-        result = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True,
-            text=True,
-            env=child_env,
-            timeout=120,
-        )
-        assert result.returncode == 0, result.stderr
-        assert result.stdout == "True\n"
+            assert sum(1 for _ in enumerate_partitions(n)) == ways[n]
 
 
 class TestConjugate:

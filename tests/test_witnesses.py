@@ -27,6 +27,15 @@ from tnspectrum.witnesses import (
 ROOT = pathlib.Path(__file__).parents[1]
 
 
+def load_prefix_scan():
+    """The prefix-scan script's path, and the script loaded as a module."""
+    script = ROOT / "scripts" / "eigenvalue_prefix_scan.py"
+    spec = importlib.util.spec_from_file_location("eigenvalue_prefix_scan", script)
+    scan = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(scan)
+    return script, scan
+
+
 class TestOnePartition:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 10])
     def test_outside_validity_ranges(self, n):
@@ -303,14 +312,28 @@ class TestMinNForPrefix:
 
     def test_prefix_scan_stops_at_max_n(self, monkeypatch, capsys):
         # --max-n is the scan's last row, not a guard passed to the library
-        script = ROOT / "scripts" / "eigenvalue_prefix_scan.py"
-        spec = importlib.util.spec_from_file_location("eigenvalue_prefix_scan", script)
-        scan = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(scan)
+        script, scan = load_prefix_scan()
         monkeypatch.setattr(sys, "argv", [str(script), "--max-target", "0", "--max-n", "4"])
         scan.main()
         _, *rows = capsys.readouterr().out.splitlines()
         assert [int(row.split()[0]) for row in rows] == [2, 3, 4]
+
+    def test_prefix_scan_refuses_max_n_past_the_fold_ceiling(self, monkeypatch, capsys):
+        # refused before the first row, so no eigenvalue_set is computed
+        script, scan = load_prefix_scan()
+        monkeypatch.setattr(scan, "eigenvalue_set", lambda n: pytest.fail(f"eigenvalue_set({n})"))
+        monkeypatch.setattr(sys, "argv", [str(script), "--max-target", "0", "--max-n", "301"])
+        with pytest.raises(SystemExit) as exit_info:
+            scan.main()
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith("error: --max-n 301 exceeds the fold ceiling 300\n")
+        # the ceiling itself is scanned
+        monkeypatch.setattr(scan, "eigenvalue_set", lambda n: set())
+        monkeypatch.setattr(sys, "argv", [str(script), "--max-target", "0", "--max-n", "300"])
+        scan.main()
+        assert capsys.readouterr().out.splitlines()[-1].split() == ["300", "."]
 
 
 class TestVerifyWitness:
