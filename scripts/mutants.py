@@ -85,8 +85,8 @@ MUTANTS = [
            'note = "" if mult else " (not an eigenvalue)"',
            'note = ""'),
     Mutant('ratio-text', 'src/tnspectrum/commands.py',
-           'else f"{ratio.numerator}/{ratio.denominator}"',
-           'else f"{ratio.denominator}/{ratio.numerator}"'),
+           'f"{value // common}/{pairs // common}"',
+           'f"{pairs // common}/{value // common}"'),
     Mutant('tables-verdict', 'src/tnspectrum/commands.py',
            '"result: all cells PASS" if all_pass',
            '"result: all cells pass" if all_pass'),

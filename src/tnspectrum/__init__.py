@@ -22,7 +22,6 @@ from .partitions import (
 )
 from .spectrum import (
     Spectrum,
-    character_ratio,
     eigenvalue,
     eigenvalue_set,
     eigenvalue_upper_bound,
@@ -38,7 +37,6 @@ __all__ = [
     "ORACLE_MIN_N",
     "Partition",
     "Spectrum",
-    "character_ratio",
     "conjugate",
     "degree",
     "eigenvalue",

@@ -4,10 +4,12 @@
 three fold commands in ``cli``, so that a ``spectrum``, ``mult`` or ``top`` call never
 compiles them: ``cli.main`` imports this module only for one of these five commands, or
 for an argv its reader leaves to argparse (help, ``--version`` and usage errors). Each
-command imports the witnesses, the oracle or ``fractions`` itself, when it runs.
+command imports the witnesses or the oracle itself, when it runs.
 """
 
 from __future__ import annotations
+
+import math
 
 from . import __version__
 from .cli import (
@@ -20,7 +22,6 @@ from .cli import (
 )
 from .partitions import Partition, degree, enumerate_partitions
 from .spectrum import (
-    character_ratio,
     eigenvalue,
     eigenvalue_upper_bound,
     multiplicity,
@@ -68,8 +69,10 @@ def cmd_eig(args) -> Output:
         deg = degree(part)
     except (MemoryError, OverflowError) as exc:
         raise CommandError(part.n, f"out of memory at n = {part.n}", 2) from exc
-    ratio = character_ratio(part) if part.n >= 2 else None
-    ratio_text = None if ratio is None else f"{ratio.numerator}/{ratio.denominator}"
+    # the character ratio at a transposition is the eigenvalue over the C(n, 2) transpositions
+    pairs = part.n * (part.n - 1) // 2
+    common = math.gcd(value, pairs)
+    ratio_text = f"{value // common}/{pairs // common}" if pairs else None  # none at n = 1
     return Output(
         part.n,
         {

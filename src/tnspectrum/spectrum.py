@@ -31,21 +31,6 @@ def eigenvalue(p: Partition) -> int:
     return content
 
 
-def character_ratio(p: Partition):
-    """Character value at a transposition over the degree, in lowest terms.
-
-    Equals eigenvalue(p) divided by the number n(n-1)/2 of transpositions, as a
-    ``fractions.Fraction``; ``fractions`` (which loads ``decimal``) is imported
-    here, since no other path needs it.
-    """
-    from fractions import Fraction
-
-    n = p.n  # the sum of the parts, taken once
-    if n < 2:
-        raise ValueError("character ratio requires n >= 2 (no transpositions exist below)")
-    return Fraction(eigenvalue(p), n * (n - 1) // 2)
-
-
 def eigenvalue_upper_bound(p: Partition) -> int:
     """Closed-form bound >= eigenvalue(p) from the smallest part and the length.
 
@@ -368,12 +353,16 @@ def multiplicity(n: int, value: int, *, threads: int = 1) -> int:
 
 
 def top_eigenvalues(n: int, count: int, *, threads: int = 1) -> list[tuple[int, int]]:
-    """The ``count`` largest distinct eigenvalues with multiplicities, descending."""
+    """The ``count`` largest distinct eigenvalues with multiplicities, descending.
+
+    A count above the number of distinct eigenvalues, which ``eigenvalue_set`` finds with
+    no degree, raises ValueError before any fold.
+    """
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
-    spec = spectrum(n, threads=threads)
-    if count > len(spec.entries):
+    distinct = len(eigenvalue_set(n))
+    if count > distinct:
         raise ValueError(
-            f"only {len(spec.entries)} distinct eigenvalues exist for n = {n}, requested {count}"
+            f"only {distinct} distinct eigenvalues exist for n = {n}, requested {count}"
         )
-    return list(spec.entries[:count])
+    return list(spectrum(n, threads=threads).entries[:count])

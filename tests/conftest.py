@@ -11,8 +11,8 @@ import pytest
 from tnspectrum import Partition, spectrum
 
 SRC = pathlib.Path(__file__).parents[1] / "src"
-#: Seconds a test may run before it fails: above the longest timeout a test sets itself, 120 s.
-DEADLINE_S = 180
+#: Seconds a test may run before it fails: above the longest timeout a test sets itself, 30 s.
+DEADLINE_S = 60
 
 
 @pytest.fixture(autouse=True)

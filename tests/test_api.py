@@ -58,7 +58,6 @@ def test_annotations_resolve(name):
 # A change to a public signature must edit this table, and CHANGES.md says why.
 PUBLIC_SIGNATURES = {
     "build_graph": ("n",),
-    "character_ratio": ("p",),
     "compare": ("exact", "numeric"),
     "conjugate": ("p",),
     "degree": ("p",),

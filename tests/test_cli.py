@@ -14,10 +14,11 @@ import signal
 import subprocess
 import sys
 import tokenize
+from fractions import Fraction
 
 import pytest
 
-from tnspectrum import Partition, Spectrum, multiplicity, spectrum
+from tnspectrum import Partition, Spectrum, eigenvalue, enumerate_partitions, multiplicity, spectrum
 from tnspectrum import cli, commands
 from tnspectrum.cli import main
 from tnspectrum.commands import ONE_MULTIPLICITIES, ZERO_MULTIPLICITIES, build_parser
@@ -125,6 +126,17 @@ class TestEigCommand:
         record = json.loads(out)
         assert record["status"] == "error"
         assert "out of memory" in record["payload"]["message"]
+
+    def test_character_ratio_of_every_partition(self, capsys):
+        # the eigenvalue over the C(n, 2) transpositions in lowest terms; none at n = 1
+        for n in range(1, 13):
+            for p in enumerate_partitions(n):
+                code, out, _ = run(capsys, "eig", *map(str, p), "--format", "json")
+                expected = None
+                if n > 1:
+                    ratio = Fraction(eigenvalue(p), math.comb(n, 2))
+                    expected = f"{ratio.numerator}/{ratio.denominator}"
+                assert (code, json.loads(out)["payload"]["character_ratio"]) == (0, expected), p
 
     def test_n2_has_a_character_ratio(self, capsys):
         # the least n with a transposition; no golden case has n = 2
@@ -252,7 +264,7 @@ class TestFoldOutOfMemory:
             text=True,
             env=child_env,
             preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
-            timeout=120,
+            timeout=30,
         )
         assert (result.returncode, result.stderr) == (2, "")
         assert json.loads(result.stdout) == {
@@ -884,7 +896,7 @@ class TestProcessExit:
             start_new_session=True,
         )
         try:
-            out, err = proc.communicate(timeout=120)
+            out, err = proc.communicate(timeout=30)
         finally:
             try:  # the probe also kills whatever the process left in its group
                 os.killpg(proc.pid, signal.SIGKILL)
@@ -897,9 +909,9 @@ class TestProcessExit:
 
 class TestLazyImports:
     """Start-up loads only what every command runs: ``oracle`` alone loads the oracle,
-    ``witness`` and ``verify`` the witness constructions, ``eig`` ``fractions``,
-    ``--format json`` ``json``, and nothing loads ``concurrent.futures``, ``dataclasses``
-    or ``inspect``. The five commands besides ``spectrum``, ``mult`` and ``top`` load
+    ``witness`` and ``verify`` the witness constructions, ``--format json`` ``json``, and
+    nothing loads ``concurrent.futures``, ``dataclasses``, ``inspect``, ``fractions`` or
+    ``decimal``. The five commands besides ``spectrum``, ``mult`` and ``top`` load
     ``tnspectrum.commands``, which holds them. A well-formed argv loads no ``argparse``
     (nor its ``gettext`` and ``locale``); help and usage errors do, and with it
     ``tnspectrum.commands``, which builds the parser. Importing the package, bare or by
@@ -971,7 +983,7 @@ class TestLazyImports:
     @pytest.mark.parametrize(
         "argv, expected",
         [
-            (["eig", "4", "2", "1"], {"tnspectrum.commands", "fractions", "decimal"}),
+            (["eig", "4", "2", "1"], {"tnspectrum.commands"}),
             (["mult", "8", "0", "--format", "json"], {"json"}),
             (["witness", "14", "1"], {"tnspectrum.commands", "tnspectrum.witnesses"}),
             (["verify", "6"], {"tnspectrum.commands", "tnspectrum.witnesses"}),
@@ -1026,8 +1038,10 @@ class TestFoldPathSize:
     #: commands and the parser moved to ``commands.py``, 4,108 after, and 4,067 once each
     #: call folded its children's partitions in one loop and ``main`` alone bound each
     #: subcommand to its function. It read 4,083 once ``Partition`` checked each part's type,
-    #: and 3,940 once ``partition_count`` and four bounds whose exact values no output reads
-    #: were deleted. The bound sits below 4,108, so the path cannot grow back.
+    #: 3,940 once ``partition_count`` and four bounds whose exact values no output reads
+    #: were deleted, and 3,891 once ``character_ratio`` was deleted and ``top`` counted the
+    #: distinct eigenvalues before its fold. The bound sits below 4,108, so the path cannot
+    #: grow back.
     FOLD_PATH_MAX_TOKENS = 4100
 
     def test_spectrum_compiles_within_the_bound(self, child_env):

@@ -10,7 +10,6 @@ import signal
 import subprocess
 import sys
 import tracemalloc
-from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
@@ -18,7 +17,6 @@ import pytest
 from tnspectrum import (
     Partition,
     Spectrum,
-    character_ratio,
     conjugate,
     eigenvalue,
     eigenvalue_set,
@@ -231,23 +229,6 @@ class TestEigenvalue:
         # the lattice's level n, each partition once, with v(λ) from no content sum
         listed = sorted((p, eigenvalue(p)) for p in enumerate_partitions(n))
         assert listed == sorted((parts, v) for parts, (_, v) in young_lattice[n].items())
-
-
-class TestCharacterRatio:
-    def test_examples(self):
-        assert character_ratio(Partition((5,))) == Fraction(1)
-        assert character_ratio(Partition((1, 1))) == Fraction(-1)
-        assert character_ratio(Partition((2, 1))) == Fraction(0)
-
-    def test_rejects_n1(self):
-        with pytest.raises(ValueError):
-            character_ratio(Partition((1,)))
-
-    @pytest.mark.parametrize("n", range(2, 13))
-    def test_ratio_times_transposition_count_is_eigenvalue(self, n):
-        pairs = n * (n - 1) // 2
-        for p in enumerate_partitions(n):
-            assert character_ratio(p) * pairs == eigenvalue(p)
 
 
 class TestUpperBound:
@@ -939,6 +920,18 @@ class TestTopEigenvalues:
             top_eigenvalues(2, 3)
         with pytest.raises(ValueError):
             top_eigenvalues(4, 0)
+
+    def test_excessive_count_refused_before_any_fold(self, capsys, monkeypatch):
+        # eigenvalue_set counts the 4,789 distinct values at n = 80 with no degree
+        def fold(n, root, strict, square):
+            raise AssertionError(f"_fold was called for n = {n}")
+
+        monkeypatch.setattr(spectrum_module, "_fold", fold)
+        message = "only 4789 distinct eigenvalues exist for n = 80, requested"
+        with pytest.raises(ValueError, match=f"^{message} 1000000$"):
+            top_eigenvalues(80, 10**6)
+        assert main(["top", "80", "5000"]) == 1
+        assert capsys.readouterr() == ("", f"error: {message} 5000\n")
 
 
 class TestClosedFormsSmallRange:
