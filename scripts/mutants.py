@@ -7,9 +7,10 @@ file under ``src/tnspectrum/``, which runs the mutants generated from that file'
 tree: each comparison swapped (``<``/``<=``, ``>``/``>=``, ``==``/``!=``), ``+``/``-``,
 ``*``/``//``, ``+=``/``-=`` and ``and``/``or`` swapped, each int literal moved by 1 where it
 stays at least 0, and each simple statement replaced by ``pass``. Docstrings, imports,
-strings and ``def`` and ``class`` lines are left alone. ``TESTS`` names the test files that
-run against each file's mutants, unless a named mutant names its own, and ``EQUIVALENT``
-lists the generated mutants that change no output, with the reason for each.
+strings and ``def`` and ``class`` lines are left alone, but an f-string's replacement fields
+are code and are mutated. ``TESTS`` names the test files that run against each file's
+mutants, unless a named mutant names its own, and ``EQUIVALENT`` lists the generated
+mutants that change no output, with the reason for each.
 
 The checkout is copied once into a temporary directory (``TMPDIR`` chooses where);
 each mutant is applied to the copy alone and ``pytest -x`` runs its test files there,
@@ -36,9 +37,6 @@ import subprocess
 import sys
 import tempfile
 import time
-import tokenize
-from bisect import bisect_left
-from io import StringIO
 from itertools import accumulate, pairwise
 from pathlib import Path
 from typing import NamedTuple
@@ -174,7 +172,7 @@ MUTANTS = [
     Mutant('mirror-dropped', 'src/tnspectrum/spectrum.py',
            'map(add, reversed(strict), strict)',
            'reversed(strict)'),
-    Mutant('shard-sort-reversed', 'src/tnspectrum/spectrum.py',
+    Mutant('shard-sort-reversed', 'src/tnspectrum/forked.py',
            'keys.sort(key=lambda key: (key[0] * key[1], key[0]))',
            'keys.sort(key=lambda key: (key[0] * key[1], key[0]), reverse=True)'),
     Mutant('fold-ceiling-plus-one', 'src/tnspectrum/spectrum.py',
@@ -258,6 +256,8 @@ EQUIVALENT = [
            "src/tnspectrum/forked.py", "os._exit(0)", "os._exit(1)"),
     Mutant("no CPU count: 0 usable CPUs fold in-process as 1 does, as only 2 or more fork",
            "src/tnspectrum/spectrum.py", "os.cpu_count() or 1", "os.cpu_count() or 0"),
+    Mutant("below the floor 0 processes fold in-process as 1 does, as only 2 or more fork",
+           "src/tnspectrum/spectrum.py", "PARALLEL_MIN_N else 1", "PARALLEL_MIN_N else 0"),
     Mutant("bit 0, the column 1^size, is set by top = 1 at every size anyway",
            "src/tnspectrum/spectrum.py", "bits, sums = 0, [0]", "bits, sums = 1, [0]"),
     Mutant("below[size][0] is read for size 0 alone, which the initial [[1]] holds",
@@ -297,18 +297,23 @@ EQUIVALENT = [
 #: Each operator token the generator swaps, and what it puts in its place.
 SWAPS = {"<": "<=", "<=": "<", ">": ">=", ">=": ">", "==": "!=", "!=": "==", "+": "-", "-": "+",
          "*": "//", "//": "*", "+=": "-=", "-=": "+=", "and": "or", "or": "and"}
+#: An operator token, an augmented one whole; the first between two operands is theirs.
+OPERATOR = re.compile(r"(?:\*\*|//|<<|>>|[-+*/%@&|^<>])=?|[=!]=|\b(?:and|or|not|in|is)\b")
 
 SIMPLE = (ast.Assign, ast.AugAssign, ast.AnnAssign, ast.Expr, ast.Return, ast.Raise, ast.Assert,
           ast.Delete, ast.Break, ast.Continue, ast.Global, ast.Nonlocal)
 
 
 def _nodes(node):
-    """``node`` and the nodes below it, but no import, f-string or def or class line."""
+    """``node`` and the nodes below it, but no import, def or class line, or an f-string's
+    literal text or format specs: only the values of its replacement fields."""
     yield node
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
         children = node.body
-    elif isinstance(node, (ast.Import, ast.ImportFrom, ast.JoinedStr)):
+    elif isinstance(node, (ast.Import, ast.ImportFrom)):
         children = []
+    elif isinstance(node, ast.JoinedStr):
+        children = [field.value for field in node.values if isinstance(field, ast.FormattedValue)]
     else:
         children = ast.iter_child_nodes(node)
     for child in children:
@@ -330,8 +335,6 @@ def generate(file):
     def end(node):
         return at(node.end_lineno, node.end_col_offset)
 
-    tokens = [(starts[t.start[0] - 1] + t.start[1], t.string)
-              for t in tokenize.generate_tokens(StringIO(source).readline) if t.string in SWAPS]
     edits = []  # (start, end, new text, what the edit does)
     for node in _nodes(ast.parse(source)):
         if isinstance(node, ast.Compare):
@@ -344,10 +347,12 @@ def generate(file):
             gaps = [(node.target, node.value)]
         else:
             gaps = []
-        for left, right in gaps:  # the operator is the one swappable token between them
-            i = bisect_left(tokens, (end(left), ""))
-            if i < len(tokens) and tokens[i][0] < start(right):
-                index, old = tokens[i]
+        for left, right in gaps:  # the first operator token between them, comments blanked
+            gap = re.sub(r"#.*", lambda comment: " " * len(comment[0]),
+                         source[end(left):start(right)])
+            token = OPERATOR.search(gap)
+            if token and token[0] in SWAPS:
+                index, old = end(left) + token.start(), token[0]
                 edits.append((index, index + len(old), SWAPS[old], f"{old} -> {SWAPS[old]}"))
         if isinstance(node, ast.Constant) and type(node.value) is int:
             for value in (node.value - 1, node.value + 1):

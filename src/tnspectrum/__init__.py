@@ -12,14 +12,7 @@ constructions come from ``tnspectrum.witnesses`` and the brute-force oracle
 from ``tnspectrum.oracle``; importing the package (or the CLI) loads neither.
 """
 
-from .partitions import (
-    ORACLE_MAX_N,
-    ORACLE_MIN_N,
-    Partition,
-    conjugate,
-    degree,
-    enumerate_partitions,
-)
+from .partitions import Partition, conjugate, degree, enumerate_partitions
 from .spectrum import (
     Spectrum,
     eigenvalue,
@@ -33,8 +26,6 @@ from .spectrum import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ORACLE_MAX_N",
-    "ORACLE_MIN_N",
     "Partition",
     "Spectrum",
     "conjugate",

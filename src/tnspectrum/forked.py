@@ -1,7 +1,7 @@
 """The forked fold: the caller and its forked children drain one queue of shards.
 
-``spectrum`` imports this module only when a fold forks, so an invocation that
-folds in-process never compiles it.
+``spectrum`` imports this module only when a fold may fork, so an invocation that
+folds in-process never compiles it or the shard rule.
 """
 
 from __future__ import annotations
@@ -107,6 +107,24 @@ def fold_forked(
             mine[:] = [0] * len(mine)
         return False
     return True
+
+
+def _shards(n: int) -> list[tuple[int, int]]:
+    """The bottom runs (s, m) of the tails ``_fold`` visits, smallest tail s*m first.
+
+    A smaller tail leaves more of n to the rows above it and so roots a
+    larger subtree; taking the shards from the queue in this order
+    leaves the small ones to even out the workers' loads at the end.
+    """
+    keys = [(n, 0)]
+    for s in range(1, n):
+        m = 1
+        # the first row, n - s*m, is at least s and longer than the tail
+        while n - s * m >= max(s, m + 1):
+            keys.append((s, m))
+            m += 1
+    keys.sort(key=lambda key: (key[0] * key[1], key[0]))
+    return keys
 
 
 def other_cpus() -> set[int]:

@@ -76,16 +76,14 @@ class Spectrum(NamedTuple):
 
 #: Below this n a spectrum is folded in-process whatever ``threads`` asks for.
 #: Whole-process wall time of ``tnspec spectrum N`` in fresh interpreters on a 2-core
-#: box, two forked workers against the serial fold, 12 alternating pairs per n and
-#: set. The floor is the least n at and above which the forked fold won the median
-#: and at least 9 of 12 pairs at every n measured. Six sets on the E-table kernel
-#: gave 40 (``BENCH_etable_fold.json``). Three sets on the lean kernel, at each
-#: n = 36..44, gave 39, 41 and 39 (``BENCH_lean_fold.json``). Three sets on this kernel,
-#: whose calls fold their children's partitions in one loop, gave 42, 43 and 38: the
-#: forked fold won 6, 8 and 3 pairs at n = 36, 6, 10 and 10 at 39, 10, 8 and 10 at 40,
-#: 7, 9 and 11 at 41, 11, 8 and 12 at 42, and at least 11 at 43 and 44
-#: (``BENCH_one_loop_fold.json``). Each time the sets moved the floor both ways, so it
-#: stays. Re-measure it whenever ``_fold`` changes.
+#: box, two forked workers on the shards of ``forked._shards`` against the serial fold,
+#: 12 alternating pairs per n and set. The floor is the least n at and above which the
+#: forked fold won the median and at least 9 of 12 pairs at every n measured. Three sets
+#: on this kernel, whose calls fold their children's partitions in one loop, gave 42, 43
+#: and 38: the forked fold won 6, 8 and 3 pairs at n = 36, 6, 10 and 10 at 39, 10, 8 and
+#: 10 at 40, 7, 9 and 11 at 41, 11, 8 and 12 at 42, and at least 11 at 43 and 44
+#: (``BENCH_one_loop_fold.json``). The sets moved the floor both ways, so it stays.
+#: Re-measure it whenever ``_fold`` or the shard rule changes.
 PARALLEL_MIN_N = 40
 
 #: The largest n ``spectrum`` folds. At n = 300 the walk is 148 frames deep, down
@@ -125,22 +123,19 @@ def spectrum(n: int, *, threads: int = 1) -> Spectrum:
     call. At n = 44 only 2,743 of the 39,453 partitions visited are calls of
     their own.
 
-    In-process the walk is one tree, rooted at the empty tail. With
-    ``threads`` > 1 and n at least ``PARALLEL_MIN_N`` it is cut into shards by
-    the tail's bottom run (s, m), exactly m rows of length s with only longer
-    rows above them, and folded by min(threads, usable CPUs, shard count)
-    processes: the caller and the workers it forks, none forked when that is 1.
-    They drain one queue of shards, largest subtrees first, so an idle worker
-    takes the next shard; the caller moves each worker off its own CPU right
-    after the fork, as a forked process may otherwise stay on its parent's.
-    Every process folds into one accumulator pair of its own, and the caller adds each
-    worker's pair into its own once (module ``forked``, imported only then); if that fails
-    anywhere, the pairs are zeroed and the whole walk is folded in-process.
-    The usable CPUs are those the process's affinity mask allows, not every CPU
-    of the machine: pinned to one CPU, two workers lost to the serial fold at
-    n = 56 in 8 of 10 alternating pairs. Where ``os.fork`` is missing there is
-    one, and every fold runs in-process. Bucket addition is commutative and
-    associative, so the result is identical to the serial one.
+    In-process the walk is one tree, rooted at the empty tail. ``spectrum``
+    decides only whether a fold may fork: from ``PARALLEL_MIN_N`` on, onto
+    min(threads, usable CPUs) processes, the caller and the workers it forks.
+    Only when that is 2 or more does it load module ``forked``, cut the walk
+    into its shards (``forked._shards``), cap the processes at their count and,
+    if 2 or more remain, fold them there (``forked.fold_forked``). A forked
+    fold that fails anywhere leaves the accumulators zeroed, and the whole walk
+    is folded in-process. The usable CPUs are those the process's affinity
+    mask allows, not every CPU of the machine: pinned to one CPU, two workers
+    lost to the serial fold at n = 56 in 8 of 10 alternating pairs. Where
+    ``os.fork`` is missing there is one, and every fold runs in-process. Bucket
+    addition is commutative and associative, so the result is identical to the
+    serial one.
 
     An n below 1 or above ``FOLD_MAX_N`` raises ValueError before any fold, and
     so do ``multiplicity`` and ``top_eigenvalues``.
@@ -148,17 +143,18 @@ def spectrum(n: int, *, threads: int = 1) -> Spectrum:
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     _check_n(n)
-    # a serial fold has no shards and so no workers: the caller walks from the empty tail
-    shards = _shards(n) if threads > 1 and n >= PARALLEL_MIN_N else ()
-    workers = min(threads, _usable_cpus(), len(shards))
+    workers = min(threads, _usable_cpus()) if n >= PARALLEL_MIN_N else 1
     top = n * (n - 1) // 2  # index i of an accumulator counts the eigenvalue i - top
     strict, square = [0] * (2 * top + 1), [0] * (2 * top + 1)
     folded = False
-    if workers > 1:
-        from .forked import fold_forked
+    if workers > 1:  # a fold that may fork; any other walks from the empty tail in-process
+        from .forked import _shards, fold_forked
 
-        folded = fold_forked(lambda root: _fold(n, root, strict, square), shards, workers,
-                             (strict, square))
+        shards = _shards(n)
+        workers = min(workers, len(shards))
+        if workers > 1:
+            folded = fold_forked(lambda root: _fold(n, root, strict, square), shards, workers,
+                                 (strict, square))
     if not folded:  # one process, or a forked fold that failed anywhere and zeroed the sums
         _fold(n, (0, 0), strict, square)
     # from the largest value down; a strict count at index i also counts the conjugates
@@ -210,24 +206,6 @@ def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-def _shards(n: int) -> list[tuple[int, int]]:
-    """The bottom runs (s, m) of the tails ``_fold`` visits, smallest tail s*m first.
-
-    A smaller tail leaves more of n to the rows above it and so roots a
-    larger subtree; taking the shards from the queue in this order
-    leaves the small ones to even out the workers' loads at the end.
-    """
-    keys = [(n, 0)]
-    for s in range(1, n):
-        m = 1
-        # the first row, n - s*m, is at least s and longer than the tail
-        while n - s * m >= max(s, m + 1):
-            keys.append((s, m))
-            m += 1
-    keys.sort(key=lambda key: (key[0] * key[1], key[0]))
-    return keys
 
 
 def _fold(n: int, root: tuple[int, int], strict: list[int], square: list[int]) -> None:

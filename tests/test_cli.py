@@ -1018,6 +1018,21 @@ class TestLazyImports:
         assert result.returncode == 0, result.stderr
         assert result.stdout.splitlines()[-1] == "False"
 
+    def test_a_fold_past_the_floor_on_one_cpu_leaves_the_forked_fold_unloaded(self, child_env):
+        # spectrum 44 is past PARALLEL_MIN_N, but one usable CPU forks nothing: the fold runs
+        # in-process, prints the default run's bytes and never compiles forked.py
+        call = "from tnspectrum.cli import main\nassert main(['spectrum', '44']) == 0\n"
+        pinned = (
+            "import os, sys\nos.sched_getaffinity = lambda pid: {0}\n"
+            f"{call}print('tnspectrum.forked' in sys.modules)\n"
+        )
+        default, one_cpu = (
+            subprocess.run([sys.executable, "-c", script], capture_output=True, env=child_env)
+            for script in (call, pinned)
+        )
+        assert (default.returncode, one_cpu.returncode) == (0, 0), one_cpu.stderr
+        assert one_cpu.stdout == default.stdout + b"False\n"
+
 
 def code_tokens(path):
     """The tokens of a Python source file that carry code: no comment, line break, indent,
@@ -1034,14 +1049,10 @@ class TestFoldPathSize:
     code that a fold loads but never runs costs every fold call."""
 
     #: The bound on the code tokens of the package modules that ``python -m tnspectrum
-    #: spectrum 44`` loads, the forked fold aside. It measured 5,647 before the five other
-    #: commands and the parser moved to ``commands.py``, 4,108 after, and 4,067 once each
-    #: call folded its children's partitions in one loop and ``main`` alone bound each
-    #: subcommand to its function. It read 4,083 once ``Partition`` checked each part's type,
-    #: 3,940 once ``partition_count`` and four bounds whose exact values no output reads
-    #: were deleted, and 3,891 once ``character_ratio`` was deleted and ``top`` counted the
-    #: distinct eigenvalues before its fold. The bound sits below 4,108, so the path cannot
-    #: grow back.
+    #: spectrum 44`` loads, the forked fold aside. The path measured 4,108 once the five
+    #: other commands and the parser moved to ``commands.py``; the bound sits below that,
+    #: so the path cannot grow back. It reads 3,790 since the shard rule moved to
+    #: ``forked.py`` and the package root stopped importing the oracle bounds.
     FOLD_PATH_MAX_TOKENS = 4100
 
     def test_spectrum_compiles_within_the_bound(self, child_env):

@@ -358,7 +358,7 @@ class TestSpectrum:
         monkeypatch.setattr(spectrum_module, "PARALLEL_MIN_N", 1)
         for n in (3, 12, 30):
             spectrum(n, threads=2)
-            shards = spectrum_module._shards(n)
+            shards = forked_module._shards(n)
             folds = fold_log()
             assert sorted(root for _, _, root in folds) == sorted(shards), n
             assert {size for _, size, _ in folds} == {n}
@@ -385,8 +385,8 @@ class TestSpectrum:
                           processes):
         # min(threads, usable CPUs, shards) processes fold from n = PARALLEL_MIN_N on (floor
         # None keeps the real 40); the usable CPUs are the affinity mask (None: the platform
-        # has none), else cpu_count. An in-process fold is one walk from the empty tail,
-        # and builds the shards only if it might have forked.
+        # has none), else cpu_count. An in-process fold is one walk from the empty tail; only
+        # from the floor on with min(threads, usable CPUs) > 1 are the shards built.
         serial = spectrum(n)
         fold_log()
         if floor is not None:
@@ -398,11 +398,13 @@ class TestSpectrum:
             monkeypatch.setattr(spectrum_module.os, "sched_getaffinity",
                                 lambda pid: mask if pid == 0 else set())
         monkeypatch.setattr(spectrum_module.os, "cpu_count", lambda: cpus)
-        shards, built = spectrum_module._shards, []
-        monkeypatch.setattr(spectrum_module, "_shards", lambda n: built.append(n) or shards(n))
+        shards, built = forked_module._shards, []
+        monkeypatch.setattr(forked_module, "_shards", lambda n: built.append(n) or shards(n))
         assert spectrum(n, threads=threads) == serial
         assert forks.sizes == ([processes] if processes > 1 else [])
-        assert built == ([n] if threads > 1 and n >= spectrum_module.PARALLEL_MIN_N else [])
+        usable = len(mask) if mask is not None else cpus or 1
+        may_fork = n >= spectrum_module.PARALLEL_MIN_N and min(threads, usable) > 1
+        assert built == ([n] if may_fork else [])
         if processes == 1:
             assert fold_log() == [(os.getpid(), n, (0, 0))]
 
@@ -424,7 +426,7 @@ class TestSpectrum:
         # roots the whole walk from the empty tail
         whole, merged = accumulators(n), accumulators(n)
         spectrum_module._fold(n, (0, 0), *whole)
-        for shard in spectrum_module._shards(n):
+        for shard in forked_module._shards(n):
             spectrum_module._fold(n, shard, *merged)
         assert whole == merged
 
@@ -458,10 +460,17 @@ class TestSpectrum:
     def test_smallest_tail_first(self):
         # the queue pipe hands out the shards in this order, largest subtrees first;
         # of two equal tails s*m the one with the shorter rows comes first
-        assert spectrum_module._shards(6) == [(6, 0), (1, 1), (1, 2), (2, 1), (3, 1)]
+        assert forked_module._shards(6) == [(6, 0), (1, 1), (1, 2), (2, 1), (3, 1)]
         for n in range(1, 61):
-            keys = [(s * m, s) for s, m in spectrum_module._shards(n)]
+            keys = [(s * m, s) for s, m in forked_module._shards(n)]
             assert keys == sorted(keys), n
+
+    def test_the_queue_fits_one_pipe_page(self):
+        # fold_forked writes every shard's 2-byte index in one os.write before any reader
+        # exists, so the queue must fit one 4,096-byte page, which every Linux pipe holds;
+        # at n = 300 the 1,193 shards take the 2,386 bytes that fold_forked's docstring names
+        assert 2 * len(forked_module._shards(300)) == 2386
+        assert 2 * len(forked_module._shards(spectrum_module.FOLD_MAX_N)) <= 4096
 
     @pytest.mark.parametrize("n", range(1, 31))
     def test_one_row_shard(self, n):
@@ -538,7 +547,7 @@ class TestForkedFold:
         assert spectrum(44, threads=workers) == serial
         assert forks.sizes == [workers]
         folds = fold_log()
-        assert sorted(root for _, _, root in folds) == sorted(spectrum_module._shards(44))
+        assert sorted(root for _, _, root in folds) == sorted(forked_module._shards(44))
         assert len({pid for pid, _, _ in folds}) <= workers
         assert forks.kills == []  # each child was reaped once its sums arrived
 
@@ -573,7 +582,7 @@ class TestForkedFold:
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, handler)
-        shards = len(spectrum_module._shards(12))
+        shards = len(forked_module._shards(12))
         assert spec.entries == tuple((v, shards * 10**3000) for v in range(66, -67, -1))
         assert forks.sizes == [2]
 
